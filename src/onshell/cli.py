@@ -940,7 +940,7 @@ def main(argv=None) -> int:
                 hasattr(args, "metric") and hasattr(args, "dim")):
             payload.setdefault("metric",
                                _metric_text(_parse_metric(args.metric, args.dim)))
-    except (OperatorSyntaxError, ValueError, KeyError) as exc:
+    except (OperatorSyntaxError, ValueError, KeyError, ZeroDivisionError) as exc:
         print(f"onshell: error: {exc}", file=sys.stderr)
         return 1
     _emit(payload, args.as_text)

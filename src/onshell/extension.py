@@ -37,6 +37,7 @@ from .opalg import (
 from .spectral import (
     ExactPolynomial,
     RestrictionMatrix,
+    _kernel_columns,
     _matrix_poly_apply,
     _rref,
     adjoint_restriction,
@@ -139,14 +140,12 @@ def existence_check(rec: ExtensionRecord, q: OperatorExpr) -> ExistenceReport:
                            "has nonzero scalar product with the residue")
 
 
-def _correction_from_gram(a: RestrictionMatrix, astar: RestrictionMatrix,
-                          w: DeltaVector) -> DeltaVector:
+def _correction_from_gram(astar: RestrictionMatrix, b: RestrictionMatrix,
+                          p: ExactPolynomial, w: DeltaVector) -> DeltaVector:
     """sum_(k>=1) c_k B^(k-1) A* w for p(z) = 1 + sum c_k z^k, B = A* A."""
-    b = astar.matmul(a)
-    p = projection_polynomial_of_gram(b)
     h = p - ExactPolynomial.one()
     if h.is_zero():
-        return DeltaVector.zero(a.n)
+        return DeltaVector.zero(b.n)
     h = ExactPolynomial(h.coeffs[1:])
     w0 = astar.matvec(w)
     vec = [w0.get(alpha) for alpha in b.domain_basis]
@@ -163,14 +162,16 @@ def onshell_correction(rec: ExtensionRecord, q: OperatorExpr) -> DeltaVector:
     w = rec.residue(q)
     a = restrict(q, rec.r)
     astar = adjoint_restriction(q, rec.r)
-    v = _correction_from_gram(a, astar, w)
+    b = astar.matmul(a)
+    p = projection_polynomial_of_gram(b)
+    v = _correction_from_gram(astar, b, p, w)
     corrected = w + a.matvec(v)
-    # exact self-check: corrected residue is the complement projection of w
+    # exact self-check: corrected residue is the complement projection of w,
+    # p(AA*) w, and it is orthogonal to Ran(Q|_r)
     aastar = a.matmul(astar)
-    p = projection_polynomial_of_gram(astar.matmul(a))
     vec = [w.get(alpha) for alpha in aastar.domain_basis]
     proj = aastar.to_vector(_matrix_poly_apply(aastar, p, vec))
-    if corrected != proj:
+    if corrected != proj or not astar.matvec(corrected).is_zero():
         raise AssertionError("projection contract violated in onshell_correction")
     return v
 
@@ -198,7 +199,8 @@ def order_raising_correction(rec: ExtensionRecord, r_op: OperatorExpr, k: int) -
     w = rec.residue(rk)
     a = restrict(rk, rec.r)
     astar = adjoint_restriction(rk, rec.r)
-    v = _correction_from_gram(a, astar, w)
+    b = astar.matmul(a)
+    v = _correction_from_gram(astar, b, projection_polynomial_of_gram(b), w)
     if not r_op.apply_delta(w + a.matvec(v)).is_zero():
         raise AssertionError("order-raising contract violated: R^(k+1) residue nonzero")
     return v
@@ -324,7 +326,7 @@ def verify_casimir_hypotheses(c_op: OperatorExpr, rs, r: int,
         for rop in rs:
             m = restrict(rop, r)
             stacked.extend([list(row) for row in m.entries])
-        joint = _kernel_of_rows(stacked, width)
+        joint = _kernel_columns(stacked, width)
         basis = enumerate_multi_indices(n, r)
         joint_vecs = [DeltaVector(n, {basis[i]: x for i, x in enumerate(col)}) for col in joint]
         if _same_span(ker_c, joint_vecs, basis):
@@ -333,11 +335,6 @@ def verify_casimir_hypotheses(c_op: OperatorExpr, rs, r: int,
             failures.append(f"ker(C|_{r}) differs from the joint kernel of the generators")
 
     return CasimirReport(shape_ok, self_adjoint_ok, commute_ok, kernel_ok, r, tuple(failures))
-
-
-def _kernel_of_rows(rows, ncols):
-    from .spectral import _kernel_columns
-    return _kernel_columns(rows, ncols)
 
 
 def casimir_correction(rec: ExtensionRecord, c_op: OperatorExpr, rs,

@@ -1,18 +1,23 @@
 """Exact linear algebra for restrictions of operators to delta spaces.
 
-Restriction matrices are dense and small (dimensions C(n+r, n) at desk
-scale), with Gaussian-rational entries in the graded-lex basis order of
-`enumerate_multi_indices`.  Everything here is exact: Gaussian elimination
-with first-nonzero pivoting, Krylov minimal polynomials, and the projection
-polynomial p_r(z) = prod(1 - z/lambda) over the nonzero spectrum, realized
-as the z-free part of the minimal polynomial of (Q|_r)* (Q|_r) normalized
-to value 1 at zero.
+Restriction matrices are small (dimensions C(n+r, n) at desk scale) and
+mostly zeros, with Gaussian-rational entries in the graded-lex basis order
+of `enumerate_multi_indices`.  A matrix keeps its dense rows for output and
+comparison, plus a cached sparse view (per row, its nonzero (column, entry)
+pairs) that every product, mat-vec and Krylov step runs on.  Everything here
+is exact: Gaussian elimination with first-nonzero pivoting, block Krylov
+minimal polynomials (the lcm over the connected parts of the nonzero
+pattern, each from a running echelon form of its Krylov vectors), and the
+projection polynomial p_r(z) = prod(1 - z/lambda) over the nonzero
+spectrum, realized as the z-free part of the minimal polynomial of
+(Q|_r)* (Q|_r) normalized to value 1 at zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .scalar import GaussianRational, ZERO, ONE
 from .deltaspace import (
@@ -123,14 +128,13 @@ class ExactPolynomial:
     def gcd(self, other: "ExactPolynomial") -> "ExactPolynomial":
         a, b = self, other
         while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
+            a, b = b, a.divmod(b)[1].monic()
         return a.monic()
 
     def lcm(self, other: "ExactPolynomial") -> "ExactPolynomial":
         if self.is_zero() or other.is_zero():
             return ExactPolynomial.zero()
-        g = self.gcd(other)
-        return (self * other).divmod(g)[0].monic()
+        return (self * other.divmod(self.gcd(other))[0]).monic()
 
     def deflate_root_zero(self) -> "ExactPolynomial":
         """Divide by z, which must be an exact factor."""
@@ -203,6 +207,12 @@ class RestrictionMatrix:
     def entry(self, i: int, j: int) -> GaussianRational:
         return self.entries[i][j]
 
+    @cached_property
+    def sparse_rows(self) -> tuple:
+        """Per row, the (column, entry) pairs of its nonzero entries."""
+        return tuple(tuple((j, a) for j, a in enumerate(row) if not a.is_zero())
+                     for row in self.entries)
+
     def to_vector(self, column) -> DeltaVector:
         basis = self.codomain_basis
         return DeltaVector(self.n, {basis[i]: c for i, c in enumerate(column)})
@@ -216,31 +226,19 @@ class RestrictionMatrix:
         return [v.get(alpha) for alpha in self.domain_basis]
 
     def matvec(self, v: DeltaVector) -> DeltaVector:
-        col = self.from_vector(v)
-        out = []
-        for row in self.entries:
-            s = ZERO
-            for a, x in zip(row, col):
-                if not x.is_zero() and not a.is_zero():
-                    s = s + a * x
-            out.append(s)
-        return self.to_vector(out)
+        return self.to_vector(_sparse_matvec(self.sparse_rows, self.from_vector(v)))
 
     def matmul(self, other: "RestrictionMatrix", provenance: str = "") -> "RestrictionMatrix":
         if self.ncols != other.nrows:
             raise DimensionMismatch("matrix product shape mismatch")
+        right = other.sparse_rows
         rows = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                s = ZERO
-                for k in range(self.ncols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if not a.is_zero() and not b.is_zero():
-                        s = s + a * b
-                row.append(s)
-            rows.append(tuple(row))
+        for left in self.sparse_rows:
+            acc = {}
+            for k, a in left:
+                for j, b in right[k]:
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            rows.append(tuple(acc.get(j, ZERO) for j in range(other.ncols)))
         return RestrictionMatrix(self.n, other.r_domain, self.r_codomain, tuple(rows),
                                  provenance or f"({self.provenance})*({other.provenance})")
 
@@ -265,17 +263,14 @@ class RestrictionMatrix:
     def gram_adjoint(self) -> "RestrictionMatrix":
         """Adjoint with respect to the weighted scalar products on both sides:
         (M* v | w)_(r_dom) = (v | M w)_(r_cod)."""
-        dom, cod = self.domain_basis, self.codomain_basis
-        rows = []
-        for i, alpha in enumerate(dom):
-            wa = mi_factorial(alpha)
-            row = []
-            for j, beta in enumerate(cod):
-                wb = mi_factorial(beta)
-                row.append(self.entries[j][i].conj() * GaussianRational(Fraction(wb, wa)))
-            rows.append(tuple(row))
-        return RestrictionMatrix(self.n, self.r_codomain, self.r_domain, tuple(rows),
-                                 f"adj({self.provenance})")
+        dom_w = [mi_factorial(alpha) for alpha in self.domain_basis]
+        cod_w = [mi_factorial(beta) for beta in self.codomain_basis]
+        rows = [[ZERO] * len(cod_w) for _ in dom_w]
+        for j, row in enumerate(self.sparse_rows):
+            for i, a in row:
+                rows[i][j] = a.conj() * GaussianRational(Fraction(cod_w[j], dom_w[i]))
+        return RestrictionMatrix(self.n, self.r_codomain, self.r_domain,
+                                 tuple(map(tuple, rows)), f"adj({self.provenance})")
 
     def is_normal(self) -> bool:
         if not self.is_square() or self.r_domain != self.r_codomain:
@@ -444,58 +439,121 @@ def range_membership(m: RestrictionMatrix, w: DeltaVector) -> RangeDecision:
 # minimal polynomials and projections
 # ---------------------------------------------------------------------------
 
-def _matrix_poly_apply(m: RestrictionMatrix, p: ExactPolynomial, vec: list) -> list:
-    """p(M) vec by Horner iteration on vectors."""
+def _sparse_matvec(rows, vec: list) -> list:
+    """M vec for M given by its sparse rows."""
+    out = []
+    for row in rows:
+        s = ZERO
+        for j, a in row:
+            x = vec[j]
+            if not x.is_zero():
+                s = s + a * x
+        out.append(s)
+    return out
+
+
+def _poly_apply(rows, p: ExactPolynomial, vec: list) -> list:
+    """p(M) vec by Horner iteration, for M given by its sparse rows."""
     out = [ZERO] * len(vec)
     for c in reversed(p.coeffs):
         # out = M*out + c*vec
-        nxt = []
-        for row in m.entries:
-            s = ZERO
-            for a, x in zip(row, out):
-                if not a.is_zero() and not x.is_zero():
-                    s = s + a * x
-            nxt.append(s)
-        out = [s + c * v for s, v in zip(nxt, vec)]
+        out = [s if v.is_zero() else s + c * v
+               for s, v in zip(_sparse_matvec(rows, out), vec)]
     return out
+
+
+def _matrix_poly_apply(m: RestrictionMatrix, p: ExactPolynomial, vec: list) -> list:
+    """p(M) vec by Horner iteration on vectors."""
+    return _poly_apply(m.sparse_rows, p, vec)
+
+
+def _pattern_blocks(rows) -> list:
+    """Connected parts of the symmetrised nonzero pattern of a square matrix,
+    as ascending index lists ordered by their smallest index."""
+    parent = list(range(len(rows)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, row in enumerate(rows):
+        for j, _ in row:
+            a, b = find(i), find(j)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    blocks = {}
+    for i in range(len(rows)):
+        blocks.setdefault(find(i), []).append(i)
+    return list(blocks.values())
+
+
+def _krylov_annihilator(rows, vec: list) -> ExactPolynomial:
+    """Monic p of least degree with p(M) vec = 0, for M given by sparse rows.
+
+    The Krylov vectors vec, M vec, M^2 vec, ... are reduced against a running
+    echelon form whose rows carry their combination of Krylov powers; the
+    first vector that reduces to zero yields the annihilator's coefficients.
+    """
+    echelon = []  # (pivot, row scaled to 1 at the pivot, combination of powers)
+    power = vec
+    while True:
+        cur = list(power)
+        comb = [ZERO] * len(echelon) + [ONE]
+        for piv, row, row_comb in echelon:
+            f = cur[piv]
+            if f.is_zero():
+                continue
+            cur = [x if y.is_zero() else x - f * y for x, y in zip(cur, row)]
+            for k, c in enumerate(row_comb):
+                if not c.is_zero():
+                    comb[k] = comb[k] - f * c
+        piv = next((i for i, x in enumerate(cur) if not x.is_zero()), None)
+        if piv is None:
+            return ExactPolynomial(tuple(comb))
+        inv = cur[piv].inverse()
+        echelon.append((piv, [x * inv for x in cur], [c * inv for c in comb]))
+        power = _sparse_matvec(rows, power)
+
+
+def _block_minimal_polynomial(rows) -> ExactPolynomial:
+    """Minimal polynomial of one block: the lcm of the annihilators of its
+    basis vectors, built without a gcd.  For the lcm p so far and the next
+    basis vector e, the annihilator of p(M) e is ann(e) / gcd(ann(e), p), so
+    p times it is lcm(p, ann(e))."""
+    d = len(rows)
+    result = ExactPolynomial.one()
+    for seed in range(d):
+        if result.degree() == d:
+            break  # the minimal polynomial has degree at most d
+        e = [ZERO] * d
+        e[seed] = ONE
+        u = _poly_apply(rows, result, e)
+        if not all(c.is_zero() for c in u):
+            result = result * _krylov_annihilator(rows, u)
+    return result
 
 
 def minimal_polynomial(m: RestrictionMatrix) -> ExactPolynomial:
     """Monic minimal polynomial over the Gaussian rationals.
 
-    Krylov span per basis vector; the least common multiple of the per-vector
-    annihilators is the minimal polynomial.
+    The matrix splits into the connected parts of its symmetrised nonzero
+    pattern, which it maps into themselves; the minimal polynomial is the
+    least common multiple of the distinct blocks' minimal polynomials.
     """
     if not m.is_square():
         raise NonSquareMatrixError("minimal polynomial requires a square matrix")
-    d = m.nrows
-    if d == 0:
-        return ExactPolynomial.one()
+    rows = m.sparse_rows
+    by_block = {}
+    for block in _pattern_blocks(rows):
+        local = {g: i for i, g in enumerate(block)}
+        sub = tuple(tuple((local[j], a) for j, a in rows[g]) for g in block)
+        if sub not in by_block:
+            by_block[sub] = _block_minimal_polynomial(sub)
     result = ExactPolynomial.one()
-    for seed in range(d):
-        e = [ONE if i == seed else ZERO for i in range(d)]
-        if all(c.is_zero() for c in _matrix_poly_apply(m, result, e)):
-            continue
-        # Krylov sequence e, Me, M^2 e, ... until linear dependence
-        krylov = [e]
-        vec = e
-        while True:
-            nxt = []
-            for row in m.entries:
-                s = ZERO
-                for a, x in zip(row, vec):
-                    if not a.is_zero() and not x.is_zero():
-                        s = s + a * x
-                nxt.append(s)
-            # try to express nxt in terms of the krylov vectors
-            cols = [[krylov[j][i] for j in range(len(krylov))] for i in range(d)]
-            sol = _solve(cols, nxt)
-            if sol is not None:
-                ann = ExactPolynomial(tuple(-c for c in sol) + (ONE,))
-                result = result.lcm(ann)
-                break
-            krylov.append(nxt)
-            vec = nxt
+    for p in {p.coeffs: p for p in by_block.values()}.values():
+        result = result.lcm(p)
     return result
 
 

@@ -196,6 +196,13 @@ class TestCommands:
         assert code == 1
         capsys.readouterr()
 
+    def test_division_by_zero_exit_code(self, capsys):
+        code = main(["projpoly", "--dim", "2", "--degree", "2", "--op", "box(1/0)"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("onshell: error: ")
+
     def test_stdin_residue(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin",
                             io.StringIO('{"alpha":[0],"coeff":{"re":"2","im":"0"}}'))

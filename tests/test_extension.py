@@ -13,7 +13,8 @@ from onshell.opalg import (
     lorentz_generator,
     operator_equal,
 )
-from onshell.spectral import kernel_basis, restrict
+import onshell.spectral as spectral
+from onshell.spectral import ExactPolynomial, kernel_basis, restrict
 from onshell.extension import (
     CasimirHypothesisError,
     ExtensionRecord,
@@ -120,6 +121,29 @@ class TestOnshellCorrection:
             rec1 = apply_counterterm(rec, onshell_correction(rec, q))
             rec2 = apply_counterterm(rec1, onshell_correction(rec1, q))
             assert rec1.residue(q) == rec2.residue(q)
+
+    def test_one_minimal_polynomial_per_correction(self, monkeypatch):
+        calls = []
+        original = spectral.minimal_polynomial
+
+        def counting(m):
+            calls.append(m.nrows)
+            return original(m)
+        monkeypatch.setattr(spectral, "minimal_polynomial", counting)
+        q = dalembert(2, 1)
+        w = random_delta_vector(random.Random(3), 2, 3)
+        onshell_correction(ExtensionRecord(2, 1, {q: w}), q)
+        assert calls == [3]
+
+    def test_self_check_catches_a_wrong_projection_polynomial(self, monkeypatch):
+        # with p = 1 the counterterm is zero and w + A v == p(AA*) w still
+        # holds; only the orthogonality A* (corrected residue) == 0 fails
+        monkeypatch.setattr("onshell.extension.projection_polynomial_of_gram",
+                            lambda b: ExactPolynomial.one())
+        q = dalembert(2, 1)
+        w = random_delta_vector(random.Random(3), 2, 3)
+        with pytest.raises(AssertionError, match="projection contract"):
+            onshell_correction(ExtensionRecord(2, 1, {q: w}), q)
 
 
 class TestApplyCounterterm:

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from onshell.scalar import GaussianRational, ONE, ZERO
-from onshell.deltaspace import DeltaVector, enumerate_multi_indices, inner
+from onshell.deltaspace import DeltaVector, enumerate_multi_indices, inner, mi_factorial
 from onshell.opalg import (
     OperatorExpr,
+    casimir,
     dalembert,
     default_signature,
     euler,
@@ -17,6 +18,7 @@ from onshell.spectral import (
     ExactPolynomial,
     NonNormalMatrixError,
     RestrictionMatrix,
+    _solve,
     adjoint_restriction,
     kernel_basis,
     minimal_polynomial,
@@ -27,7 +29,12 @@ from onshell.spectral import (
     restrict,
 )
 
-from conftest import random_delta_vector, random_poly_coeff_operator, structured_operator
+from conftest import (
+    random_delta_vector,
+    random_poly_coeff_operator,
+    random_scalar,
+    structured_operator,
+)
 
 
 def sc(x):
@@ -183,6 +190,128 @@ class TestMinimalPolynomial:
             for j in range(b.ncols):
                 e = [ONE if i == j else ZERO for i in range(b.nrows)]
                 assert all(c.is_zero() for c in _matrix_poly_apply(b, p, e))
+
+
+def _dense_matvec(m, vec):
+    return [sum((a * x for a, x in zip(row, vec)), ZERO) for row in m.entries]
+
+
+def _dense_minimal_polynomial(m):
+    """The dense per-seed Krylov routine the block kernel replaced: for every
+    basis vector not yet annihilated, grow its Krylov sequence and solve for
+    the first dependent vector from scratch; lcm of the annihilators."""
+    d = m.nrows
+    result = ExactPolynomial.one()
+    for seed in range(d):
+        e = [ONE if i == seed else ZERO for i in range(d)]
+        out = [ZERO] * d
+        for c in reversed(result.coeffs):
+            out = [s + c * v for s, v in zip(_dense_matvec(m, out), e)]
+        if all(c.is_zero() for c in out):
+            continue
+        krylov = [e]
+        while True:
+            nxt = _dense_matvec(m, krylov[-1])
+            cols = [[vec[i] for vec in krylov] for i in range(d)]
+            sol = _solve(cols, nxt)
+            if sol is not None:
+                result = result.lcm(ExactPolynomial(tuple(-c for c in sol) + (ONE,)))
+                break
+            krylov.append(nxt)
+    return result
+
+
+def _square(rows):
+    """A d x d matrix from rational entries (delta space n = 1, r = d - 1)."""
+    d = len(rows)
+    return RestrictionMatrix(1, d - 1, d - 1, tuple(tuple(sc(x) for x in row) for row in rows))
+
+
+def _gram(mat):
+    return mat.gram_adjoint().matmul(mat)
+
+
+def _poly(*coeffs):
+    return ExactPolynomial(tuple(sc(c) for c in coeffs))
+
+
+class TestBlockKrylovKernel:
+    def test_matches_dense_routine_on_named_operators(self):
+        mats = []
+        for n, r in ((1, 3), (2, 2), (2, 3), (3, 1), (3, 2)):
+            for m2 in (0, 1, Fraction(2, 3)):
+                mats.append(_gram(restrict(dalembert(n, m2), r)))
+        for n, r in ((1, 3), (2, 3), (3, 2)):
+            for a, k in ((Fraction(-n - 1), 1), (Fraction(-n - 2), 2), (Fraction(1, 2), 2)):
+                mat = restrict(euler(n, a) ** k, r)
+                mats += [mat, _gram(mat)]
+        for n, r in ((2, 3), (3, 2)):
+            mat = restrict(casimir(n), r)
+            mats += [mat, _gram(mat)]
+        for m in mats:
+            assert minimal_polynomial(m).coeffs == _dense_minimal_polynomial(m).coeffs
+
+    @pytest.mark.parametrize("pullback", [False, True])
+    def test_matches_dense_routine_on_seeded_operators(self, pullback):
+        rng = random.Random(41 + pullback)
+        for _ in range(8):
+            n = rng.randint(1, 3)
+            q = random_poly_coeff_operator(rng, n, allow_pullback=pullback)
+            mat = restrict(q, rng.randint(0, 3 if n < 3 else 2))
+            mats = [_gram(mat), mat.matmul(mat.gram_adjoint())]
+            if mat.is_square():
+                mats.append(mat)
+            for m in mats:
+                assert minimal_polynomial(m).coeffs == _dense_minimal_polynomial(m).coeffs
+
+    @pytest.mark.parametrize("rows, want", [
+        # blocks {0, 2} and {1, 3} interleaved in index order
+        ([[1, 0, 2, 0], [0, 3, 0, 1], [2, 0, 1, 0], [0, 1, 0, 3]],
+         _poly(-3, 1) * _poly(1, 1) * _poly(-2, 1) * _poly(-4, 1)),
+        # one-way coupling: row 2 reads column 0, nothing reads row 2
+        ([[1, 0, 0], [0, 2, 0], [1, 0, 1]], _poly(-1, 1) * _poly(-1, 1) * _poly(-2, 1)),
+        # nilpotent Jordan block: z^2, not squarefree
+        ([[0, 1], [0, 0]], _poly(0, 0, 1)),
+        ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], _poly(0, 1)),
+        ([[5]], _poly(-5, 1)),
+        ([[0]], _poly(0, 1)),
+    ])
+    def test_hand_built_edge_cases(self, rows, want):
+        m = _square(rows)
+        got = minimal_polynomial(m)
+        assert got.coeffs == want.coeffs
+        assert got.coeffs == _dense_minimal_polynomial(m).coeffs
+
+    def test_empty_matrix(self):
+        assert minimal_polynomial(RestrictionMatrix(1, -1, -1, ())).coeffs == (ONE,)
+
+    def test_sparse_products_match_dense_definition(self):
+        rng = random.Random(17)
+        for _ in range(6):
+            a_rows = [[random_scalar(rng) if rng.random() < 0.4 else ZERO for _ in range(3)]
+                      for _ in range(4)]
+            b_rows = [[random_scalar(rng) if rng.random() < 0.4 else ZERO for _ in range(5)]
+                      for _ in range(3)]
+            a_rows[rng.randrange(4)] = [ZERO] * 3  # an all-zero row
+            b_rows[rng.randrange(3)] = [ZERO] * 5
+            for row in a_rows:  # an all-zero column
+                row[1] = ZERO
+            for row in b_rows:
+                row[2] = ZERO
+            a = RestrictionMatrix(1, 2, 3, tuple(map(tuple, a_rows)))
+            b = RestrictionMatrix(1, 4, 2, tuple(map(tuple, b_rows)))
+            want = tuple(tuple(sum((a_rows[i][k] * b_rows[k][j] for k in range(3)), ZERO)
+                               for j in range(5)) for i in range(4))
+            assert a.matmul(b).entries == want
+            v = random_delta_vector(rng, 1, 2)
+            dense = _dense_matvec(a, a.from_vector(v))
+            assert a.matvec(v) == a.to_vector(dense)
+            adj = a.gram_adjoint()
+            wcod = [mi_factorial(alpha) for alpha in enumerate_multi_indices(1, 3)]
+            wdom = [mi_factorial(alpha) for alpha in enumerate_multi_indices(1, 2)]
+            assert adj.entries == tuple(
+                tuple(a_rows[j][i].conj() * sc(Fraction(wcod[j], wdom[i])) for j in range(4))
+                for i in range(3))
 
 
 class TestProjectionPolynomial:
