@@ -34,13 +34,6 @@ from .deltaspace import DeltaVector, mi_order
 from .opalg import OperatorExpr, check_signature, dalembert, default_signature, squared_interval
 
 
-class VanishingDenominator(ValueError):
-    def __init__(self, p, q, value_info):
-        super().__init__(f"alpha coefficient denominator vanishes at (p={p}, q={q}): {value_info}")
-        self.p = p
-        self.q = q
-
-
 @dataclass(frozen=True)
 class FeynmanConfig:
     """Ambient data for the counterterm algebra.
@@ -56,6 +49,8 @@ class FeynmanConfig:
     deg_v: int = -2
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("dimension must be >= 1")
         check_signature(self.n, self.signature)
         object.__setattr__(self, "m2", Fraction(self.m2))
 
@@ -317,22 +312,13 @@ def counterterm_level_projection(s_op: ConstCoeffOperator, c, level: int,
     (asserted in the tests); kept as the massless dual route and as the
     documented point of departure for m != 0.
     """
-    from .spectral import (ExactPolynomial, _matrix_poly_apply,
-                           adjoint_restriction, projection_polynomial_of_gram, restrict)
+    from .spectral import _counterterm_apply, gram_matrices, projection_polynomial_of_gram
     config = config or s_op.config
     c = GaussianRational.of(c)
     q = dalembert(config.n, config.m2, config.signature)
-    a = restrict(q, level)
-    astar = adjoint_restriction(q, level)
-    b = astar.matmul(a)
-    p = projection_polynomial_of_gram(b)
-    w0 = astar.matvec(s_op.apply_to_delta().scale(c))
-    h = p - ExactPolynomial.one()
-    if h.is_zero():
-        return DeltaVector.zero(config.n)
-    h = ExactPolynomial(h.coeffs[1:])
-    vec = [w0.get(alpha) for alpha in b.domain_basis]
-    return b.to_vector(_matrix_poly_apply(b, h, vec))
+    _, astar, b = gram_matrices(q, level)
+    return _counterterm_apply(b, projection_polynomial_of_gram(b),
+                              astar.matvec(s_op.apply_to_delta().scale(c)))
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +364,8 @@ def alpha_coefficient(j: int, k: int, n: int, m2, signature=None) -> ConstCoeffO
     for p in range(j):
         denom = Fraction(1)
         for q in range(j):
-            f = n + 2 * k - 2 * p - 2 * q - 4
-            if f == 0:
-                raise VanishingDenominator(p, q, f"n + 2k - 2p - 2q - 4 with n={n}, k={k}")
-            denom *= f
+            # p + q <= 2j - 2 <= k - 2, so the factor is at least n >= 1
+            denom *= n + 2 * k - 2 * p - 2 * q - 4
         coeff = Fraction(math.comb(j - 1, p), 1) * (m2 ** p) / denom
         total = total + (box ** (j - 1 - p)).scale(coeff)
     sign = -1 if j % 2 else 1

@@ -46,6 +46,7 @@ from .extension import (
     apply_counterterm,
     casimir_correction,
     existence_check,
+    homogeneity_operator,
     homogeneous_extension_unique,
     linearity_precondition,
     lorentz_casimir_setup,
@@ -59,10 +60,11 @@ from .spectral import (
     NonNormalMatrixError,
     RestrictionMatrix,
     adjoint_restriction,
+    gram_matrices,
     kernel_basis,
+    kernel_projector,
     minimal_polynomial,
-    projection_polynomial,
-    projector_onto_kernel,
+    projection_polynomial_of_gram,
     pseudoinverse_correction,
     range_membership,
     restrict,
@@ -330,7 +332,12 @@ class _OperatorParser:
 def parse_operator(text: str, n: int, signature=None) -> OperatorExpr:
     from .opalg import default_signature
     sig = tuple(signature) if signature is not None else default_signature(n)
-    return _OperatorParser(text, n, sig).parse()
+    parser = _OperatorParser(text, n, sig)
+    try:
+        return parser.parse()
+    except RecursionError:
+        tok = parser.tokens[min(parser.pos, len(parser.tokens) - 1)]
+        raise OperatorSyntaxError("expression nested too deeply", tok[2], tok[3]) from None
 
 
 # ---------------------------------------------------------------------------
@@ -599,11 +606,12 @@ def _cmd_essord(args):
 
 def _cmd_minpoly(args):
     q = _single_op(args)
-    m = restrict(q, args.degree)
-    if args.gram or not m.is_square():
-        m = m.gram_adjoint().matmul(m)
+    # Q|_r is square exactly when Q has essential order 0
+    if args.gram or q.essential_order().q != 0:
+        m = gram_matrices(q, args.degree)[2]
         which = "gram"
     else:
+        m = restrict(q, args.degree)
         which = "restriction"
     p = minimal_polynomial(m)
     return {"command": "minpoly", "status": "ok", "matrix": which,
@@ -612,10 +620,11 @@ def _cmd_minpoly(args):
 
 def _cmd_projpoly(args):
     q = _single_op(args)
-    p = projection_polynomial(q, args.degree)
+    b = gram_matrices(q, args.degree)[2]
+    p = projection_polynomial_of_gram(b)
     out = {"command": "projpoly", "status": "ok", "coefficients": poly_to_json(p)}
     if args.projector:
-        out["projector"] = matrix_to_json(projector_onto_kernel(q, args.degree))
+        out["projector"] = matrix_to_json(kernel_projector(b, p))
     return out
 
 
@@ -741,13 +750,8 @@ def _cmd_renorm(args):
     if args.lorentz:
         c_op, gens, _ = lorentz_casimir_setup(args.dim, sig)
         ops.append(c_op)
-    t_op = OperatorExpr.identity(args.dim)
-    nontrivial = False
-    for a_j, n_j in degrees:
-        if n_j > 0:
-            nontrivial = True
-            t_op = t_op @ (euler(args.dim, Fraction(a_j)) ** n_j)
-    if nontrivial:
+    t_op = homogeneity_operator(args.dim, degrees)
+    if t_op is not None:
         ops.append(t_op)
     if len(args.residue) != len(ops):
         raise ValueError(f"need {len(ops)} residues "

@@ -98,10 +98,6 @@ def enumerate_multi_indices(n: int, r: int) -> tuple:
     return tuple(out)
 
 
-def space_dimension(n: int, r: int) -> int:
-    return math.comb(n + r, n)
-
-
 # ---------------------------------------------------------------------------
 # sparse coefficient maps
 # ---------------------------------------------------------------------------

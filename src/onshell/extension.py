@@ -35,14 +35,13 @@ from .opalg import (
     operator_equal,
 )
 from .spectral import (
-    ExactPolynomial,
-    RestrictionMatrix,
+    _counterterm_apply,
     _kernel_columns,
     _matrix_poly_apply,
     _rref,
     adjoint_restriction,
+    gram_matrices,
     kernel_basis,
-    minimal_polynomial,
     projection_polynomial_of_gram,
     range_membership,
     restrict,
@@ -140,18 +139,6 @@ def existence_check(rec: ExtensionRecord, q: OperatorExpr) -> ExistenceReport:
                            "has nonzero scalar product with the residue")
 
 
-def _correction_from_gram(astar: RestrictionMatrix, b: RestrictionMatrix,
-                          p: ExactPolynomial, w: DeltaVector) -> DeltaVector:
-    """sum_(k>=1) c_k B^(k-1) A* w for p(z) = 1 + sum c_k z^k, B = A* A."""
-    h = p - ExactPolynomial.one()
-    if h.is_zero():
-        return DeltaVector.zero(b.n)
-    h = ExactPolynomial(h.coeffs[1:])
-    w0 = astar.matvec(w)
-    vec = [w0.get(alpha) for alpha in b.domain_basis]
-    return b.to_vector(_matrix_poly_apply(b, h, vec))
-
-
 def onshell_correction(rec: ExtensionRecord, q: OperatorExpr) -> DeltaVector:
     """Counterterm v making u' + v the canonical on-shell candidate.
 
@@ -160,17 +147,14 @@ def onshell_correction(rec: ExtensionRecord, q: OperatorExpr) -> DeltaVector:
     complement of Ran(Q|_r).  Both statements are asserted exactly.
     """
     w = rec.residue(q)
-    a = restrict(q, rec.r)
-    astar = adjoint_restriction(q, rec.r)
-    b = astar.matmul(a)
+    a, astar, b = gram_matrices(q, rec.r)
     p = projection_polynomial_of_gram(b)
-    v = _correction_from_gram(astar, b, p, w)
+    v = _counterterm_apply(b, p, astar.matvec(w))
     corrected = w + a.matvec(v)
     # exact self-check: corrected residue is the complement projection of w,
     # p(AA*) w, and it is orthogonal to Ran(Q|_r)
     aastar = a.matmul(astar)
-    vec = [w.get(alpha) for alpha in aastar.domain_basis]
-    proj = aastar.to_vector(_matrix_poly_apply(aastar, p, vec))
+    proj = aastar.to_vector(_matrix_poly_apply(aastar.sparse_rows, p, aastar.from_vector(w)))
     if corrected != proj or not astar.matvec(corrected).is_zero():
         raise AssertionError("projection contract violated in onshell_correction")
     return v
@@ -197,10 +181,8 @@ def order_raising_correction(rec: ExtensionRecord, r_op: OperatorExpr, k: int) -
         raise NonNormalRestriction("R|_r is not normal for the weighted scalar product")
     rk = r_op ** k
     w = rec.residue(rk)
-    a = restrict(rk, rec.r)
-    astar = adjoint_restriction(rk, rec.r)
-    b = astar.matmul(a)
-    v = _correction_from_gram(astar, b, projection_polynomial_of_gram(b), w)
+    a, astar, b = gram_matrices(rk, rec.r)
+    v = _counterterm_apply(b, projection_polynomial_of_gram(b), astar.matvec(w))
     if not r_op.apply_delta(w + a.matvec(v)).is_zero():
         raise AssertionError("order-raising contract violated: R^(k+1) residue nonzero")
     return v
@@ -344,20 +326,8 @@ def casimir_correction(rec: ExtensionRecord, c_op: OperatorExpr, rs,
     report = verify_casimir_hypotheses(c_op, rs, rec.r, expression)
     if not report.passed:
         raise CasimirHypothesisError(report)
-    w = rec.residue(c_op)
     mat = restrict(c_op, rec.r)
-    m = minimal_polynomial(mat)
-    if m.degree() >= 1 and m.coeffs[0].is_zero():
-        g = m.deflate_root_zero()
-    else:
-        g = m
-    b = g.scale(g(0).inverse())
-    h = b - ExactPolynomial.one()
-    if h.is_zero():
-        return DeltaVector.zero(rec.n)
-    h = ExactPolynomial(h.coeffs[1:])
-    vec = [w.get(alpha) for alpha in mat.domain_basis]
-    return mat.to_vector(_matrix_poly_apply(mat, h, vec))
+    return _counterterm_apply(mat, projection_polynomial_of_gram(mat), rec.residue(c_op))
 
 
 def lorentz_casimir_setup(n: int, signature=None):
@@ -386,6 +356,18 @@ def lorentz_casimir_setup(n: int, signature=None):
 # renormalisation map and homogeneity
 # ---------------------------------------------------------------------------
 
+def homogeneity_operator(n: int, degrees):
+    """T = prod_j (Euler(a_j))^(N_j) over the pairs (a_j, N_j) with N_j > 0,
+    or None when there is no such pair."""
+    t_op = OperatorExpr.identity(n)
+    nontrivial = False
+    for a_j, n_j in degrees:
+        if n_j > 0:
+            nontrivial = True
+            t_op = t_op @ (euler(n, Fraction(a_j)) ** n_j)
+    return t_op if nontrivial else None
+
+
 def renorm_map(rec: ExtensionRecord, degrees, lorentz: bool = False,
                signature=None) -> DeltaVector:
     """Composite counterterm: optional Casimir step, then the projection for
@@ -404,14 +386,8 @@ def renorm_map(rec: ExtensionRecord, degrees, lorentz: bool = False,
         v = casimir_correction(cur, c_op, gens, expr)
         cur = apply_counterterm(cur, v)
         total = total + v
-    t_op = OperatorExpr.identity(n)
-    nontrivial = False
-    for a_j, n_j in degrees:
-        if n_j <= 0:
-            continue
-        nontrivial = True
-        t_op = t_op @ (euler(n, Fraction(a_j)) ** n_j)
-    if nontrivial:
+    t_op = homogeneity_operator(n, degrees)
+    if t_op is not None:
         total = total + onshell_correction(cur, t_op)
     return total
 

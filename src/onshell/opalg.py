@@ -395,28 +395,8 @@ class OperatorExpr:
 
 
 # ---------------------------------------------------------------------------
-# free functions mirroring the operator surface
+# free functions on operators
 # ---------------------------------------------------------------------------
-
-def normal_form(q: OperatorExpr) -> OperatorExpr:
-    return q.normal_form()
-
-
-def transpose(q: OperatorExpr) -> OperatorExpr:
-    return q.transpose()
-
-
-def essential_order(q: OperatorExpr) -> EssentialOrder:
-    return q.essential_order()
-
-
-def apply_delta(q: OperatorExpr, v: DeltaVector) -> DeltaVector:
-    return q.apply_delta(v)
-
-
-def apply_poly(qt: OperatorExpr, f: Polynomial) -> Polynomial:
-    return qt.apply_poly(f)
-
 
 def operator_equal(q1: OperatorExpr, q2: OperatorExpr) -> bool:
     return q1.normal_form() == q2.normal_form()

@@ -11,6 +11,15 @@ pattern, each from a running echelon form of its Krylov vectors), and the
 projection polynomial p_r(z) = prod(1 - z/lambda) over the nonzero
 spectrum, realized as the z-free part of the minimal polynomial of
 (Q|_r)* (Q|_r) normalized to value 1 at zero.
+
+Every projection in the package runs through one path: `gram_matrices`
+builds A = Q|_r, its adjoint A* (from `RestrictionMatrix.gram_adjoint`) and
+B = A* A; `projection_polynomial_of_gram` turns a minimal polynomial into
+p; `_matrix_poly_apply` is the one Horner step; and `_counterterm_apply`
+forms ((p - 1)/z)(M) w, which serves the on-shell, order-raising, Casimir
+and chi level-projection counterterms and, with a sign and the kernel part
+removed, the pseudoinverse solve.  `adjoint_restriction` stays as the
+second, symbolic route to A* and is compared against it in the tests.
 """
 
 from __future__ import annotations
@@ -63,10 +72,6 @@ class ExactPolynomial:
     @staticmethod
     def one() -> "ExactPolynomial":
         return ExactPolynomial((ONE,))
-
-    @staticmethod
-    def variable() -> "ExactPolynomial":
-        return ExactPolynomial((ZERO, ONE))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -204,9 +209,6 @@ class RestrictionMatrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def entry(self, i: int, j: int) -> GaussianRational:
-        return self.entries[i][j]
-
     @cached_property
     def sparse_rows(self) -> tuple:
         """Per row, the (column, entry) pairs of its nonzero entries."""
@@ -242,18 +244,6 @@ class RestrictionMatrix:
         return RestrictionMatrix(self.n, other.r_domain, self.r_codomain, tuple(rows),
                                  provenance or f"({self.provenance})*({other.provenance})")
 
-    def add(self, other: "RestrictionMatrix") -> "RestrictionMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("matrix sum shape mismatch")
-        rows = tuple(tuple(a + b for a, b in zip(ra, rb))
-                     for ra, rb in zip(self.entries, other.entries))
-        return RestrictionMatrix(self.n, self.r_domain, self.r_codomain, rows, self.provenance)
-
-    def scale(self, c) -> "RestrictionMatrix":
-        c = GaussianRational.of(c)
-        rows = tuple(tuple(a * c for a in row) for row in self.entries)
-        return RestrictionMatrix(self.n, self.r_domain, self.r_codomain, rows, self.provenance)
-
     @staticmethod
     def identity(n: int, r: int, provenance: str = "id") -> "RestrictionMatrix":
         d = len(enumerate_multi_indices(n, r))
@@ -277,9 +267,6 @@ class RestrictionMatrix:
             return False
         adj = self.gram_adjoint()
         return self.matmul(adj).entries == adj.matmul(self).entries
-
-    def is_self_adjoint(self) -> bool:
-        return self.is_square() and self.entries == self.gram_adjoint().entries
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RestrictionMatrix)
@@ -452,7 +439,7 @@ def _sparse_matvec(rows, vec: list) -> list:
     return out
 
 
-def _poly_apply(rows, p: ExactPolynomial, vec: list) -> list:
+def _matrix_poly_apply(rows, p: ExactPolynomial, vec: list) -> list:
     """p(M) vec by Horner iteration, for M given by its sparse rows."""
     out = [ZERO] * len(vec)
     for c in reversed(p.coeffs):
@@ -460,11 +447,6 @@ def _poly_apply(rows, p: ExactPolynomial, vec: list) -> list:
         out = [s if v.is_zero() else s + c * v
                for s, v in zip(_sparse_matvec(rows, out), vec)]
     return out
-
-
-def _matrix_poly_apply(m: RestrictionMatrix, p: ExactPolynomial, vec: list) -> list:
-    """p(M) vec by Horner iteration on vectors."""
-    return _poly_apply(m.sparse_rows, p, vec)
 
 
 def _pattern_blocks(rows) -> list:
@@ -529,7 +511,7 @@ def _block_minimal_polynomial(rows) -> ExactPolynomial:
             break  # the minimal polynomial has degree at most d
         e = [ZERO] * d
         e[seed] = ONE
-        u = _poly_apply(rows, result, e)
+        u = _matrix_poly_apply(rows, result, e)
         if not all(c.is_zero() for c in u):
             result = result * _krylov_annihilator(rows, u)
     return result
@@ -557,6 +539,33 @@ def minimal_polynomial(m: RestrictionMatrix) -> ExactPolynomial:
     return result
 
 
+def gram_matrices(q: OperatorExpr, r: int):
+    """(A, A*, B) for A = Q|_r, its adjoint A* and the Gram matrix B = A* A."""
+    a = restrict(q, r)
+    astar = a.gram_adjoint()
+    return a, astar, astar.matmul(a, provenance=f"B(r={r})")
+
+
+def projection_polynomial_of_gram(b: RestrictionMatrix) -> ExactPolynomial:
+    """p with p(B) the orthogonal projection onto ker B, for a Gram (or any
+    normal) matrix B: its minimal polynomial without the root at zero,
+    normalized so p(0) = 1."""
+    m = minimal_polynomial(b)
+    g = m.deflate_root_zero() if m.coeffs[0].is_zero() else m
+    g0 = g(0)
+    if g0.is_zero():
+        raise AssertionError("gram matrix minimal polynomial is not squarefree")
+    return g.scale(g0.inverse())
+
+
+def _counterterm_apply(m: RestrictionMatrix, p: ExactPolynomial, w: DeltaVector) -> DeltaVector:
+    """((p - 1)/z)(M) w for p(0) = 1: sum_(k>=1) c_k M^(k-1) w when
+    p(z) = 1 + sum c_k z^k.  With M = A* A and w = A* u, u + A of the result
+    is p(A A*) u, the part of u orthogonal to Ran A."""
+    h = ExactPolynomial(p.coeffs[1:])
+    return m.to_vector(_matrix_poly_apply(m.sparse_rows, h, m.from_vector(w)))
+
+
 def projection_polynomial(q: OperatorExpr, r: int) -> ExactPolynomial:
     """p_r(z) = prod(1 - z/lambda) over the nonzero spectrum of (Q|_r)(Q|_r)*.
 
@@ -564,35 +573,23 @@ def projection_polynomial(q: OperatorExpr, r: int) -> ExactPolynomial:
     B = (Q|_r)*(Q|_r), normalized so p_r(0) = 1.  p_r(B) is then the
     orthogonal projection onto ker B = ker(Q|_r).
     """
-    mat = restrict(q, r)
-    b = mat.gram_adjoint().matmul(mat, provenance=f"B(r={r})")
-    return projection_polynomial_of_gram(b)
+    return projection_polynomial_of_gram(gram_matrices(q, r)[2])
 
 
-def projection_polynomial_of_gram(b: RestrictionMatrix) -> ExactPolynomial:
-    m = minimal_polynomial(b)
-    if m.degree() >= 1 and m.coeffs[0].is_zero():
-        g = m.deflate_root_zero()
-    else:
-        g = m
-    g0 = g(0)
-    if g0.is_zero():
-        raise AssertionError("gram matrix minimal polynomial is not squarefree")
-    return g.scale(g0.inverse())
+def kernel_projector(b: RestrictionMatrix, p: ExactPolynomial) -> RestrictionMatrix:
+    """p(B) as a matrix, for p = projection_polynomial_of_gram(b): the
+    orthogonal projection onto ker B."""
+    d = b.nrows
+    cols = [_matrix_poly_apply(b.sparse_rows, p, [ONE if i == j else ZERO for i in range(d)])
+            for j in range(d)]
+    return RestrictionMatrix(b.n, b.r_domain, b.r_domain, tuple(zip(*cols)),
+                             f"proj-ker(r={b.r_domain})")
 
 
 def projector_onto_kernel(q: OperatorExpr, r: int) -> RestrictionMatrix:
     """p_r(B): the orthogonal projection onto ker(Q|_r) inside degree <= r."""
-    mat = restrict(q, r)
-    b = mat.gram_adjoint().matmul(mat, provenance=f"B(r={r})")
-    p = projection_polynomial_of_gram(b)
-    d = b.nrows
-    cols = []
-    for j in range(d):
-        e = [ONE if i == j else ZERO for i in range(d)]
-        cols.append(_matrix_poly_apply(b, p, e))
-    rows = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-    return RestrictionMatrix(q.n, r, r, rows, f"proj-ker(r={r})")
+    b = gram_matrices(q, r)[2]
+    return kernel_projector(b, projection_polynomial_of_gram(b))
 
 
 def pseudoinverse_correction(m: RestrictionMatrix, w: DeltaVector) -> DeltaVector:
@@ -610,23 +607,11 @@ def pseudoinverse_correction(m: RestrictionMatrix, w: DeltaVector) -> DeltaVecto
         raise NonNormalMatrixError(
             "matrix is not normal for the weighted scalar product; "
             "fall back to range_membership")
-    mp = minimal_polynomial(m)
-    if not mp.is_squarefree():
+    p = projection_polynomial_of_gram(m)  # p(M) projects onto ker M
+    if not p.is_squarefree():
         raise AssertionError("normal matrix has non-squarefree minimal polynomial")
-    if mp.degree() >= 1 and mp.coeffs[0].is_zero():
-        g = mp.deflate_root_zero()
-        proj = g.scale(g(0).inverse())  # orthogonal projector onto ker M
-    else:
-        g = mp
-        proj = None
     rhs = [w.get(alpha) for alpha in m.codomain_basis]
-    if proj is not None:
-        kernel_part = _matrix_poly_apply(m, proj, rhs)
-        rhs = [a - b for a, b in zip(rhs, kernel_part)]
-    # q(z) = (1 - g(z)/g(0)) / z is a polynomial with q(lambda) = 1/lambda on
-    # every nonzero eigenvalue; for the zero matrix there is nothing to solve
-    num = ExactPolynomial.one() - g.scale(g(0).inverse())
-    if num.is_zero():
-        return DeltaVector.zero(m.n)
-    out = _matrix_poly_apply(m, num.deflate_root_zero(), rhs)
-    return m.to_vector(out)
+    kernel_part = _matrix_poly_apply(m.sparse_rows, p, rhs)
+    # (1 - p(z))/z is 1/lambda on every nonzero eigenvalue lambda
+    rest = m.to_vector([a - b for a, b in zip(rhs, kernel_part)])
+    return _counterterm_apply(m, p, rest).scale(-1)

@@ -225,6 +225,13 @@ class TestAlphaCoefficient:
         with pytest.raises(ValueError):
             alpha_coefficient(1, 1, 2, Fraction(0), (1, -1))
 
+    def test_zero_dimension_rejected(self):
+        # with n >= 1 every factor n + 2k - 2p - 2q - 4 of the denominator is >= n
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            FeynmanConfig(0, ())
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            alpha_coefficient(1, 2, 0, 0, signature=())
+
 
 class TestChiExplicit:
     def test_first_order_bare(self):

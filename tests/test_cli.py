@@ -57,6 +57,12 @@ class TestParser:
             parse_operator("x1*d9", 2)
         assert exc.value.start == 3 and exc.value.end == 5
 
+    def test_deep_nesting_is_a_syntax_error(self):
+        text = "(" * 3000 + "x1" + ")" * 3000
+        with pytest.raises(OperatorSyntaxError, match="nested too deeply") as exc:
+            parse_operator(text, 1)
+        assert 0 <= exc.value.start < exc.value.end <= len(text)
+
     def test_builtins(self):
         assert operator_equal(parse_operator("euler(-2)", 3), euler(3, Fraction(-2)))
         assert operator_equal(parse_operator("box(1/2)", 2, (1, -1)),
@@ -202,6 +208,33 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("onshell: error: ")
+
+    def test_projpoly_projector_one_minimal_polynomial(self, capsys, monkeypatch):
+        import onshell.spectral as spectral
+        calls = []
+        original = spectral.minimal_polynomial
+        monkeypatch.setattr(spectral, "minimal_polynomial",
+                            lambda m: calls.append(m.nrows) or original(m))
+        code, out = run_cli(capsys, "projpoly", "--dim", "2", "--degree", "2",
+                            "--op", "box(1)", "--projector")
+        assert code == 0 and "projector" in json.loads(out)
+        assert calls == [6]
+
+    def test_deep_nesting_exit_code(self, capsys):
+        code = main(["restrict", "--dim", "1", "--degree", "0",
+                     "--op", "(" * 3000 + "x1" + ")" * 3000])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("onshell: error: at ")
+        assert "nested too deeply" in captured.err
+
+    def test_zero_dimension_exit_code(self, capsys):
+        code = main(["chi", "--dim", "0", "--metric", ""])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "onshell: error: dimension must be >= 1\n"
 
     def test_stdin_residue(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin",

@@ -130,6 +130,29 @@ class TestAdjoint:
                 v = random_delta_vector(rng, n, r + ess)
                 assert inner(r + ess, v, a.matvec(w)) == inner(r, astar.matvec(v), w)
 
+    @pytest.mark.parametrize("family", ["structured", "poly_pullback"])
+    def test_symbolic_route_matches_gram_adjoint(self, family):
+        # adjoint_restriction is the second route to (Q|_r)*; the spectral
+        # path builds A* from restrict(q, r).gram_adjoint()
+        rng = random.Random(41)
+        kinds = set()
+        for _ in range(30):
+            n = rng.randint(1, 3)
+            r = rng.randint(0, 2 if n < 3 else 1)
+            if family == "structured":
+                q = structured_operator(rng, n)
+            else:
+                q = random_poly_coeff_operator(rng, n, allow_pullback=True)
+            if rng.random() < 0.5:
+                q = q.scale(GaussianRational(Fraction(1, 2), Fraction(-3)))
+            kinds.add(any(pb is not None for _, _, pb in q.terms))
+            sym = adjoint_restriction(q, r)
+            gram = restrict(q, r).gram_adjoint()
+            assert (sym.n, sym.r_domain, sym.r_codomain) == \
+                (gram.n, gram.r_domain, gram.r_codomain)
+            assert sym.entries == gram.entries
+        assert kinds == {False, True}
+
     def test_level_stability_blocks(self):
         # for Euler operators and the massless wave operator, the adjoint at a
         # higher level restricted to the lower codomain equals the lower adjoint
@@ -189,7 +212,7 @@ class TestMinimalPolynomial:
             from onshell.spectral import _matrix_poly_apply
             for j in range(b.ncols):
                 e = [ONE if i == j else ZERO for i in range(b.nrows)]
-                assert all(c.is_zero() for c in _matrix_poly_apply(b, p, e))
+                assert all(c.is_zero() for c in _matrix_poly_apply(b.sparse_rows, p, e))
 
 
 def _dense_matvec(m, vec):
