@@ -27,10 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from .scalar import GaussianRational, ZERO, ONE
-from .deltaspace import DeltaVector, mi_order
+from .deltaspace import DeltaVector, DimensionMismatch, mi_order
 from .opalg import OperatorExpr, check_signature, dalembert, default_signature, squared_interval
 
 
@@ -199,48 +200,92 @@ def _descend_factor(n: int, d: int, i: int) -> int:
     return 2 * i * (2 * d + 2 * (i - 1) + n)
 
 
+def _box_delta(signature: tuple, v: dict) -> dict:
+    """box delta^(a) = sum_mu g_(mu mu) delta^(a + 2 e_mu), on {a: int}."""
+    out: dict = {}
+    for alpha, c in v.items():
+        for mu, g in enumerate(signature):
+            beta = alpha[:mu] + (alpha[mu] + 2,) + alpha[mu + 1:]
+            out[beta] = out.get(beta, 0) + g * c
+    return out
+
+
+def _interval_delta(signature: tuple, v: dict) -> dict:
+    """(x.x) delta^(a) = sum_mu g_(mu mu) a_mu (a_mu - 1) delta^(a - 2 e_mu), on {a: int}."""
+    out: dict = {}
+    for alpha, c in v.items():
+        for mu, g in enumerate(signature):
+            a = alpha[mu]
+            if a >= 2:
+                beta = alpha[:mu] + (a - 2,) + alpha[mu + 1:]
+                out[beta] = out.get(beta, 0) + g * a * (a - 1) * c
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _basis_split(signature: tuple, alpha: tuple) -> tuple:
+    """The split of one basis vector delta^(alpha): ((j, ((beta, h_j[beta]), ...)), ...).
+
+    It depends on the metric and alpha only, never on m^2, so one entry
+    serves every mass and every coefficient.  Integer coefficients are kept
+    until the end: the Lagrange numerators and the descent by (x.x)^j are
+    exact integer maps, and the common denominator is divided out once.
+    """
+    n = len(signature)
+    k = sum(alpha)
+    lams = [_trace_eigenvalue(n, k, j) for j in range(k // 2 + 1)]
+    out = []
+    for j in range(k // 2 + 1):
+        comp = {alpha: 1}
+        denom = 1
+        for i, lam in enumerate(lams):
+            if i == j:
+                continue
+            mc = _interval_delta(signature, _box_delta(signature, comp))
+            for beta, c in comp.items():
+                mc[beta] = mc.get(beta, 0) - lam * c
+            comp = {beta: c for beta, c in mc.items() if c}
+            denom *= lams[j] - lam
+        for i in range(j, 0, -1):
+            comp = _interval_delta(signature, comp)
+            denom *= _descend_factor(n, k - 2 * j, i)
+        h = tuple((beta, Fraction(c, denom)) for beta, c in comp.items() if c)
+        if h:
+            out.append((j, h))
+    return tuple(out)
+
+
 def harmonic_components(config: FeynmanConfig, w: DeltaVector) -> dict:
     """Split w into components box^j h_j with (x.x) h_j = 0, exactly.
 
-    Within each homogeneous degree the splitting is the spectral
+    Within each homogeneous degree k the splitting is the spectral
     decomposition of (x.x) o box, whose eigenvalues are the distinct
     positive integers 2(j+1)(2k-2j+n); the projectors are Lagrange
-    interpolation polynomials applied by iterated operator action.
+    interpolation polynomials.  box and x.x act on delta vectors by direct
+    exponent-shift rules, and the split of each basis vector is cached
+    (`_basis_split`), so w's split is a linear combination of cached ones.
     Returns a map j -> h_j (the h_j collect all homogeneous degrees).
     """
-    n = config.n
-    box = config.box_expr()
-    interval = config.interval_expr()
-
-    def m_apply(v: DeltaVector) -> DeltaVector:
-        return interval.apply_delta(box.apply_delta(v))
-
-    by_degree: dict = {}
+    if w.n != config.n:
+        raise DimensionMismatch("delta vector dimension does not match the configuration")
+    acc: dict = {}
     for alpha, c in w.coeffs.items():
-        k = mi_order(alpha)
-        by_degree.setdefault(k, {})[alpha] = c
-
-    out: dict = {}
-    for k, coeffs in sorted(by_degree.items()):
-        wk = DeltaVector(n, coeffs)
-        lams = [_trace_eigenvalue(n, k, j) for j in range(k // 2 + 1)]
-        for j in range(k // 2 + 1):
-            comp = wk
-            for i in range(k // 2 + 1):
-                if i == j:
-                    continue
-                comp = (m_apply(comp) - comp.scale(lams[i])).scale(
-                    Fraction(1, lams[j] - lams[i]))
-            if comp.is_zero():
-                continue
-            h = comp
-            denom = 1
-            for i in range(j, 0, -1):
-                h = interval.apply_delta(h)
-                denom *= _descend_factor(n, k - 2 * j, i)
-            h = h.scale(Fraction(1, denom))
-            out[j] = out.get(j, DeltaVector.zero(n)) + h
-    return {j: h for j, h in out.items() if not h.is_zero()}
+        for j, terms in _basis_split(tuple(config.signature), alpha):
+            hj = acc.setdefault(j, {})
+            for beta, f in terms:
+                part = hj.get(beta)
+                if part is None:
+                    hj[beta] = [c.re * f, c.im * f]
+                else:
+                    part[0] += c.re * f
+                    part[1] += c.im * f
+    out = {}
+    for j in sorted(acc):
+        h = DeltaVector(config.n, {beta: GaussianRational(re, im)
+                                   for beta, (re, im) in acc[j].items()})
+        if not h.is_zero():
+            out[j] = h
+    return out
 
 
 def _chi_pieces(config: FeynmanConfig, s_op: ConstCoeffOperator):

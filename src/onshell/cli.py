@@ -137,6 +137,11 @@ class OperatorSyntaxError(ValueError):
 
 _SYMBOLS = set("+-*^()[],")
 
+# Largest exponent accepted after '^'.  Each power of an operator multiplies
+# its size, so a huge exponent would run until killed; every operator this
+# package works with needs small powers only.
+MAX_POWER = 64
+
 
 def _tokenize(text: str):
     tokens = []
@@ -242,6 +247,9 @@ class _OperatorParser:
             k = tok[1]
             if k.denominator != 1 or k < 0:
                 raise OperatorSyntaxError("exponent must be a non-negative integer",
+                                          tok[2], tok[3])
+            if k > MAX_POWER:
+                raise OperatorSyntaxError(f"exponent {k} exceeds the maximum {MAX_POWER}",
                                           tok[2], tok[3])
             out = out ** int(k)
         return out

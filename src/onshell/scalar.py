@@ -3,11 +3,18 @@
 All coefficients in this package are elements of Q(i): numbers a + b*i with
 a, b arbitrary-precision rationals.  Every operation is exact; there is no
 floating-point mode anywhere.
+
+`GaussianRational` is an immutable `__slots__` class: assigning or deleting
+an attribute raises `AttributeError`, so values can be shared and used as
+dict keys.  The public constructor coerces int, `Fraction` and str parts;
+arithmetic builds its results with `_make`, which skips that coercion.
+`+`, `-`, `*` and `/` take a real-only path when both imaginary parts are 0
+(most coefficients in this package are real), which saves the `Fraction`
+operations on the zero parts; results are the same exact values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -21,16 +28,34 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-@dataclass(frozen=True)
+_F0 = Fraction(0)
+
+
 class GaussianRational:
     """a + b*i with exact rational a, b."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
+    def __init__(self, re=_F0, im=_F0):
+        _set_re(self, _as_fraction(re))
+        _set_im(self, _as_fraction(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GaussianRational is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GaussianRational is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (GaussianRational, (self.re, self.im))
+
+    def __eq__(self, other):
+        if other.__class__ is GaussianRational:
+            return self.re == other.re and self.im == other.im
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     # -- coercion ----------------------------------------------------------
 
@@ -45,10 +70,10 @@ class GaussianRational:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.im
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -56,23 +81,35 @@ class GaussianRational:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other) -> "GaussianRational":
-        other = GaussianRational.of(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational.of(other)
+        if not self.im and not other.im:
+            return _make(self.re + other.re, _F0)
+        return _make(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        if not self.im:
+            return _make(-self.re, _F0)
+        return _make(-self.re, -self.im)
 
     def __sub__(self, other) -> "GaussianRational":
-        return self + (-GaussianRational.of(other))
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational.of(other)
+        if not self.im and not other.im:
+            return _make(self.re - other.re, _F0)
+        return _make(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other) -> "GaussianRational":
-        return GaussianRational.of(other) + (-self)
+        return GaussianRational.of(other).__sub__(self)
 
     def __mul__(self, other) -> "GaussianRational":
-        other = GaussianRational.of(other)
-        return GaussianRational(
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational.of(other)
+        if not self.im and not other.im:
+            return _make(self.re * other.re, _F0)
+        return _make(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -80,16 +117,24 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
+        if not self.im:
+            if not self.re:
+                raise ZeroDivisionError("inverse of zero Gaussian rational")
+            return _make(1 / self.re, _F0)
         d = self.re * self.re + self.im * self.im
-        if d == 0:
-            raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / d, -self.im / d)
+        return _make(self.re / d, -self.im / d)
 
     def __truediv__(self, other) -> "GaussianRational":
-        return self * GaussianRational.of(other).inverse()
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational.of(other)
+        if not self.im and not other.im:
+            if not other.re:
+                raise ZeroDivisionError("inverse of zero Gaussian rational")
+            return _make(self.re / other.re, _F0)
+        return self.__mul__(other.inverse())
 
     def __rtruediv__(self, other) -> "GaussianRational":
-        return GaussianRational.of(other) * self.inverse()
+        return GaussianRational.of(other).__truediv__(self)
 
     def __pow__(self, k: int) -> "GaussianRational":
         if k < 0:
@@ -104,7 +149,9 @@ class GaussianRational:
         return out
 
     def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        if not self.im:
+            return self
+        return _make(self.re, -self.im)
 
     def norm2(self) -> Fraction:
         """|z|^2 = z * conj(z), an exact rational."""
@@ -123,6 +170,19 @@ class GaussianRational:
         return f"({self.re} {sign} {ipart})"
 
     __repr__ = __str__
+
+
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
+_new = object.__new__
+
+
+def _make(re: Fraction, im: Fraction) -> GaussianRational:
+    """re + im*i from parts that are already `Fraction`s; no coercion."""
+    z = _new(GaussianRational)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
 
 
 ZERO = GaussianRational()

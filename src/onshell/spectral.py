@@ -599,10 +599,15 @@ def pseudoinverse_correction(m: RestrictionMatrix, w: DeltaVector) -> DeltaVecto
     v orthogonal to ker M; equals the vanishing-regulator limit of the
     resolvent construction.  Raises NonNormalMatrixError when M is not
     normal with respect to the weighted scalar product (use range_membership
-    in that case).
+    in that case), and DimensionMismatch, as range_membership does, when w
+    does not lie in the codomain.
     """
     if not m.is_square() or m.r_domain != m.r_codomain:
         raise NonSquareMatrixError("pseudoinverse solve requires a square restriction")
+    if w.degree() > m.r_codomain:
+        raise DimensionMismatch("target degree exceeds the codomain order")
+    if w.n != m.n:
+        raise DimensionMismatch("target dimension does not match the matrix")
     if not m.is_normal():
         raise NonNormalMatrixError(
             "matrix is not normal for the weighted scalar product; "

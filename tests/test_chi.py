@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -5,6 +6,7 @@ import pytest
 
 from onshell.scalar import GaussianRational, I, ONE, ZERO
 from onshell.deltaspace import DeltaVector
+from onshell.opalg import OperatorExpr, default_signature
 from onshell import chi as chi_mod
 from onshell.chi import (
     ConstCoeffOperator,
@@ -156,6 +158,91 @@ class TestHarmonicDecomposition:
         s = ConstCoeffOperator.monomial(CFG1, (0, 0, 1, 1))
         for h in harmonic_components(CFG1, s.apply_to_delta()).values():
             assert interval.apply_delta(h).is_zero()
+
+
+def _generic_harmonic_components(config, w):
+    """The trace split by generic operator action (apply_delta), as the oracle."""
+    n = config.n
+    box = config.box_expr()
+    interval = config.interval_expr()
+
+    def m_apply(v):
+        return interval.apply_delta(box.apply_delta(v))
+
+    by_degree = {}
+    for alpha, c in w.coeffs.items():
+        by_degree.setdefault(sum(alpha), {})[alpha] = c
+    out = {}
+    for k, coeffs in sorted(by_degree.items()):
+        wk = DeltaVector(n, coeffs)
+        lams = [2 * (j + 1) * (2 * k - 2 * j + n) for j in range(k // 2 + 1)]
+        for j in range(k // 2 + 1):
+            comp = wk
+            for i in range(k // 2 + 1):
+                if i != j:
+                    comp = (m_apply(comp) - comp.scale(lams[i])).scale(
+                        Fraction(1, lams[j] - lams[i]))
+            if comp.is_zero():
+                continue
+            h, denom = comp, 1
+            for i in range(j, 0, -1):
+                h = interval.apply_delta(h)
+                denom *= 2 * i * (2 * (k - 2 * j) + 2 * (i - 1) + n)
+            out[j] = out.get(j, DeltaVector.zero(n)) + h.scale(Fraction(1, denom))
+    return {j: h for j, h in out.items() if not h.is_zero()}
+
+
+class TestHarmonicTwoRoutes:
+    @staticmethod
+    def _seeded_vector(rng, n):
+        coeffs = {}
+        for _ in range(rng.randint(1, 5)):
+            k = rng.randint(0, 6)
+            alpha = [0] * n
+            for _ in range(k):
+                alpha[rng.randrange(n)] += 1
+            coeffs[tuple(alpha)] = GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                                                    Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        return DeltaVector(n, coeffs)
+
+    def test_direct_rules_match_generic_operator_action(self):
+        rng = random.Random(4417)
+        for n in range(1, 5):
+            base = default_signature(n)
+            for sig in (base, tuple(-s for s in base)):
+                config = FeynmanConfig(n, sig, Fraction(rng.randint(0, 3), rng.randint(1, 2)))
+                box = config.box_expr()
+                interval = config.interval_expr()
+                for _ in range(6):
+                    w = self._seeded_vector(rng, n)
+                    got = harmonic_components(config, w)
+                    assert got == _generic_harmonic_components(config, w), (n, sig, str(w))
+                    total = DeltaVector.zero(n)
+                    for j, h in got.items():
+                        assert not h.is_zero()
+                        assert interval.apply_delta(h).is_zero()
+                        for _ in range(j):
+                            h = box.apply_delta(h)
+                        total = total + h
+                    assert total == w
+
+    def test_no_generic_operator_action(self, monkeypatch):
+        def refuse(self, v):
+            raise AssertionError("apply_delta called")
+        w = ConstCoeffOperator.monomial(CFG1, (0, 0, 1, 1, 2, 3)).apply_to_delta()
+        want = _generic_harmonic_components(CFG1, w)
+        monkeypatch.setattr(OperatorExpr, "apply_delta", refuse)
+        assert harmonic_components(CFG1, w) == want
+
+    def test_cancelling_terms_and_zero_input(self):
+        box = ConstCoeffOperator.box(CFG1).apply_to_delta()
+        # box delta and a trace-free second derivative: no j = 0 part from box
+        w = box + DeltaVector.basis(4, (0, 1, 1, 0)).scale(I)
+        got = harmonic_components(CFG1, w)
+        assert got == _generic_harmonic_components(CFG1, w)
+        assert set(got) == {0, 1}
+        assert harmonic_components(CFG1, DeltaVector.zero(4)) == {}
+        assert harmonic_components(CFG1, w - w) == {}
 
 
 class TestLevelProjectionRoute:

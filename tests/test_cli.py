@@ -63,6 +63,24 @@ class TestParser:
             parse_operator(text, 1)
         assert 0 <= exc.value.start < exc.value.end <= len(text)
 
+    def test_huge_power_is_a_syntax_error(self, monkeypatch):
+        powers = []
+        original = OperatorExpr.__pow__
+        monkeypatch.setattr(OperatorExpr, "__pow__",
+                            lambda op, k: powers.append(k) or original(op, k))
+        text = "d1 + x1^99999999"
+        with pytest.raises(OperatorSyntaxError, match="exceeds the maximum 64") as exc:
+            parse_operator(text, 1)
+        assert (exc.value.start, exc.value.end) == (8, 16)
+        assert text[exc.value.start:exc.value.end] == "99999999"
+        assert powers == []
+        with pytest.raises(OperatorSyntaxError, match="exceeds the maximum") as exc:
+            parse_operator("x1^65", 1)
+        assert (exc.value.start, exc.value.end) == (3, 5)
+        got = parse_operator("x1^64", 1)
+        assert powers == [64]
+        assert operator_equal(got, OperatorExpr.multiplication(Polynomial.monomial(1, (64,))))
+
     def test_builtins(self):
         assert operator_equal(parse_operator("euler(-2)", 3), euler(3, Fraction(-2)))
         assert operator_equal(parse_operator("box(1/2)", 2, (1, -1)),
@@ -228,6 +246,24 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err.startswith("onshell: error: at ")
         assert "nested too deeply" in captured.err
+
+    def test_huge_power_exit_code(self, capsys):
+        code = main(["restrict", "--dim", "1", "--degree", "0", "--op", "x1^99999999"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "onshell: error: at 3-11: exponent 99999999 exceeds the maximum 64\n"
+
+    def test_pseudo_residue_above_codomain_order_exit_code(self, capsys):
+        residue = ('{"terms":[{"alpha":[0],"coeff":{"re":"2","im":"0"}},'
+                   '{"alpha":[3],"coeff":{"re":"5","im":"0"}}]}')
+        argv = ["kernel", "--dim", "1", "--degree", "0", "--op", "euler(-2)", "--residue", residue]
+        for extra in ([], ["--pseudo"]):
+            code = main(argv + extra)
+            assert code == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "onshell: error: target degree exceeds the codomain order\n"
 
     def test_zero_dimension_exit_code(self, capsys):
         code = main(["chi", "--dim", "0", "--metric", ""])

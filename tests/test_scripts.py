@@ -1,0 +1,28 @@
+"""Golden outputs of the scripts under scripts/.
+
+The chi table is the printed form of both chi routes and the delta
+counterterm for every derivative multiset with k <= 4; any change in a
+value, a term order or the formatting changes its SHA-256.
+"""
+
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["--k-max", "4"],
+     "313bc43157dea294c2230a1522bb56483e9289b26be921dd54f2e07ead4bceb4"),
+    (["--k-max", "4", "--m2", "3/2", "--metric=-+++"],
+     "95c91f3e223dfe43df399b383e6c3fe3ce48a5f28ca7cc5386fdff44330f0645"),
+])
+def test_chi_table_output_is_unchanged(args, digest):
+    run = subprocess.run([sys.executable, "scripts/chi_table.py", *args], cwd=ROOT,
+                         capture_output=True, check=True, timeout=300)
+    assert run.stderr == b""
+    assert hashlib.sha256(run.stdout).hexdigest() == digest

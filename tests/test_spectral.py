@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 
 from onshell.scalar import GaussianRational, ONE, ZERO
-from onshell.deltaspace import DeltaVector, enumerate_multi_indices, inner, mi_factorial
+from onshell.deltaspace import (
+    DeltaVector,
+    DimensionMismatch,
+    enumerate_multi_indices,
+    inner,
+    mi_factorial,
+)
 from onshell.opalg import (
     OperatorExpr,
     casimir,
@@ -446,6 +452,19 @@ class TestPseudoinverse:
         m = restrict(q, 0)
         got = pseudoinverse_correction(m, DeltaVector.basis(1, (0,)))
         assert got.is_zero()
+
+    def test_residue_outside_the_codomain_rejected(self):
+        # like range_membership: a residue term above the codomain order is
+        # an error, not silently dropped
+        m = restrict(euler(1, Fraction(-2)), 0)
+        w = DeltaVector(1, {(0,): GaussianRational(2), (3,): GaussianRational(5)})
+        for solve in (pseudoinverse_correction, range_membership):
+            with pytest.raises(DimensionMismatch, match="target degree exceeds the codomain order"):
+                solve(m, w)
+        with pytest.raises(DimensionMismatch, match="target dimension"):
+            pseudoinverse_correction(m, DeltaVector.basis(2, (0, 0)))
+        assert pseudoinverse_correction(m, DeltaVector.basis(1, (0,)).scale(2)) == \
+            DeltaVector.basis(1, (0,)).scale(2)
 
     def test_non_normal_rejected(self):
         # x2 d1 on n=2 has essential order 0 but is not normal at r=1
