@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import product
 
 from .scalar import GaussianRational, ZERO, ONE
-from .deltaspace import DeltaVector, DimensionMismatch, mi_order
+from .deltaspace import DeltaVector, DimensionMismatch, SparseMap, mi_order
 from .opalg import OperatorExpr, check_signature, dalembert, default_signature, squared_interval
 
 
@@ -63,27 +63,26 @@ class FeynmanConfig:
 
 
 @dataclass(frozen=True)
-class ConstCoeffOperator:
-    """Polynomial in the partials d_0 ... d_(n-1) with scalar coefficients."""
+class ConstCoeffOperator(SparseMap):
+    """Polynomial in the partials d_0 ... d_(n-1) with scalar coefficients.
+
+    Its space is the whole configuration: operators over different metrics
+    or masses do not combine.
+    """
 
     config: FeynmanConfig
     coeffs: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        cleaned = {}
-        for gamma, c in self.coeffs.items():
-            c = GaussianRational.of(c)
-            if len(gamma) != self.config.n:
-                raise ValueError(f"exponent {gamma} has wrong length")
-            if not c.is_zero():
-                cleaned[tuple(gamma)] = c
-        object.__setattr__(self, "coeffs", cleaned)
+    __mul__ = SparseMap._monomial_product
+
+    @property
+    def n(self) -> int:
+        return self.config.n
+
+    def space(self) -> FeynmanConfig:
+        return self.config
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(config: FeynmanConfig) -> "ConstCoeffOperator":
-        return ConstCoeffOperator(config, {})
 
     @staticmethod
     def one(config: FeynmanConfig) -> "ConstCoeffOperator":
@@ -118,54 +117,19 @@ class ConstCoeffOperator:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _same(self, other: "ConstCoeffOperator"):
-        if self.config != other.config:
-            raise ValueError("operators live over different configurations")
-
-    def __add__(self, other: "ConstCoeffOperator") -> "ConstCoeffOperator":
-        self._same(other)
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            out[g] = out.get(g, ZERO) + c
-        return ConstCoeffOperator(self.config, out)
-
-    def __sub__(self, other: "ConstCoeffOperator") -> "ConstCoeffOperator":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "ConstCoeffOperator":
-        c = GaussianRational.of(c)
-        return ConstCoeffOperator(self.config, {g: v * c for g, v in self.coeffs.items()})
-
-    def __mul__(self, other: "ConstCoeffOperator") -> "ConstCoeffOperator":
-        self._same(other)
-        out = {}
-        for a, ca in self.coeffs.items():
-            for b, cb in other.coeffs.items():
-                k = tuple(x + y for x, y in zip(a, b))
-                out[k] = out.get(k, ZERO) + ca * cb
-        return ConstCoeffOperator(self.config, out)
-
     def __pow__(self, k: int) -> "ConstCoeffOperator":
         out = ConstCoeffOperator.one(self.config)
         for _ in range(k):
             out = out * self
         return out
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def order(self) -> int:
-        return max((mi_order(g) for g in self.coeffs), default=0)
+        """Total derivative order (0 for the zero operator)."""
+        return max(self.degree(), 0)
 
     def apply_to_delta(self) -> DeltaVector:
         """S delta = sum coeff * delta^(gamma)."""
         return DeltaVector(self.config.n, dict(self.coeffs))
-
-    def to_operator_expr(self) -> OperatorExpr:
-        out = OperatorExpr.zero(self.config.n)
-        for gamma, c in self.coeffs.items():
-            out = out + OperatorExpr.derivative(self.config.n, gamma).scale(c)
-        return out
 
     def __str__(self) -> str:
         if not self.coeffs:

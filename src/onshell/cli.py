@@ -22,8 +22,10 @@ from .scalar import GaussianRational, ONE, I
 from .deltaspace import DeltaVector, Polynomial
 from .opalg import (
     OperatorExpr,
+    OperatorTooLarge,
     casimir,
     check_signature,
+    check_size,
     dalembert,
     euler,
     lorentz_generator,
@@ -141,6 +143,9 @@ _SYMBOLS = set("+-*^()[],")
 # its size, so a huge exponent would run until killed; every operator this
 # package works with needs small powers only.
 MAX_POWER = 64
+# The exponent cap alone does not bound the operator's size: the 64th power
+# of x1+x2+x3+x4 has 47,905 terms.  Every product '*' and every step of a
+# power '^' is checked against opalg.MAX_OPERATOR_SIZE (opalg.check_size).
 
 
 def _tokenize(text: str):
@@ -235,8 +240,12 @@ class _OperatorParser:
     def term(self) -> OperatorExpr:
         out = self.factor()
         while self._peek()[0] == "*":
-            self._next()
-            out = out @ self.factor()
+            tok = self._next()
+            rhs = self.factor()
+            try:
+                out = check_size(out @ rhs)
+            except OperatorTooLarge as exc:
+                raise OperatorSyntaxError(str(exc), tok[2], tok[3]) from None
         return out
 
     def factor(self) -> OperatorExpr:
@@ -251,7 +260,10 @@ class _OperatorParser:
             if k > MAX_POWER:
                 raise OperatorSyntaxError(f"exponent {k} exceeds the maximum {MAX_POWER}",
                                           tok[2], tok[3])
-            out = out ** int(k)
+            try:
+                out = out ** int(k)
+            except OperatorTooLarge as exc:
+                raise OperatorSyntaxError(str(exc), tok[2], tok[3]) from None
         return out
 
     def _signed_rational(self) -> Fraction:

@@ -44,9 +44,7 @@ class DegreeBound:
 
 def deg_delta(v: DeltaVector) -> DegreeBound:
     """Exact degree of divergence of a delta vector."""
-    if v.is_zero():
-        return DegreeBound(NEG_INF, EXACT)
-    return DegreeBound(max(mi_order(a) for a in v.coeffs), EXACT)
+    return DegreeBound(v.degree(), EXACT)
 
 
 def bound_derivative(d: DegreeBound, gamma) -> DegreeBound:

@@ -2,9 +2,11 @@
 
 A distribution supported at the origin is a finite combination of derivatives
 of the delta distribution, v = sum_a v_a * delta^(a) with multi-indices a.
-This module provides the multi-index combinatorics, the sparse vector and
-polynomial types, the pairing <delta^(a), x^b>, the mutually inverse maps
-between delta vectors and polynomials, and the weighted scalar product
+This module provides the multi-index combinatorics, the sparse map
+multi-index -> scalar (`SparseMap`) behind the delta vector and polynomial
+types (and chi's constant-coefficient operators), the pairing
+<delta^(a), x^b>, the mutually inverse maps between delta vectors and
+polynomials, and the weighted scalar product
 (v|w)_r = sum_a a! * conj(v_a) * w_a.
 
 Sign convention: delta^(a) means the a-th partial derivative of delta, so
@@ -102,59 +104,52 @@ def enumerate_multi_indices(n: int, r: int) -> tuple:
 # sparse coefficient maps
 # ---------------------------------------------------------------------------
 
-def _merged(a: dict, b: dict, bscale: GaussianRational) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k, ZERO) + c * bscale
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def _clean(coeffs: dict) -> dict:
-    return {k: v for k, v in coeffs.items() if not GaussianRational.of(v).is_zero()}
-
-
 def _sort_key(alpha: MultiIndex):
     # graded lex: by total order, then lex-descending within the grade
     return (mi_order(alpha), tuple(-a for a in alpha))
 
 
-@dataclass(frozen=True)
-class DeltaVector:
-    """Element of D'({0}) as a finite map multi-index -> scalar.
+class SparseMap:
+    """Finite map multi-index -> scalar, the shared body of the sparse types.
 
-    Canonical sparse form: no zero coefficients are stored.
+    A subclass is a frozen dataclass with two fields, its space and
+    `coeffs`, and an attribute `n`, the length of every index.  The space is
+    `n` itself unless the subclass overrides `space()`;
+    `type(x)(x.space(), coeffs)` rebuilds a map in the same space.
+    Canonical form: every value is a `GaussianRational`, every index a tuple
+    of length n, and no zero is stored.  Arithmetic accepts only operands of
+    the same class over the same space and raises `DimensionMismatch`
+    otherwise.  `__str__` writes each term as `(c)*<_symbol>^alpha`.
     """
 
-    n: int
-    coeffs: dict = field(default_factory=dict)
-
     def __post_init__(self):
+        n = self.n
         cleaned = {}
         for alpha, c in self.coeffs.items():
             c = GaussianRational.of(c)
-            if len(alpha) != self.n:
-                raise DimensionMismatch(f"index {alpha} has length != {self.n}")
+            if len(alpha) != n:
+                raise DimensionMismatch(f"index {alpha} has length != {n}")
             if not c.is_zero():
                 cleaned[tuple(alpha)] = c
         object.__setattr__(self, "coeffs", cleaned)
 
-    @staticmethod
-    def zero(n: int) -> "DeltaVector":
-        return DeltaVector(n, {})
+    def space(self):
+        return self.n
 
-    @staticmethod
-    def basis(n: int, alpha: MultiIndex) -> "DeltaVector":
-        return DeltaVector(n, {tuple(alpha): ONE})
+    @classmethod
+    def zero(cls, space) -> "SparseMap":
+        return cls(space, {})
+
+    def _check(self, other: "SparseMap", verb: str):
+        if other.__class__ is not self.__class__ or other.space() != self.space():
+            raise DimensionMismatch(f"{verb} a {type(self).__name__} and a {type(other).__name__}: "
+                                    "operands must share one class and one space")
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def degree(self):
-        """max |a| over nonzero coefficients; NEG_INF for the zero vector."""
+        """max |a| over nonzero coefficients; NEG_INF for the zero map."""
         if not self.coeffs:
             return NEG_INF
         return max(mi_order(a) for a in self.coeffs)
@@ -165,50 +160,65 @@ class DeltaVector:
     def items_sorted(self):
         return sorted(self.coeffs.items(), key=lambda kv: _sort_key(kv[0]))
 
-    def __add__(self, other: "DeltaVector") -> "DeltaVector":
-        if self.n != other.n:
-            raise DimensionMismatch("adding delta vectors of different dimensions")
-        return DeltaVector(self.n, _merged(self.coeffs, other.coeffs, ONE))
+    def __add__(self, other):
+        self._check(other, "adding")
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out[k] + c if k in out else c
+        return type(self)(self.space(), out)
 
-    def __sub__(self, other: "DeltaVector") -> "DeltaVector":
-        if self.n != other.n:
-            raise DimensionMismatch("subtracting delta vectors of different dimensions")
-        return DeltaVector(self.n, _merged(self.coeffs, other.coeffs, GaussianRational.of(-1)))
+    def __sub__(self, other):
+        self._check(other, "subtracting")
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out[k] - c if k in out else -c
+        return type(self)(self.space(), out)
 
-    def scale(self, c) -> "DeltaVector":
+    def scale(self, c):
         c = GaussianRational.of(c)
-        return DeltaVector(self.n, {a: v * c for a, v in self.coeffs.items()})
+        return type(self)(self.space(), {a: v * c for a, v in self.coeffs.items()})
 
-    def conj(self) -> "DeltaVector":
-        return DeltaVector(self.n, {a: v.conj() for a, v in self.coeffs.items()})
+    def conj(self):
+        return type(self)(self.space(), {a: v.conj() for a, v in self.coeffs.items()})
+
+    def _monomial_product(self, other):
+        """sum_(a,b) c_a d_b [a + b]: the product of commuting monomials."""
+        self._check(other, "multiplying")
+        out = {}
+        for a, ca in self.coeffs.items():
+            for b, cb in other.coeffs.items():
+                k = mi_add(a, b)
+                out[k] = out[k] + ca * cb if k in out else ca * cb
+        return type(self)(self.space(), out)
 
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
-        bits = [f"({c})*delta^{a}" for a, c in self.items_sorted()]
-        return " + ".join(bits)
+        return " + ".join(f"({c})*{self._symbol}^{a}" for a, c in self.items_sorted())
 
 
 @dataclass(frozen=True)
-class Polynomial:
+class DeltaVector(SparseMap):
+    """Element of D'({0}) as a finite map multi-index -> scalar."""
+
+    n: int
+    coeffs: dict = field(default_factory=dict)
+    _symbol = "delta"
+
+    @staticmethod
+    def basis(n: int, alpha: MultiIndex) -> "DeltaVector":
+        return DeltaVector(n, {tuple(alpha): ONE})
+
+
+@dataclass(frozen=True)
+class Polynomial(SparseMap):
     """Sparse polynomial sum_a c_a x^a with Gaussian-rational coefficients."""
 
     n: int
     coeffs: dict = field(default_factory=dict)
+    _symbol = "x"
 
-    def __post_init__(self):
-        cleaned = {}
-        for alpha, c in self.coeffs.items():
-            c = GaussianRational.of(c)
-            if len(alpha) != self.n:
-                raise DimensionMismatch(f"index {alpha} has length != {self.n}")
-            if not c.is_zero():
-                cleaned[tuple(alpha)] = c
-        object.__setattr__(self, "coeffs", cleaned)
-
-    @staticmethod
-    def zero(n: int) -> "Polynomial":
-        return Polynomial(n, {})
+    __mul__ = SparseMap._monomial_product
 
     @staticmethod
     def constant(n: int, c) -> "Polynomial":
@@ -223,53 +233,11 @@ class Polynomial:
         e = tuple(1 if j == i else 0 for j in range(n))
         return Polynomial(n, {e: ONE})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def total_degree(self):
-        if not self.coeffs:
-            return NEG_INF
-        return max(mi_order(a) for a in self.coeffs)
-
     def vanishing_order(self):
         """min |a| over nonzero coefficients; NEG_INF stands in for +inf at 0."""
         if not self.coeffs:
             return None
         return min(mi_order(a) for a in self.coeffs)
-
-    def get(self, alpha: MultiIndex) -> GaussianRational:
-        return self.coeffs.get(tuple(alpha), ZERO)
-
-    def items_sorted(self):
-        return sorted(self.coeffs.items(), key=lambda kv: _sort_key(kv[0]))
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if self.n != other.n:
-            raise DimensionMismatch("adding polynomials of different dimensions")
-        return Polynomial(self.n, _merged(self.coeffs, other.coeffs, ONE))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        if self.n != other.n:
-            raise DimensionMismatch("subtracting polynomials of different dimensions")
-        return Polynomial(self.n, _merged(self.coeffs, other.coeffs, GaussianRational.of(-1)))
-
-    def scale(self, c) -> "Polynomial":
-        c = GaussianRational.of(c)
-        return Polynomial(self.n, {a: v * c for a, v in self.coeffs.items()})
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.n != other.n:
-            raise DimensionMismatch("multiplying polynomials of different dimensions")
-        out = {}
-        for a, ca in self.coeffs.items():
-            for b, cb in other.coeffs.items():
-                k = mi_add(a, b)
-                s = out.get(k, ZERO) + ca * cb
-                out[k] = s
-        return Polynomial(self.n, _clean(out))
-
-    def conj(self) -> "Polynomial":
-        return Polynomial(self.n, {a: v.conj() for a, v in self.coeffs.items()})
 
     def differentiate(self, gamma: MultiIndex) -> "Polynomial":
         """d^gamma applied to the polynomial."""
@@ -282,7 +250,7 @@ class Polynomial:
             for ai, gi in zip(a, gamma):
                 fac *= math.perm(ai, gi)
             out[b] = out.get(b, ZERO) + c * fac
-        return Polynomial(self.n, _clean(out))
+        return Polynomial(self.n, out)
 
     def substitute_linear(self, matrix) -> "Polynomial":
         """f(Lx): substitute x_i -> sum_j L[i][j] x_j, exact."""
@@ -299,12 +267,6 @@ class Polynomial:
                     term = term * images[i]
             out = out + term
         return out
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = [f"({c})*x^{a}" for a, c in self.items_sorted()]
-        return " + ".join(bits)
 
 
 # ---------------------------------------------------------------------------

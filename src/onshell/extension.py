@@ -111,12 +111,6 @@ class ExtensionRecord:
             raise MissingResidue(f"no residue registered for {key}")
         return self.residues[key]
 
-    def operators(self):
-        return list(self.residues.keys())
-
-    def is_onshell_for(self, q: OperatorExpr) -> bool:
-        return self.residue(q).is_zero()
-
 
 @dataclass(frozen=True)
 class ExistenceReport:
@@ -417,6 +411,6 @@ def linearity_precondition(q: OperatorExpr, r: int) -> bool:
     qt = q.transpose()
     for beta in enumerate_multi_indices(q.n, r + ess):
         img = qt.apply_poly(Polynomial.monomial(q.n, beta))
-        if img.total_degree() > r:
+        if img.degree() > r:
             return False
     return True

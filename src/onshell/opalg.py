@@ -35,6 +35,12 @@ from .deltaspace import (
 
 Matrix = tuple  # tuple of row tuples of Fractions
 
+# Largest operator size (see `OperatorExpr.size`) that a power, or a product
+# in the operator parser, may reach.  Each power multiplies the size, so a
+# small operator raised to a small exponent can still be too large to form;
+# every operator this package works with stays below a few hundred.
+MAX_OPERATOR_SIZE = 4096
+
 
 class SingularMatrixError(ValueError):
     pass
@@ -44,16 +50,16 @@ class InvalidSignature(ValueError):
     pass
 
 
+class OperatorTooLarge(ValueError):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # exact rational matrices (pullback maps)
 # ---------------------------------------------------------------------------
 
 def mat_from(rows) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def mat_identity(n: int) -> Matrix:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -116,6 +122,13 @@ class EssentialOrder:
 
     q: int
     exact: bool = True
+
+
+def check_size(q: "OperatorExpr") -> "OperatorExpr":
+    """q itself, or OperatorTooLarge when its size exceeds MAX_OPERATOR_SIZE."""
+    if q.size() > MAX_OPERATOR_SIZE:
+        raise OperatorTooLarge(f"operator size {q.size()} exceeds the maximum {MAX_OPERATOR_SIZE}")
+    return q
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,6 +211,10 @@ class OperatorExpr:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def size(self) -> int:
+        """Total number of coefficient monomials over the terms."""
+        return sum(len(coeff.coeffs) for coeff, _, _ in self.terms)
+
     # -- linear structure -----------------------------------------------------
 
     def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
@@ -266,11 +283,13 @@ class OperatorExpr:
         return OperatorExpr._normalized(self.n, raw)
 
     def __pow__(self, k: int) -> "OperatorExpr":
+        """k-fold composition; OperatorTooLarge at the first step whose size
+        exceeds MAX_OPERATOR_SIZE."""
         if k < 0:
             raise ValueError("negative operator powers are not defined")
         out = OperatorExpr.identity(self.n)
         for _ in range(k):
-            out = out @ self
+            out = check_size(out @ self)
         return out
 
     # -- involutions -------------------------------------------------------------
@@ -314,10 +333,6 @@ class OperatorExpr:
                 has_pullback = True
             q = max(q, mi_order(gamma) - coeff.vanishing_order())
         return EssentialOrder(q, exact=(not has_pullback) or q == 0)
-
-    def order(self) -> int:
-        """Maximal derivative order appearing (0 for the zero operator)."""
-        return max((mi_order(g) for _, g, _ in self.terms), default=0)
 
     def normal_form(self) -> "OperatorExpr":
         """Idempotent canonicalization (construction already normalizes)."""

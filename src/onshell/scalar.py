@@ -72,9 +72,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
-    def is_real(self) -> bool:
-        return not self.im
-
     def __bool__(self) -> bool:
         return not self.is_zero()
 

@@ -86,15 +86,6 @@ class ExactPolynomial:
             out = out * GaussianRational.of(z) + c
         return out
 
-    def __add__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        m = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [ZERO] * (m - len(self.coeffs))
-        b = list(other.coeffs) + [ZERO] * (m - len(other.coeffs))
-        return ExactPolynomial(tuple(x + y for x, y in zip(a, b)))
-
-    def __sub__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        return self + other.scale(GaussianRational.of(-1))
-
     def scale(self, c) -> "ExactPolynomial":
         c = GaussianRational.of(c)
         return ExactPolynomial(tuple(x * c for x in self.coeffs))

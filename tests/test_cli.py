@@ -81,6 +81,26 @@ class TestParser:
         assert powers == [64]
         assert operator_equal(got, OperatorExpr.multiplication(Polynomial.monomial(1, (64,))))
 
+    def test_oversized_operator_is_a_syntax_error(self):
+        # the j-th power of x1+...+x4 has C(j+3, 3) terms, 47,905 for j = 64;
+        # the power stops at the first step above the budget, j = 28 (4495)
+        text = "(x1+x2+x3+x4)^64"
+        with pytest.raises(OperatorSyntaxError, match="operator size 4495 exceeds the maximum 4096") as exc:
+            parse_operator(text, 4)
+        assert text[exc.value.start:exc.value.end] == "64"
+        # a product is checked after each '*': the first one here has
+        # 64 * 64 = 4096 terms, exactly the budget, the second 8192
+        assert parse_operator("(x1+1)^63*(x2+1)^63", 2).size() == 4096
+        text = "(x1+1)^63*(x2+1)^63*(x3+1)"
+        with pytest.raises(OperatorSyntaxError, match="operator size 8192 exceeds") as exc:
+            parse_operator(text, 3)
+        assert (exc.value.start, exc.value.end) == (19, 20)
+        assert text[exc.value.start:exc.value.end] == "*"
+        # the largest operators in use stay far below the budget
+        assert parse_operator("casimir^2", 4).size() == 247
+        assert parse_operator("euler(-3)^6", 4).size() == 210
+        assert parse_operator("box(1)^3", 4).size() == 35
+
     def test_builtins(self):
         assert operator_equal(parse_operator("euler(-2)", 3), euler(3, Fraction(-2)))
         assert operator_equal(parse_operator("box(1/2)", 2, (1, -1)),
@@ -253,6 +273,15 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "onshell: error: at 3-11: exponent 99999999 exceeds the maximum 64\n"
+
+    def test_oversized_operator_exit_code(self, capsys):
+        code = main(["restrict", "--dim", "3", "--degree", "0",
+                     "--op", "(x1+1)^63*(x2+1)^63*(x3+1)"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("onshell: error: at 19-20: "
+                                "operator size 8192 exceeds the maximum 4096\n")
 
     def test_pseudo_residue_above_codomain_order_exit_code(self, capsys):
         residue = ('{"terms":[{"alpha":[0],"coeff":{"re":"2","im":"0"}},'

@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
 from onshell.scalar import GaussianRational, ONE
+from onshell.chi import ConstCoeffOperator, FeynmanConfig
 from onshell.deltaspace import (
     NEG_INF,
     DegreeOverflow,
@@ -156,3 +158,123 @@ def test_polynomial_arithmetic():
     swap = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
     assert p.substitute_linear(swap) == Polynomial(
         2, {(0, 2): ONE, (2, 0): GaussianRational.of(-1)})
+
+
+# ---------------------------------------------------------------------------
+# the sparse-map contract, shared by delta vectors, polynomials and chi's
+# constant-coefficient operators; the reference is a plain dict of
+# (re, im) Fraction pairs
+# ---------------------------------------------------------------------------
+
+# per class: a space of dimension 2, one of dimension 3, and another space
+# of dimension 2 (None where the dimension is the whole space)
+SPACES = {
+    DeltaVector: (2, 3, None),
+    Polynomial: (2, 3, None),
+    ConstCoeffOperator: (FeynmanConfig(2, (1, -1)), FeynmanConfig(3, (1, -1, -1)),
+                         FeynmanConfig(2, (1, -1), Fraction(1, 2))),
+}
+MAP_CLASSES = list(SPACES)
+PRODUCT_CLASSES = [Polynomial, ConstCoeffOperator]
+
+
+def _random_map(rng, cls, space):
+    n = 2 if space == SPACES[cls][0] else 3
+    coeffs = {}
+    for alpha in enumerate_multi_indices(n, 3):
+        u = rng.random()
+        if u < 0.1:
+            coeffs[alpha] = 0  # dropped by the canonical form
+        elif u < 0.6:
+            coeffs[alpha] = GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                                             Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    return cls(space, coeffs)
+
+
+def _ref(m) -> dict:
+    return {a: (c.re, c.im) for a, c in m.coeffs.items()}
+
+
+def _ref_clean(d: dict) -> dict:
+    return {a: c for a, c in d.items() if c != (0, 0)}
+
+
+def _ref_add(x: dict, y: dict, sign: int = 1) -> dict:
+    out = dict(x)
+    for a, (re, im) in y.items():
+        r0, i0 = out.get(a, (Fraction(0), Fraction(0)))
+        out[a] = (r0 + sign * re, i0 + sign * im)
+    return _ref_clean(out)
+
+
+def _ref_mul(x: dict, y: dict) -> dict:
+    out = {}
+    for a, (r1, i1) in x.items():
+        for b, (r2, i2) in y.items():
+            k = tuple(p + q for p, q in zip(a, b))
+            r0, i0 = out.get(k, (Fraction(0), Fraction(0)))
+            out[k] = (r0 + r1 * r2 - i1 * i2, i0 + r1 * i2 + i1 * r2)
+    return _ref_clean(out)
+
+
+@pytest.mark.parametrize("cls", MAP_CLASSES)
+def test_sparse_map_drops_zeros(cls):
+    space = SPACES[cls][0]
+    m = cls(space, {(1, 0): 0, (0, 1): Fraction(1, 2), (2, 0): GaussianRational(0, 0)})
+    assert m.coeffs == {(0, 1): GaussianRational.of(Fraction(1, 2))}
+    assert all(type(c) is GaussianRational for c in m.coeffs.values())
+    assert (m - m).coeffs == {} and (m - m).is_zero()
+    assert m.scale(0).coeffs == {}
+    assert cls.zero(space).degree() == NEG_INF
+
+
+@pytest.mark.parametrize("cls", MAP_CLASSES)
+def test_sparse_map_wrong_length_index(cls):
+    with pytest.raises(DimensionMismatch):
+        cls(SPACES[cls][0], {(1, 0, 0): 1})
+    with pytest.raises(DimensionMismatch):
+        cls(SPACES[cls][1], {(1, 0): 1})
+
+
+@pytest.mark.parametrize("cls", MAP_CLASSES)
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_map_linear_operations_match_reference(cls, seed):
+    rng = random.Random(seed)
+    space = SPACES[cls][0]
+    a, b = _random_map(rng, cls, space), _random_map(rng, cls, space)
+    c = GaussianRational(Fraction(rng.randint(-4, 4), 3), Fraction(rng.randint(1, 4), 5))
+    assert _ref(a + b) == _ref_add(_ref(a), _ref(b))
+    assert _ref(a - b) == _ref_add(_ref(a), _ref(b), -1)
+    assert _ref(a.scale(c)) == _ref_mul(_ref(a), {(0, 0): (c.re, c.im)})
+    assert _ref(a.conj()) == {k: (re, -im) for k, (re, im) in _ref(a).items()}
+    assert type(a + b) is type(a - b) is type(a.scale(c)) is type(a.conj()) is cls
+    assert (a + b).space() == space
+
+
+@pytest.mark.parametrize("cls", PRODUCT_CLASSES)
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_map_product_matches_reference(cls, seed):
+    rng = random.Random(seed)
+    space = SPACES[cls][0]
+    a, b, c = (_random_map(rng, cls, space) for _ in range(3))
+    assert _ref(a * b) == _ref_mul(_ref(a), _ref(b))
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert type(a * b) is cls
+
+
+@pytest.mark.parametrize("cls", MAP_CLASSES)
+def test_sparse_map_mixed_operands_raise(cls):
+    space, other_dim, other_space = SPACES[cls]
+    a = cls(space, {(1, 0): 1})
+    ops = [lambda x, y: x + y, lambda x, y: x - y]
+    if cls in PRODUCT_CLASSES:
+        ops.append(lambda x, y: x * y)
+    others = [cls(other_dim, {(1, 0, 0): 1})]
+    if other_space is not None:
+        others.append(cls(other_space, {(1, 0): 1}))
+    others += [k(SPACES[k][0], {(1, 0): 1}) for k in MAP_CLASSES if k is not cls]
+    for op in ops:
+        for b in others:
+            with pytest.raises(DimensionMismatch):
+                op(a, b)

@@ -2,7 +2,9 @@
 
 The chi table is the printed form of both chi routes and the delta
 counterterm for every derivative multiset with k <= 4; any change in a
-value, a term order or the formatting changes its SHA-256.
+value, a term order or the formatting changes its SHA-256.  The extension
+demo prints delta vectors with their own `__str__`, so its SHA-256 pins
+that text too.
 """
 
 import hashlib
@@ -26,3 +28,11 @@ def test_chi_table_output_is_unchanged(args, digest):
                          capture_output=True, check=True, timeout=300)
     assert run.stderr == b""
     assert hashlib.sha256(run.stdout).hexdigest() == digest
+
+
+def test_extension_demo_output_is_unchanged():
+    run = subprocess.run([sys.executable, "scripts/extension_demo.py"], cwd=ROOT,
+                         capture_output=True, check=True, timeout=300)
+    assert run.stderr == b""
+    assert hashlib.sha256(run.stdout).hexdigest() == (
+        "0dc94854d2958c9f76b51812a54ba8d938507515f9fe462eb9305934c6ffe19e")
