@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage or syntax errors, 2 mathematical "no"
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -25,7 +26,7 @@ from .opalg import (
     OperatorTooLarge,
     casimir,
     check_signature,
-    check_size,
+    compose_checked,
     dalembert,
     euler,
     lorentz_generator,
@@ -145,7 +146,9 @@ _SYMBOLS = set("+-*^()[],")
 MAX_POWER = 64
 # The exponent cap alone does not bound the operator's size: the 64th power
 # of x1+x2+x3+x4 has 47,905 terms.  Every product '*' and every step of a
-# power '^' is checked against opalg.MAX_OPERATOR_SIZE (opalg.check_size).
+# power '^' is refused before it is formed when the product of the sizes
+# exceeds opalg.MAX_PRODUCT_SIZE, and after it when its own size exceeds
+# opalg.MAX_OPERATOR_SIZE (opalg.compose_checked).
 
 
 def _tokenize(text: str):
@@ -243,7 +246,7 @@ class _OperatorParser:
             tok = self._next()
             rhs = self.factor()
             try:
-                out = check_size(out @ rhs)
+                out = compose_checked(out, rhs)
             except OperatorTooLarge as exc:
                 raise OperatorSyntaxError(str(exc), tok[2], tok[3]) from None
         return out
@@ -712,6 +715,8 @@ def _cmd_counterterm(args):
 
 
 def _cmd_order_raise(args):
+    if args.k > MAX_POWER:
+        raise ValueError(f"--k {args.k} exceeds the maximum {MAX_POWER}")
     q = _single_op(args)
     w = _read_residue_arg(args.residue[0], args.dim)
     rk = q ** args.k if args.k >= 1 else q
@@ -954,9 +959,15 @@ def build_parser() -> _ArgumentParser:
     return root
 
 
+@functools.cache
+def _parser() -> _ArgumentParser:
+    """build_parser(), once per process: parsing leaves the parser as it was,
+    and the 'append' actions copy their default list before adding to it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         payload = args.func(args)
         # the metric convention is recorded in every output that resolved one

@@ -37,7 +37,7 @@ from .opalg import (
 from .spectral import (
     _counterterm_apply,
     _kernel_columns,
-    _matrix_poly_apply,
+    _outer_poly_apply,
     _rref,
     adjoint_restriction,
     gram_matrices,
@@ -147,8 +147,7 @@ def onshell_correction(rec: ExtensionRecord, q: OperatorExpr) -> DeltaVector:
     corrected = w + a.matvec(v)
     # exact self-check: corrected residue is the complement projection of w,
     # p(AA*) w, and it is orthogonal to Ran(Q|_r)
-    aastar = a.matmul(astar)
-    proj = aastar.to_vector(_matrix_poly_apply(aastar.sparse_rows, p, aastar.from_vector(w)))
+    proj = _outer_poly_apply(a, astar, b, p, w)
     if corrected != proj or not astar.matvec(corrected).is_zero():
         raise AssertionError("projection contract violated in onshell_correction")
     return v

@@ -40,6 +40,11 @@ Matrix = tuple  # tuple of row tuples of Fractions
 # small operator raised to a small exponent can still be too large to form;
 # every operator this package works with stays below a few hundred.
 MAX_OPERATOR_SIZE = 4096
+# Largest product size(a) * size(b) of a composition a @ b that may be
+# formed: the work of a product grows with it, so a product of two operators
+# each under MAX_OPERATOR_SIZE is refused before it runs for minutes.  The
+# largest in use is euler(-3)^5 @ euler(-3), 630.
+MAX_PRODUCT_SIZE = 16 * MAX_OPERATOR_SIZE
 
 
 class SingularMatrixError(ValueError):
@@ -124,11 +129,17 @@ class EssentialOrder:
     exact: bool = True
 
 
-def check_size(q: "OperatorExpr") -> "OperatorExpr":
-    """q itself, or OperatorTooLarge when its size exceeds MAX_OPERATOR_SIZE."""
-    if q.size() > MAX_OPERATOR_SIZE:
-        raise OperatorTooLarge(f"operator size {q.size()} exceeds the maximum {MAX_OPERATOR_SIZE}")
-    return q
+def compose_checked(a: "OperatorExpr", b: "OperatorExpr") -> "OperatorExpr":
+    """a @ b under both size budgets: OperatorTooLarge before the product is
+    formed when size(a) * size(b) exceeds MAX_PRODUCT_SIZE, and after it when
+    its own size exceeds MAX_OPERATOR_SIZE."""
+    if a.size() * b.size() > MAX_PRODUCT_SIZE:
+        raise OperatorTooLarge(f"operator product of sizes {a.size()} and {b.size()} "
+                               f"exceeds the maximum {MAX_PRODUCT_SIZE}")
+    out = a @ b
+    if out.size() > MAX_OPERATOR_SIZE:
+        raise OperatorTooLarge(f"operator size {out.size()} exceeds the maximum {MAX_OPERATOR_SIZE}")
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,13 +294,13 @@ class OperatorExpr:
         return OperatorExpr._normalized(self.n, raw)
 
     def __pow__(self, k: int) -> "OperatorExpr":
-        """k-fold composition; OperatorTooLarge at the first step whose size
-        exceeds MAX_OPERATOR_SIZE."""
+        """k-fold composition; OperatorTooLarge at the first step that
+        `compose_checked` refuses."""
         if k < 0:
             raise ValueError("negative operator powers are not defined")
         out = OperatorExpr.identity(self.n)
         for _ in range(k):
-            out = check_size(out @ self)
+            out = compose_checked(out, self)
         return out
 
     # -- involutions -------------------------------------------------------------

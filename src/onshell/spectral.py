@@ -3,14 +3,18 @@
 Restriction matrices are small (dimensions C(n+r, n) at desk scale) and
 mostly zeros, with Gaussian-rational entries in the graded-lex basis order
 of `enumerate_multi_indices`.  A matrix keeps its dense rows for output and
-comparison, plus a cached sparse view (per row, its nonzero (column, entry)
-pairs) that every product, mat-vec and Krylov step runs on.  Everything here
-is exact: Gaussian elimination with first-nonzero pivoting, block Krylov
-minimal polynomials (the lcm over the connected parts of the nonzero
-pattern, each from a running echelon form of its Krylov vectors), and the
-projection polynomial p_r(z) = prod(1 - z/lambda) over the nonzero
-spectrum, realized as the z-free part of the minimal polynomial of
-(Q|_r)* (Q|_r) normalized to value 1 at zero.
+comparison, plus cached sparse views: per row, its nonzero (column, entry)
+pairs, and the connected parts of its nonzero pattern (`_split`), over which
+it is block diagonal up to a permutation of rows and columns.  Everything
+here is exact and runs per block, never on the whole matrix: Gaussian
+elimination with first-nonzero pivoting per bipartite block (the reduced row
+echelon form is unique, so solves, kernels and witnesses equal the
+whole-matrix ones); block Krylov minimal polynomials (cached per part of the
+symmetrised pattern, the lcm over the parts); and Horner per block with the
+polynomial reduced mod the block's minimal polynomial m_c, as
+f(M_c) = (f mod m_c)(M_c).  The projection polynomial
+p_r(z) = prod(1 - z/lambda) over the nonzero spectrum is the z-free part of
+the minimal polynomial of (Q|_r)* (Q|_r) normalized to value 1 at zero.
 
 Every projection in the package runs through one path: `gram_matrices`
 builds A = Q|_r, its adjoint A* (from `RestrictionMatrix.gram_adjoint`) and
@@ -203,8 +207,27 @@ class RestrictionMatrix:
     @cached_property
     def sparse_rows(self) -> tuple:
         """Per row, the (column, entry) pairs of its nonzero entries."""
-        return tuple(tuple((j, a) for j, a in enumerate(row) if not a.is_zero())
-                     for row in self.entries)
+        return _sparse(self.entries)
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """The (rows, columns) parts of the bipartite nonzero pattern."""
+        return _split(self.sparse_rows, self.ncols)
+
+    @cached_property
+    def block_minimal_polynomials(self) -> tuple:
+        """Per part of the symmetrised nonzero pattern of a square matrix,
+        which the matrix maps into itself: (indices, local sparse rows,
+        minimal polynomial).  Equal blocks are solved once."""
+        rows = self.sparse_rows
+        found = {}
+        out = []
+        for block, _ in _split(rows, len(rows), square=True):
+            sub = _local_rows(rows, block, block)
+            if sub not in found:
+                found[sub] = _block_minimal_polynomial(sub)
+            out.append((block, sub, found[sub]))
+        return tuple(out)
 
     def to_vector(self, column) -> DeltaVector:
         basis = self.codomain_basis
@@ -313,6 +336,51 @@ def adjoint_restriction(q: OperatorExpr, r: int, provenance: str = "") -> Restri
 # elimination, kernels, solving
 # ---------------------------------------------------------------------------
 
+def _sparse(rows) -> tuple:
+    """Per dense row, the (column, entry) pairs of its nonzero entries."""
+    return tuple(tuple((j, a) for j, a in enumerate(row) if not a.is_zero()) for row in rows)
+
+
+def _split(rows, ncols: int, square: bool = False) -> tuple:
+    """Connected parts of the nonzero pattern of a matrix given by its sparse
+    rows, as (row indices, column indices) pairs, each ascending.
+
+    Row i and column j are joined when entry (i, j) is nonzero, so the matrix
+    is block diagonal over the parts up to a permutation of rows and columns.
+    With square=True row i and column i are one node as well, which gives the
+    parts of the symmetrised pattern (both lists then agree).  Parts holding
+    a row come by their smallest row; a zero column is a part of its own.
+    """
+    nr = len(rows)
+    off = 0 if square else nr
+    parent = list(range(off + ncols))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, row in enumerate(rows):
+        for j, _ in row:
+            a, b = find(i), find(off + j)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    parts = {}
+    for i in range(nr):
+        parts.setdefault(find(i), ([], []))[0].append(i)
+    for j in range(ncols):
+        parts.setdefault(find(off + j), ([], []))[1].append(j)
+    return tuple(parts.values())
+
+
+def _local_rows(rows, rs, cs) -> tuple:
+    """The sparse rows of the submatrix on rows rs and columns cs, in local
+    indices; every nonzero of the rows rs must lie in the columns cs."""
+    local = {g: k for k, g in enumerate(cs)}
+    return tuple(tuple((local[j], a) for j, a in rows[i]) for i in rs)
+
+
 def _rref(rows):
     """Reduced row echelon form with first-nonzero pivoting.
 
@@ -342,28 +410,54 @@ def _rref(rows):
     return m, pivots
 
 
+def _kernel(rows, ncols: int, blocks) -> list:
+    """(free column, kernel vector) pairs of the matrix given by dense rows,
+    one per free column of the given blocks and in ascending column order.
+    Each block is reduced on its own; its vectors vanish off its columns and
+    equal those of the reduced row echelon form of the whole matrix."""
+    out = []
+    for rs, cs in blocks:
+        rr, pivots = _rref([[rows[i][j] for j in cs] for i in rs])
+        pivot_set = set(pivots)
+        for fc in range(len(cs)):
+            if fc in pivot_set:
+                continue
+            vec = [ZERO] * ncols
+            vec[cs[fc]] = ONE
+            for prow, pcol in enumerate(pivots):
+                vec[cs[pcol]] = -rr[prow][fc]
+            out.append((cs[fc], vec))
+    out.sort(key=lambda pair: pair[0])
+    return out
+
+
 def _kernel_columns(rows, ncols):
     """Basis of the null space of the matrix given by `rows` (list of columns)."""
-    if not rows:
-        return [[ONE if i == j else ZERO for i in range(ncols)] for j in range(ncols)]
-    rr, pivots = _rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [ZERO] * ncols
-        vec[fc] = ONE
-        for prow, pcol in enumerate(pivots):
-            vec[pcol] = -GaussianRational.of(1) * rr[prow][fc]
-        basis.append(vec)
-    return basis
+    return [v for _, v in _kernel(rows, ncols, _split(_sparse(rows), ncols))]
 
 
 def kernel_basis(m: RestrictionMatrix) -> list:
     """Exact kernel basis as delta vectors in the domain space."""
-    cols = _kernel_columns(list(m.entries), m.ncols)
     dom = enumerate_multi_indices(m.n, m.r_domain)
-    return [DeltaVector(m.n, {dom[i]: c for i, c in enumerate(v)}) for v in cols]
+    return [DeltaVector(m.n, {dom[i]: c for i, c in enumerate(v)})
+            for _, v in _kernel(m.entries, m.ncols, m.blocks)]
+
+
+def _solve_blocks(rows, rhs, ncols: int, blocks):
+    """(x, inconsistent blocks) for M x = rhs, block by block: each block
+    with a nonzero part of rhs is solved on its own, free variables are 0."""
+    x = [ZERO] * ncols
+    bad = []
+    for rs, cs in blocks:
+        if all(rhs[i].is_zero() for i in rs):
+            continue
+        rr, pivots = _rref([[rows[i][j] for j in cs] + [rhs[i]] for i in rs])
+        if pivots and pivots[-1] == len(cs):
+            bad.append((rs, cs))  # pivot in the augmented column
+            continue
+        for prow, pcol in enumerate(pivots):
+            x[cs[pcol]] = rr[prow][-1]
+    return x, bad
 
 
 def _solve(rows, rhs):
@@ -372,16 +466,9 @@ def _solve(rows, rhs):
     Free variables are set to zero; pivoting is first-nonzero, so the
     returned certificate is deterministic.
     """
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    rr, pivots = _rref(aug)
-    x = [ZERO] * nc
-    for prow, pcol in enumerate(pivots):
-        if pcol == nc:
-            return None  # pivot in the augmented column: inconsistent
-        x[pcol] = rr[prow][nc]
-    return x
+    nc = len(rows[0]) if rows else 0
+    x, bad = _solve_blocks(rows, rhs, nc, _split(_sparse(rows), nc))
+    return None if bad else x
 
 
 @dataclass(frozen=True)
@@ -395,20 +482,28 @@ class RangeDecision:
 
 def range_membership(m: RestrictionMatrix, w: DeltaVector) -> RangeDecision:
     """Decide w in Ran(M); on success give a preimage, otherwise a kernel
-    vector of the adjoint that has nonzero scalar product with w."""
+    vector of the adjoint that has nonzero scalar product with w.
+
+    The witness is the first such vector of the adjoint's kernel basis in
+    column order.  Only the inconsistent blocks are searched: a kernel vector
+    y of a consistent block's adjoint has (y|w) = (y|M x) = (M* y|x) = 0.
+    """
     rhs = [w.get(alpha) for alpha in m.codomain_basis]
     if w.degree() > m.r_codomain:
         raise DimensionMismatch("target degree exceeds the codomain order")
     if w.n != m.n:
         raise DimensionMismatch("target dimension does not match the matrix")
-    x = _solve(list(m.entries), rhs)
-    if x is not None:
+    x, bad = _solve_blocks(m.entries, rhs, m.ncols, m.blocks)
+    if not bad:
         dom = m.domain_basis
         pre = DeltaVector(m.n, {dom[i]: c for i, c in enumerate(x)})
         return RangeDecision(True, pre, None)
-    for y in kernel_basis(m.gram_adjoint()):
-        val = inner(m.r_codomain, y, w)
-        if not val.is_zero():
+    adj = m.gram_adjoint()
+    for _, col in _kernel(adj.entries, adj.ncols, [(cs, rs) for rs, cs in bad]):
+        y = m.to_vector(col)
+        if not inner(m.r_codomain, y, w).is_zero():
+            if not all(c.is_zero() for c in _sparse_matvec(adj.sparse_rows, col)):
+                raise AssertionError("witness is not in the kernel of the adjoint")
             return RangeDecision(False, None, y)
     raise AssertionError("inconsistent system without an adjoint-kernel witness")
 
@@ -430,36 +525,42 @@ def _sparse_matvec(rows, vec: list) -> list:
     return out
 
 
-def _matrix_poly_apply(rows, p: ExactPolynomial, vec: list) -> list:
-    """p(M) vec by Horner iteration, for M given by its sparse rows."""
+def _matrix_poly_apply(rows, p: ExactPolynomial, vec: list, inner=None) -> list:
+    """p(M) vec by Horner iteration, for M given by its sparse rows, or for
+    the product M = rows * inner when the sparse rows `inner` are given."""
     out = [ZERO] * len(vec)
     for c in reversed(p.coeffs):
         # out = M*out + c*vec
-        out = [s if v.is_zero() else s + c * v
-               for s, v in zip(_sparse_matvec(rows, out), vec)]
+        mv = _sparse_matvec(rows, out if inner is None else _sparse_matvec(inner, out))
+        out = [s if v.is_zero() else s + c * v for s, v in zip(mv, vec)]
     return out
 
 
-def _pattern_blocks(rows) -> list:
-    """Connected parts of the symmetrised nonzero pattern of a square matrix,
-    as ascending index lists ordered by their smallest index."""
-    parent = list(range(len(rows)))
+def _horner_blocks(p: ExactPolynomial, vec: list, jobs) -> list:
+    """p(M) vec for M block diagonal over the jobs (indices, annihilating
+    polynomial m_c of M_c, sparse rows, inner rows as in _matrix_poly_apply):
+    p(M_c) = (p mod m_c)(M_c), so each block runs Horner with the reduced p."""
+    out = [ZERO] * len(vec)
+    reduced = {}
+    for idx, mc, rows, inner in jobs:
+        part = [vec[i] for i in idx]
+        if all(x.is_zero() for x in part):
+            continue
+        if mc.coeffs not in reduced:
+            reduced[mc.coeffs] = p.divmod(mc)[1] if p.degree() >= mc.degree() else p
+        for i, x in zip(idx, _matrix_poly_apply(rows, reduced[mc.coeffs], part, inner)):
+            out[i] = x
+    return out
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for i, row in enumerate(rows):
-        for j, _ in row:
-            a, b = find(i), find(j)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    blocks = {}
-    for i in range(len(rows)):
-        blocks.setdefault(find(i), []).append(i)
-    return list(blocks.values())
+def _block_poly_apply(m: RestrictionMatrix, p: ExactPolynomial, vec: list) -> list:
+    """p(M) vec for square M, per block of `block_minimal_polynomials`.  When
+    no block's degree drops, one Horner over all of M does the same work
+    without the split."""
+    parts = m.block_minimal_polynomials if p.degree() > 0 else ()
+    if len(parts) < 2 or all(p.degree() < mc.degree() for _, _, mc in parts):
+        return _matrix_poly_apply(m.sparse_rows, p, vec)
+    return _horner_blocks(p, vec, ((block, mc, sub, None) for block, sub, mc in parts))
 
 
 def _krylov_annihilator(rows, vec: list) -> ExactPolynomial:
@@ -517,15 +618,8 @@ def minimal_polynomial(m: RestrictionMatrix) -> ExactPolynomial:
     """
     if not m.is_square():
         raise NonSquareMatrixError("minimal polynomial requires a square matrix")
-    rows = m.sparse_rows
-    by_block = {}
-    for block in _pattern_blocks(rows):
-        local = {g: i for i, g in enumerate(block)}
-        sub = tuple(tuple((local[j], a) for j, a in rows[g]) for g in block)
-        if sub not in by_block:
-            by_block[sub] = _block_minimal_polynomial(sub)
     result = ExactPolynomial.one()
-    for p in {p.coeffs: p for p in by_block.values()}.values():
+    for p in {p.coeffs: p for _, _, p in m.block_minimal_polynomials}.values():
         result = result.lcm(p)
     return result
 
@@ -554,7 +648,24 @@ def _counterterm_apply(m: RestrictionMatrix, p: ExactPolynomial, w: DeltaVector)
     p(z) = 1 + sum c_k z^k.  With M = A* A and w = A* u, u + A of the result
     is p(A A*) u, the part of u orthogonal to Ran A."""
     h = ExactPolynomial(p.coeffs[1:])
-    return m.to_vector(_matrix_poly_apply(m.sparse_rows, h, m.from_vector(w)))
+    return m.to_vector(_block_poly_apply(m, h, m.from_vector(w)))
+
+
+def _outer_poly_apply(a: RestrictionMatrix, astar: RestrictionMatrix, b: RestrictionMatrix,
+                      p: ExactPolynomial, w: DeltaVector) -> DeltaVector:
+    """p(A A*) w for B = A* A, without forming A A*: per bipartite block A_c
+    of A, Horner alternates A_c* and A_c.  With m_c the minimal polynomial of
+    B_c = A_c* A_c (the lcm of B's blocks inside it), z m_c annihilates
+    A_c A_c*, since A_c m_c(B_c) A_c* = 0."""
+    owner = {j: k for k, (_, cs) in enumerate(a.blocks) for j in cs}
+    mins = {}
+    for block, _, mc in b.block_minimal_polynomials:
+        k = owner[block[0]]
+        mins[k] = mins[k].lcm(mc) if k in mins else mc
+    jobs = ((rs, ExactPolynomial((ZERO,) + mins.get(k, ExactPolynomial.one()).coeffs),
+             _local_rows(a.sparse_rows, rs, cs), _local_rows(astar.sparse_rows, cs, rs))
+            for k, (rs, cs) in enumerate(a.blocks))
+    return a.to_vector(_horner_blocks(p, astar.from_vector(w), jobs))
 
 
 def projection_polynomial(q: OperatorExpr, r: int) -> ExactPolynomial:
@@ -571,7 +682,7 @@ def kernel_projector(b: RestrictionMatrix, p: ExactPolynomial) -> RestrictionMat
     """p(B) as a matrix, for p = projection_polynomial_of_gram(b): the
     orthogonal projection onto ker B."""
     d = b.nrows
-    cols = [_matrix_poly_apply(b.sparse_rows, p, [ONE if i == j else ZERO for i in range(d)])
+    cols = [_block_poly_apply(b, p, [ONE if i == j else ZERO for i in range(d)])
             for j in range(d)]
     return RestrictionMatrix(b.n, b.r_domain, b.r_domain, tuple(zip(*cols)),
                              f"proj-ker(r={b.r_domain})")
@@ -607,7 +718,7 @@ def pseudoinverse_correction(m: RestrictionMatrix, w: DeltaVector) -> DeltaVecto
     if not p.is_squarefree():
         raise AssertionError("normal matrix has non-squarefree minimal polynomial")
     rhs = [w.get(alpha) for alpha in m.codomain_basis]
-    kernel_part = _matrix_poly_apply(m.sparse_rows, p, rhs)
+    kernel_part = _block_poly_apply(m, p, rhs)
     # (1 - p(z))/z is 1/lambda on every nonzero eigenvalue lambda
     rest = m.to_vector([a - b for a, b in zip(rhs, kernel_part)])
     return _counterterm_apply(m, p, rest).scale(-1)

@@ -10,6 +10,7 @@ from onshell.scalar import GaussianRational, I, ONE
 from onshell.deltaspace import DeltaVector, Polynomial
 from onshell.opalg import (
     OperatorExpr,
+    OperatorTooLarge,
     casimir,
     dalembert,
     euler,
@@ -392,3 +393,60 @@ class TestSchema:
         for key in ("counterterm", "certificate"):
             if key in payload:
                 jsonschema.validate(payload[key], sub("delta_vector"))
+
+
+class TestParserReuseAndGuards:
+    def test_parser_is_built_once_and_calls_do_not_leak(self, capsys, monkeypatch):
+        import onshell.cli as cli
+        builds = []
+        original = cli.build_parser
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or original())
+        w = delta_to_json(DeltaVector.basis(1, (0,)))
+        two = ("counterterm", "--dim", "1", "--degree", "1", "--op", "euler(-2)",
+               "--op", "euler(-1)", "--residue", json.dumps(w), "--residue", json.dumps(w))
+        one = ("counterterm", "--dim", "1", "--degree", "1", "--op", "euler(-2)",
+               "--residue", json.dumps(w))
+        bare = ("kernel", "--dim", "1", "--degree", "1", "--op", "euler(-2)")
+        first = [run_cli(capsys, *argv) for argv in (two, one, bare)]
+        assert builds == [1]
+        # the same calls, each on a parser of its own
+        fresh = []
+        for argv in (two, one, bare):
+            cli._parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        assert first == fresh
+        assert json.loads(first[1][1])["counterterm"] and "range" not in json.loads(first[2][1])
+
+    def test_order_raise_k_above_the_cap_exit_code(self, capsys, monkeypatch):
+        powers = []
+        original = OperatorExpr.__pow__
+        monkeypatch.setattr(OperatorExpr, "__pow__",
+                            lambda op, k: powers.append(k) or original(op, k))
+        residue = '{"terms":[{"alpha":[0],"coeff":{"re":"1","im":"0"}}]}'
+        code = main(["order-raise", "--dim", "1", "--degree", "1", "--op", "d1",
+                     "--k", "100000000", "--residue", residue])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "onshell: error: --k 100000000 exceeds the maximum 64\n"
+        assert powers == []
+
+    def test_oversized_product_is_refused_before_it_is_formed(self, monkeypatch):
+        text = "(x1+x2+x3+x4)^15*(x1+x2+x3+x4)^15"
+        big = parse_operator("(x1+x2+x3+x4)^15", 4)
+        assert big.size() == 816
+        products = []
+        original = OperatorExpr.__matmul__
+        monkeypatch.setattr(OperatorExpr, "__matmul__",
+                            lambda a, b: products.append(a.size() * b.size()) or original(a, b))
+        with pytest.raises(OperatorSyntaxError,
+                           match="operator product of sizes 816 and 816 exceeds the maximum 65536") as exc:
+            parse_operator(text, 4)
+        assert text[exc.value.start:exc.value.end] == "*"
+        # the last step of each power is the 14th power (680 terms) times the sum
+        assert max(products) == 680 * 4
+        products.clear()
+        with pytest.raises(OperatorTooLarge, match="operator product of sizes 816 and 816"):
+            big ** 2
+        assert products == [816]  # the first step, 1 * 816
