@@ -534,8 +534,26 @@ JSON_SCHEMA = {
 # ---------------------------------------------------------------------------
 
 class _ArgumentParser(argparse.ArgumentParser):
+    """Exits 1 on a usage error.  The token after an option that takes a
+    value is that value even when it starts with '-' (`--aj -3:1`,
+    `--op -d1`), unless it starts with '--' or is '-h'."""
+
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        nargs = {s: a.nargs for a in self._actions for s in a.option_strings}
+        joined = []
+        for tok in sys.argv[1:] if args is None else args:
+            prev = joined[-1] if joined else ""
+            # an option string, or the one long option it abbreviates
+            hits = [prev] if prev in nargs else [s for s in nargs if s.startswith(prev)]
+            if (prev.startswith("--") and len(hits) == 1 and nargs[hits[0]] is None
+                    and tok.startswith("-") and not tok.startswith("--") and tok != "-h"):
+                joined[-1] += "=" + tok
+            else:
+                joined.append(tok)
+        return super().parse_known_args(joined, namespace)
 
 
 def _parse_metric(text: str, n: int):

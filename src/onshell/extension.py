@@ -36,12 +36,11 @@ from .opalg import (
 )
 from .spectral import (
     _counterterm_apply,
-    _kernel_columns,
+    _kernel,
     _outer_poly_apply,
-    _rref,
+    _split,
     adjoint_restriction,
     gram_matrices,
-    kernel_basis,
     projection_polynomial_of_gram,
     range_membership,
     restrict,
@@ -229,30 +228,6 @@ def _expand_expression(n: int, rs, expression) -> OperatorExpr:
     return total
 
 
-def _span_rows(vectors, basis):
-    index = {alpha: i for i, alpha in enumerate(basis)}
-    rows = []
-    for v in vectors:
-        row = [GaussianRational.of(0)] * len(basis)
-        for alpha, c in v.coeffs.items():
-            row[index[alpha]] = c
-        rows.append(row)
-    return rows
-
-
-def _rank(rows) -> int:
-    if not rows:
-        return 0
-    return len(_rref(rows)[1])
-
-
-def _same_span(vs, ws, basis) -> bool:
-    ra = _rank(_span_rows(vs, basis))
-    rb = _rank(_span_rows(ws, basis))
-    rab = _rank(_span_rows(list(vs) + list(ws), basis))
-    return ra == rb == rab
-
-
 def verify_casimir_hypotheses(c_op: OperatorExpr, rs, r: int,
                               expression=None) -> CasimirReport:
     """Exact checks of the hypotheses behind the Casimir route, at level r.
@@ -281,7 +256,7 @@ def verify_casimir_hypotheses(c_op: OperatorExpr, rs, r: int,
     else:
         mat = restrict(c_op, r)
         adj = adjoint_restriction(c_op, r)
-        if mat.entries == adj.entries:
+        if mat == adj:
             self_adjoint_ok = True
         else:
             failures.append(f"(C|_{r})* != C|_{r}")
@@ -295,18 +270,13 @@ def verify_casimir_hypotheses(c_op: OperatorExpr, rs, r: int,
 
     kernel_ok = False
     if self_adjoint_ok:
-        ker_c = kernel_basis(restrict(c_op, r))
-        stacked = []
-        width = len(enumerate_multi_indices(n, r))
-        for rop in rs:
-            m = restrict(rop, r)
-            stacked.extend([list(row) for row in m.entries])
-        joint = _kernel_columns(stacked, width)
-        basis = enumerate_multi_indices(n, r)
-        joint_vecs = [DeltaVector(n, {basis[i]: x for i, x in enumerate(col)}) for col in joint]
-        if _same_span(ker_c, joint_vecs, basis):
-            kernel_ok = True
-        else:
+        # _kernel gives the one basis of a kernel that the reduced row echelon
+        # form fixes, so the two kernels agree exactly when the lists do
+        c_mat = restrict(c_op, r)
+        stacked = tuple(row for rop in rs for row in restrict(rop, r).sparse_rows)
+        joint = _kernel(stacked, c_mat.ncols, _split(stacked, c_mat.ncols))
+        kernel_ok = _kernel(c_mat.sparse_rows, c_mat.ncols, c_mat.blocks) == joint
+        if not kernel_ok:
             failures.append(f"ker(C|_{r}) differs from the joint kernel of the generators")
 
     return CasimirReport(shape_ok, self_adjoint_ok, commute_ok, kernel_ok, r, tuple(failures))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .scalar import GaussianRational, ZERO, ONE
 from .deltaspace import (
@@ -75,41 +76,29 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_inv(m: Matrix) -> Matrix:
+@lru_cache(maxsize=256)
+def mat_inv_det(m: Matrix) -> tuple:
+    """(inverse, determinant) of a square rational matrix by one
+    Gauss-Jordan elimination; SingularMatrixError when it is singular.
+    Cached: the same pullback matrix is inverted for every term it meets."""
     n = len(m)
     aug = [list(m[i]) + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    det = Fraction(1)
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
             raise SingularMatrixError("pullback matrix is not invertible")
-        aug[col], aug[piv] = aug[piv], aug[col]
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+            det = -det
+        det *= aug[col][col]
         inv = 1 / aug[col][col]
         aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def mat_det(m: Matrix) -> Fraction:
-    n = len(m)
-    rows = [list(r) for r in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                f = rows[r][col] * inv
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return det
+    return tuple(tuple(row[n:]) for row in aug), det
 
 
 def _is_identity(m: Matrix) -> bool:
@@ -199,8 +188,7 @@ class OperatorExpr:
         n = len(m)
         if any(len(row) != n for row in m):
             raise DimensionMismatch("pullback matrix must be square")
-        if mat_det(m) == 0:
-            raise SingularMatrixError("pullback matrix is not invertible")
+        mat_inv_det(m)  # SingularMatrixError when L is not invertible
         if _is_identity(m):
             return OperatorExpr.identity(n)
         return OperatorExpr(n, ((Polynomial.constant(n, ONE), (0,) * n, m),))
@@ -254,7 +242,7 @@ class OperatorExpr:
         # move the pullback of t1 (if any) right, past b and d^delta
         if pbl is not None:
             b = b.substitute_linear(pbl)
-            inv = mat_inv(pbl)
+            inv = mat_inv_det(pbl)[0]
             dpoly = Polynomial.constant(n, ONE)
             for j, dj in enumerate(delta):
                 if dj == 0:
@@ -321,8 +309,8 @@ class OperatorExpr:
             sign = -1 if mi_order(gamma) % 2 else 1
             piece = OperatorExpr.derivative(n, gamma).scale(sign) @ OperatorExpr.multiplication(coeff)
             if pb is not None:
-                det = abs(mat_det(pb))
-                front = OperatorExpr.pullback(mat_inv(pb)).scale(GaussianRational(1 / det))
+                inv, det = mat_inv_det(pb)
+                front = OperatorExpr.pullback(inv).scale(GaussianRational(1 / abs(det)))
                 piece = front @ piece
             out = out + piece
         return out
@@ -360,16 +348,15 @@ class OperatorExpr:
         if v.is_zero():
             return v
         n = self.n
-        inv = mat_inv(pb)
-        det = abs(mat_det(pb))
+        inv, det = mat_inv_det(pb)
         out = {}
         for alpha in enumerate_multi_indices(n, int(v.degree())):
             xa = Polynomial.monomial(n, alpha).substitute_linear(inv)
-            val = pair(v, xa) * GaussianRational(1 / det)
+            val = pair(v, xa)
             if val.is_zero():
                 continue
             sign = -1 if mi_order(alpha) % 2 else 1
-            out[alpha] = val * GaussianRational(Fraction(sign, mi_factorial(alpha)))
+            out[alpha] = val * GaussianRational(Fraction(sign, mi_factorial(alpha)) / abs(det))
         return DeltaVector(n, out)
 
     def apply_delta(self, v: DeltaVector) -> DeltaVector:

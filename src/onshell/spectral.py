@@ -2,16 +2,16 @@
 
 Restriction matrices are small (dimensions C(n+r, n) at desk scale) and
 mostly zeros, with Gaussian-rational entries in the graded-lex basis order
-of `enumerate_multi_indices`.  A matrix keeps its dense rows for output and
-comparison, plus cached sparse views: per row, its nonzero (column, entry)
-pairs, and the connected parts of its nonzero pattern (`_split`), over which
-it is block diagonal up to a permutation of rows and columns.  Everything
-here is exact and runs per block, never on the whole matrix: Gaussian
-elimination with first-nonzero pivoting per bipartite block (the reduced row
-echelon form is unique, so solves, kernels and witnesses equal the
-whole-matrix ones); block Krylov minimal polynomials (cached per part of the
-symmetrised pattern, the lcm over the parts); and Horner per block with the
-polynomial reduced mod the block's minimal polynomial m_c, as
+of `enumerate_multi_indices`.  A matrix stores only its sparse rows (the
+nonzero (column, entry) pairs of each row; dense rows are derived for
+output) and caches the connected parts of its nonzero pattern (`_split`),
+over which it is block diagonal up to a permutation of rows and columns.
+Everything here is exact and runs per block, never on the whole matrix:
+Gaussian elimination with first-nonzero pivoting per bipartite block (the
+reduced row echelon form is unique, so solves, kernels and witnesses equal
+the whole-matrix ones); block Krylov minimal polynomials (cached per part of
+the symmetrised pattern, the lcm over the parts); and Horner per block with
+the polynomial reduced mod the block's minimal polynomial m_c, as
 f(M_c) = (f mod m_c)(M_c).  The projection polynomial
 p_r(z) = prod(1 - z/lambda) over the nonzero spectrum is the z-free part of
 the minimal polynomial of (Q|_r)* (Q|_r) normalized to value 1 at zero.
@@ -28,7 +28,7 @@ second, symbolic route to A* and is compared against it in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 
@@ -170,20 +170,40 @@ class ExactPolynomial:
 # restriction matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RestrictionMatrix:
     """Matrix of an operator between delta spaces in graded-lex basis order.
 
     Rows index the codomain basis (degree <= r_codomain), columns the domain
     basis (degree <= r_domain); column j is the image of the j-th domain
-    basis vector.
+    basis vector.  The sparse rows are the only storage: per row, its
+    nonzero (column, entry) pairs in ascending column order.  This form is
+    canonical, so matrices compare and hash by it (not by provenance).
     """
 
     n: int
     r_domain: int
     r_codomain: int
-    entries: tuple  # row tuples of GaussianRational
-    provenance: str = ""
+    sparse_rows: tuple
+    ncols: int
+    provenance: str = field(compare=False)
+
+    def __init__(self, n: int, r_domain: int, r_codomain: int, entries, provenance: str = ""):
+        """The matrix with the given dense rows of GaussianRational."""
+        entries = tuple(entries)
+        self._set(n, r_domain, r_codomain, _sparse(entries),
+                  len(entries[0]) if entries else 0, provenance)
+
+    @classmethod
+    def _of_rows(cls, n, r_domain, r_codomain, rows, ncols, provenance) -> "RestrictionMatrix":
+        """The matrix with the given sparse rows, which must be canonical."""
+        m = cls.__new__(cls)
+        m._set(n, r_domain, r_codomain, rows, ncols, provenance)
+        return m
+
+    def _set(self, *values) -> None:
+        for f, value in zip(fields(self), values):
+            object.__setattr__(self, f.name, value)
 
     @property
     def domain_basis(self) -> tuple:
@@ -195,19 +215,15 @@ class RestrictionMatrix:
 
     @property
     def nrows(self) -> int:
-        return len(self.entries)
+        return len(self.sparse_rows)
 
     @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+    def entries(self) -> tuple:
+        """The dense rows, rebuilt from the sparse rows on every call."""
+        return tuple(map(tuple, _dense(self.sparse_rows, self.ncols)))
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
-
-    @cached_property
-    def sparse_rows(self) -> tuple:
-        """Per row, the (column, entry) pairs of its nonzero entries."""
-        return _sparse(self.entries)
 
     @cached_property
     def blocks(self) -> tuple:
@@ -254,82 +270,65 @@ class RestrictionMatrix:
             for k, a in left:
                 for j, b in right[k]:
                     acc[j] = acc[j] + a * b if j in acc else a * b
-            rows.append(tuple(acc.get(j, ZERO) for j in range(other.ncols)))
-        return RestrictionMatrix(self.n, other.r_domain, self.r_codomain, tuple(rows),
-                                 provenance or f"({self.provenance})*({other.provenance})")
+            rows.append(tuple((j, acc[j]) for j in sorted(acc) if not acc[j].is_zero()))
+        return RestrictionMatrix._of_rows(
+            self.n, other.r_domain, self.r_codomain, tuple(rows), other.ncols,
+            provenance or f"({self.provenance})*({other.provenance})")
 
     @staticmethod
     def identity(n: int, r: int, provenance: str = "id") -> "RestrictionMatrix":
         d = len(enumerate_multi_indices(n, r))
-        rows = tuple(tuple(ONE if i == j else ZERO for j in range(d)) for i in range(d))
-        return RestrictionMatrix(n, r, r, rows, provenance)
+        return RestrictionMatrix._of_rows(n, r, r, tuple(((i, ONE),) for i in range(d)), d,
+                                          provenance)
 
     def gram_adjoint(self) -> "RestrictionMatrix":
         """Adjoint with respect to the weighted scalar products on both sides:
         (M* v | w)_(r_dom) = (v | M w)_(r_cod)."""
         dom_w = [mi_factorial(alpha) for alpha in self.domain_basis]
         cod_w = [mi_factorial(beta) for beta in self.codomain_basis]
-        rows = [[ZERO] * len(cod_w) for _ in dom_w]
-        for j, row in enumerate(self.sparse_rows):
-            for i, a in row:
-                rows[i][j] = a.conj() * GaussianRational(Fraction(cod_w[j], dom_w[i]))
-        return RestrictionMatrix(self.n, self.r_codomain, self.r_domain,
-                                 tuple(map(tuple, rows)), f"adj({self.provenance})")
+        cols = [[(i, a.conj() * GaussianRational(Fraction(cod_w[j], dom_w[i]))) for i, a in row]
+                for j, row in enumerate(self.sparse_rows)]
+        return RestrictionMatrix._of_rows(self.n, self.r_codomain, self.r_domain,
+                                          _transpose(cols, self.ncols), self.nrows,
+                                          f"adj({self.provenance})")
 
     def is_normal(self) -> bool:
         if not self.is_square() or self.r_domain != self.r_codomain:
             return False
         adj = self.gram_adjoint()
-        return self.matmul(adj).entries == adj.matmul(self).entries
+        return self.matmul(adj) == adj.matmul(self)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RestrictionMatrix)
-                and (self.n, self.r_domain, self.r_codomain) ==
-                    (other.n, other.r_domain, other.r_codomain)
-                and self.entries == other.entries)
 
-    def __hash__(self):
-        return hash((self.n, self.r_domain, self.r_codomain, self.entries))
+def _from_images(n: int, r_domain: int, r_codomain: int, image, provenance: str) -> RestrictionMatrix:
+    """The matrix whose j-th column is image(alpha), a delta vector of degree
+    <= r_codomain (asserted), for the j-th domain basis index alpha."""
+    dom = enumerate_multi_indices(n, r_domain)
+    index = {beta: i for i, beta in enumerate(enumerate_multi_indices(n, r_codomain))}
+    cols = []
+    for alpha in dom:
+        img = image(alpha)
+        if img.degree() > r_codomain:
+            raise AssertionError("a column image exceeds the codomain degree")
+        cols.append([(index[beta], c) for beta, c in img.coeffs.items()])
+    return RestrictionMatrix._of_rows(n, r_domain, r_codomain, _transpose(cols, len(index)),
+                                      len(dom), provenance)
 
 
 def restrict(q: OperatorExpr, r: int, provenance: str = "") -> RestrictionMatrix:
     """Q|_r as an exact matrix from degree <= r to degree <= r + q."""
-    ess = q.essential_order().q
-    n = q.n
-    dom = enumerate_multi_indices(n, r)
-    cod = enumerate_multi_indices(n, r + ess)
-    index = {alpha: i for i, alpha in enumerate(cod)}
-    cols = []
-    for alpha in dom:
-        img = q.apply_delta(DeltaVector.basis(n, alpha))
-        if img.degree() > r + ess:
-            raise AssertionError("essential-order bound violated by apply_delta")
-        col = [ZERO] * len(cod)
-        for beta, c in img.coeffs.items():
-            col[index[beta]] = c
-        cols.append(col)
-    rows = tuple(tuple(cols[j][i] for j in range(len(dom))) for i in range(len(cod)))
-    return RestrictionMatrix(n, r, r + ess, rows, provenance or f"restrict(r={r})")
+    return _from_images(q.n, r, r + q.essential_order().q,
+                        lambda alpha: q.apply_delta(DeltaVector.basis(q.n, alpha)),
+                        provenance or f"restrict(r={r})")
 
 
 def adjoint_restriction(q: OperatorExpr, r: int, provenance: str = "") -> RestrictionMatrix:
     """(Q|_r)* = T_r conj(Q)^t S_(r+q), from degree <= r+q to degree <= r."""
     ess = q.essential_order().q
-    n = q.n
     qt = q.conj().transpose()
-    dom = enumerate_multi_indices(n, r + ess)
-    cod = enumerate_multi_indices(n, r)
-    index = {alpha: i for i, alpha in enumerate(cod)}
-    cols = []
-    for alpha in dom:
-        f = smap(r + ess, DeltaVector.basis(n, alpha))
-        img = tmap(r, qt.apply_poly(f))
-        col = [ZERO] * len(cod)
-        for beta, c in img.coeffs.items():
-            col[index[beta]] = c
-        cols.append(col)
-    rows = tuple(tuple(cols[j][i] for j in range(len(dom))) for i in range(len(cod)))
-    return RestrictionMatrix(n, r + ess, r, rows, provenance or f"adjoint(r={r})")
+    return _from_images(
+        q.n, r + ess, r,
+        lambda alpha: tmap(r, qt.apply_poly(smap(r + ess, DeltaVector.basis(q.n, alpha)))),
+        provenance or f"adjoint(r={r})")
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +338,27 @@ def adjoint_restriction(q: OperatorExpr, r: int, provenance: str = "") -> Restri
 def _sparse(rows) -> tuple:
     """Per dense row, the (column, entry) pairs of its nonzero entries."""
     return tuple(tuple((j, a) for j, a in enumerate(row) if not a.is_zero()) for row in rows)
+
+
+def _dense(rows, ncols: int) -> list:
+    """The dense rows, as lists, of the matrix given by its sparse rows."""
+    out = []
+    for row in rows:
+        dense = [ZERO] * ncols
+        for j, a in row:
+            dense[j] = a
+        out.append(dense)
+    return out
+
+
+def _transpose(cols, nrows: int) -> tuple:
+    """The sparse rows of the matrix with nrows rows whose j-th column has
+    the nonzero (row, entry) pairs cols[j]."""
+    rows = [[] for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, a in col:
+            rows[i].append((j, a))
+    return tuple(map(tuple, rows))
 
 
 def _split(rows, ncols: int, square: bool = False) -> tuple:
@@ -411,13 +431,13 @@ def _rref(rows):
 
 
 def _kernel(rows, ncols: int, blocks) -> list:
-    """(free column, kernel vector) pairs of the matrix given by dense rows,
+    """(free column, kernel vector) pairs of the matrix given by sparse rows,
     one per free column of the given blocks and in ascending column order.
     Each block is reduced on its own; its vectors vanish off its columns and
     equal those of the reduced row echelon form of the whole matrix."""
     out = []
     for rs, cs in blocks:
-        rr, pivots = _rref([[rows[i][j] for j in cs] for i in rs])
+        rr, pivots = _rref(_dense(_local_rows(rows, rs, cs), len(cs)))
         pivot_set = set(pivots)
         for fc in range(len(cs)):
             if fc in pivot_set:
@@ -432,26 +452,29 @@ def _kernel(rows, ncols: int, blocks) -> list:
 
 
 def _kernel_columns(rows, ncols):
-    """Basis of the null space of the matrix given by `rows` (list of columns)."""
-    return [v for _, v in _kernel(rows, ncols, _split(_sparse(rows), ncols))]
+    """Basis of the null space of the matrix given by its dense `rows`."""
+    sparse = _sparse(rows)
+    return [v for _, v in _kernel(sparse, ncols, _split(sparse, ncols))]
 
 
 def kernel_basis(m: RestrictionMatrix) -> list:
     """Exact kernel basis as delta vectors in the domain space."""
-    dom = enumerate_multi_indices(m.n, m.r_domain)
+    dom = m.domain_basis
     return [DeltaVector(m.n, {dom[i]: c for i, c in enumerate(v)})
-            for _, v in _kernel(m.entries, m.ncols, m.blocks)]
+            for _, v in _kernel(m.sparse_rows, m.ncols, m.blocks)]
 
 
 def _solve_blocks(rows, rhs, ncols: int, blocks):
-    """(x, inconsistent blocks) for M x = rhs, block by block: each block
-    with a nonzero part of rhs is solved on its own, free variables are 0."""
+    """(x, inconsistent blocks) for M x = rhs with M given by sparse rows,
+    block by block: each block with a nonzero part of rhs is solved on its
+    own, free variables are 0."""
     x = [ZERO] * ncols
     bad = []
     for rs, cs in blocks:
         if all(rhs[i].is_zero() for i in rs):
             continue
-        rr, pivots = _rref([[rows[i][j] for j in cs] + [rhs[i]] for i in rs])
+        block = _dense(_local_rows(rows, rs, cs), len(cs))
+        rr, pivots = _rref([row + [rhs[i]] for row, i in zip(block, rs)])
         if pivots and pivots[-1] == len(cs):
             bad.append((rs, cs))  # pivot in the augmented column
             continue
@@ -467,7 +490,8 @@ def _solve(rows, rhs):
     returned certificate is deterministic.
     """
     nc = len(rows[0]) if rows else 0
-    x, bad = _solve_blocks(rows, rhs, nc, _split(_sparse(rows), nc))
+    sparse = _sparse(rows)
+    x, bad = _solve_blocks(sparse, rhs, nc, _split(sparse, nc))
     return None if bad else x
 
 
@@ -493,13 +517,13 @@ def range_membership(m: RestrictionMatrix, w: DeltaVector) -> RangeDecision:
         raise DimensionMismatch("target degree exceeds the codomain order")
     if w.n != m.n:
         raise DimensionMismatch("target dimension does not match the matrix")
-    x, bad = _solve_blocks(m.entries, rhs, m.ncols, m.blocks)
+    x, bad = _solve_blocks(m.sparse_rows, rhs, m.ncols, m.blocks)
     if not bad:
         dom = m.domain_basis
         pre = DeltaVector(m.n, {dom[i]: c for i, c in enumerate(x)})
         return RangeDecision(True, pre, None)
     adj = m.gram_adjoint()
-    for _, col in _kernel(adj.entries, adj.ncols, [(cs, rs) for rs, cs in bad]):
+    for _, col in _kernel(adj.sparse_rows, adj.ncols, [(cs, rs) for rs, cs in bad]):
         y = m.to_vector(col)
         if not inner(m.r_codomain, y, w).is_zero():
             if not all(c.is_zero() for c in _sparse_matvec(adj.sparse_rows, col)):
@@ -684,8 +708,8 @@ def kernel_projector(b: RestrictionMatrix, p: ExactPolynomial) -> RestrictionMat
     d = b.nrows
     cols = [_block_poly_apply(b, p, [ONE if i == j else ZERO for i in range(d)])
             for j in range(d)]
-    return RestrictionMatrix(b.n, b.r_domain, b.r_domain, tuple(zip(*cols)),
-                             f"proj-ker(r={b.r_domain})")
+    return RestrictionMatrix._of_rows(b.n, b.r_domain, b.r_domain, _transpose(_sparse(cols), d),
+                                      d, f"proj-ker(r={b.r_domain})")
 
 
 def projector_onto_kernel(q: OperatorExpr, r: int) -> RestrictionMatrix:

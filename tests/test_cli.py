@@ -450,3 +450,36 @@ class TestParserReuseAndGuards:
         with pytest.raises(OperatorTooLarge, match="operator product of sizes 816 and 816"):
             big ** 2
         assert products == [816]  # the first step, 1 * 816
+
+
+class TestOptionValuesStartingWithDash:
+    RESIDUE = '{"terms":[{"alpha":[0,0],"coeff":{"re":"1","im":"0"}}]}'
+    CASES = (
+        (("renorm", "--dim", "2", "--degree", "1", "--residue", RESIDUE), "--aj", "-3:1"),
+        (("homog-unique", "--dim", "4", "--degree", "2"), "--a", "-3/2"),
+        (("chi", "--dim", "4", "--indices", "0,0"), "--m2", "-1/2"),
+        (("chi", "--dim", "4", "--indices", "0"), "--c", "-1,0"),
+        (("restrict", "--dim", "1", "--degree", "1"), "--op", "-d1"),
+        # an abbreviation of --aj
+        (("renorm", "--dim", "2", "--degree", "1", "--residue", RESIDUE), "--a", "-3:1"),
+    )
+
+    @pytest.mark.parametrize("argv, option, value", CASES)
+    def test_same_as_the_equals_form(self, capsys, argv, option, value):
+        spaced = run_cli(capsys, *argv, option, value)
+        joined = run_cli(capsys, *argv, f"{option}={value}")
+        assert spaced == joined
+        assert spaced[0] in (0, 2) and spaced[1]
+
+    def test_options_and_missing_values_are_still_errors(self, capsys):
+        base = ("homog-unique", "--dim", "4", "--degree", "2")
+        for argv, message in (((*base, "--a"), "argument --a: expected one argument"),
+                              ((*base, "--a", "-h"), "argument --a: expected one argument"),
+                              ((*base[:-1], "--a", "1"),
+                               "argument --degree: expected one argument"),
+                              ((*base, "--a", "1", "--bogus"),
+                               "unrecognized arguments: --bogus")):
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            assert exc.value.code == 1
+            assert message in capsys.readouterr().err

@@ -17,6 +17,7 @@ import onshell.spectral as spectral
 from onshell.spectral import ExactPolynomial, kernel_basis, restrict
 from onshell.extension import (
     CasimirHypothesisError,
+    CasimirReport,
     ExtensionRecord,
     MissingResidue,
     NonCommutingOperators,
@@ -375,3 +376,29 @@ class TestLinearity:
             v1 = onshell_correction(rec1, q)
             v2 = onshell_correction(rec2, q)
             assert onshell_correction(combined, q) == v1 + v2
+
+
+class TestCasimirKernelCheck:
+    """ker(C|_r) against the joint kernel of the generators at level r."""
+
+    def test_trivial_kernel_against_a_nontrivial_joint_kernel(self):
+        # ker(id) = 0 while L kills delta
+        g = lorentz_generator(2, 0, 1, (1, -1))
+        rep = verify_casimir_hypotheses(OperatorExpr.identity(2), [g], 1, [(1, (0, 0))])
+        assert rep == CasimirReport(
+            shape_ok=False, self_adjoint_ok=True, commute_ok=True, kernel_ok=False, level=1,
+            failures=("expression does not expand to the given operator",
+                      "ker(C|_1) differs from the joint kernel of the generators"))
+
+    def test_kernels_of_equal_dimension_but_different_span(self):
+        # euler(1, -1) kills delta, euler(1, -2) kills delta'
+        rep = verify_casimir_hypotheses(euler(1, -1), [euler(1, -2)], 1, [(1, (0, 0))])
+        assert rep == CasimirReport(
+            shape_ok=False, self_adjoint_ok=True, commute_ok=True, kernel_ok=False, level=1,
+            failures=("expression does not expand to the given operator",
+                      "ker(C|_1) differs from the joint kernel of the generators"))
+
+    def test_equal_kernels(self):
+        g = euler(1, -1)
+        rep = verify_casimir_hypotheses(g @ g, [g], 2, [(1, (0, 0))])
+        assert rep == CasimirReport(True, True, True, True, 2, ())

@@ -246,3 +246,45 @@ def test_operator_hashable_as_residue_key():
     q2 = x(1, 0) @ d(1, 1) + OperatorExpr.identity(1)
     assert hash(q1) == hash(q2) and q1 == q2
     assert len({q1: 1, q2: 2}) == 1
+
+
+class TestPullbackScaling:
+    """Pullbacks with |det L| != 1, where the weak definition
+    <P_L u, phi> = |det L|^(-1) <u, phi o L^(-1)> carries a factor."""
+
+    # (L, L^(-1), |det L|)
+    CASES = (
+        (((2, 1), (0, 3)), ((Fraction(1, 2), Fraction(-1, 6)), (0, Fraction(1, 3))), 6),
+        (((0, 2), (1, 0)), ((0, 1), (Fraction(1, 2), 0)), 2),
+    )
+
+    @pytest.mark.parametrize("mat, inv, det", CASES)
+    def test_apply_delta_is_the_weak_pullback(self, mat, inv, det):
+        p = reflection(mat)
+        for alpha in enumerate_multi_indices(2, 3):
+            u = DeltaVector.basis(2, alpha)
+            img = p.apply_delta(u)
+            for beta in enumerate_multi_indices(2, 3):
+                phi = Polynomial.monomial(2, beta)
+                want = pair(u, phi.substitute_linear(inv)) * GaussianRational(Fraction(1, det))
+                assert pair(img, phi) == want
+
+    @pytest.mark.parametrize("mat, inv, det", CASES)
+    def test_transpose_is_the_scaled_inverse_pullback(self, mat, inv, det):
+        want = reflection(inv).scale(GaussianRational(Fraction(1, det)))
+        assert operator_equal(reflection(mat).transpose(), want)
+
+    @pytest.mark.parametrize("mat, inv, det", CASES)
+    def test_compositions_and_pairing_adjunction(self, mat, inv, det):
+        p = reflection(mat)
+        other = reflection(self.CASES[1][0] if mat == self.CASES[0][0] else self.CASES[0][0])
+        d1, x1 = d(2, 1, 0), x(2, 0)
+        for left, right in ((p, d1), (d1, p), (p, x1), (x1, p), (p, other)):
+            q = left @ right
+            qt = q.transpose()
+            for alpha in enumerate_multi_indices(2, 2):
+                u = DeltaVector.basis(2, alpha)
+                assert q.apply_delta(u) == left.apply_delta(right.apply_delta(u))
+                for beta in enumerate_multi_indices(2, 3):
+                    phi = Polynomial.monomial(2, beta)
+                    assert pair(q.apply_delta(u), phi) == pair(u, qt.apply_poly(phi))
