@@ -850,9 +850,19 @@ def _cmd_chi_verify(args):
                            for m in rep.mismatches]}
 
 
+def _parse_index(text: str, n: int) -> tuple:
+    """A multi-index argument: n non-negative integers separated by commas."""
+    index = tuple(int(t) for t in text.split(",")) if text else ()
+    if len(index) != n or any(a < 0 for a in index):
+        raise ValueError(f"--index {text!r} is not {n} non-negative integers")
+    return index
+
+
 def _cmd_degree(args):
     rule = args.rule
     if rule == "delta":
+        if not args.residue:
+            raise ValueError("--residue is required for rule 'delta'")
         w = _read_residue_arg(args.residue[0], args.dim)
         b = degree_mod.deg_delta(w)
     else:
@@ -861,12 +871,14 @@ def _cmd_degree(args):
         d = degree_mod.DegreeBound(int(args.value), degree_mod.EXACT if args.exact
                                    else degree_mod.UPPER_BOUND)
         if rule == "derivative":
-            b = degree_mod.bound_derivative(d, tuple(int(t) for t in args.index.split(",")))
+            b = degree_mod.bound_derivative(d, _parse_index(args.index, args.dim))
         elif rule == "monomial":
-            b = degree_mod.bound_monomial(d, tuple(int(t) for t in args.index.split(",")))
+            b = degree_mod.bound_monomial(d, _parse_index(args.index, args.dim))
         elif rule == "vanishing":
             b = degree_mod.bound_vanishing_factor(d, args.k)
         elif rule == "tensor":
+            if args.value2 is None:
+                raise ValueError("--value2 is required for rule 'tensor'")
             d2 = degree_mod.DegreeBound(int(args.value2), degree_mod.UPPER_BOUND)
             b = degree_mod.bound_tensor(d, args.n1, d2, args.n2)
         elif rule == "operator":

@@ -236,6 +236,12 @@ def verify_casimir_hypotheses(c_op: OperatorExpr, rs, r: int,
     the generators with no degree-0/1 terms: a list of (coefficient, word)
     pairs, each word a tuple of generator indices of length >= 2.
     """
+    return _casimir_hypotheses(c_op, rs, r, expression)[0]
+
+
+def _casimir_hypotheses(c_op: OperatorExpr, rs, r: int, expression):
+    """(report, C|_r) for `verify_casimir_hypotheses`; C|_r is built once,
+    or not at all (None) when C does not have essential order 0."""
     failures = []
     n = c_op.n
     rs = [x.normal_form() for x in rs]
@@ -251,6 +257,7 @@ def verify_casimir_hypotheses(c_op: OperatorExpr, rs, r: int,
         shape_ok = True
 
     self_adjoint_ok = False
+    mat = None
     if c_op.essential_order().q != 0:
         failures.append("operator does not have essential order 0")
     else:
@@ -272,24 +279,23 @@ def verify_casimir_hypotheses(c_op: OperatorExpr, rs, r: int,
     if self_adjoint_ok:
         # _kernel gives the one basis of a kernel that the reduced row echelon
         # form fixes, so the two kernels agree exactly when the lists do
-        c_mat = restrict(c_op, r)
         stacked = tuple(row for rop in rs for row in restrict(rop, r).sparse_rows)
-        joint = _kernel(stacked, c_mat.ncols, _split(stacked, c_mat.ncols))
-        kernel_ok = _kernel(c_mat.sparse_rows, c_mat.ncols, c_mat.blocks) == joint
+        joint = _kernel(stacked, mat.ncols, _split(stacked, mat.ncols))
+        kernel_ok = _kernel(mat.sparse_rows, mat.ncols, mat.blocks) == joint
         if not kernel_ok:
             failures.append(f"ker(C|_{r}) differs from the joint kernel of the generators")
 
-    return CasimirReport(shape_ok, self_adjoint_ok, commute_ok, kernel_ok, r, tuple(failures))
+    report = CasimirReport(shape_ok, self_adjoint_ok, commute_ok, kernel_ok, r, tuple(failures))
+    return report, mat
 
 
 def casimir_correction(rec: ExtensionRecord, c_op: OperatorExpr, rs,
                        expression=None) -> DeltaVector:
     """Counterterm b_r(C) u' - u' from the self-adjoint polynomial b_r with
     b_r(C|_r) the orthogonal projection onto ker(C|_r)."""
-    report = verify_casimir_hypotheses(c_op, rs, rec.r, expression)
+    report, mat = _casimir_hypotheses(c_op, rs, rec.r, expression)
     if not report.passed:
         raise CasimirHypothesisError(report)
-    mat = restrict(c_op, rec.r)
     return _counterterm_apply(mat, projection_polynomial_of_gram(mat), rec.residue(c_op))
 
 

@@ -12,15 +12,23 @@ d_i x_j = x_j d_i + [i == j] and the chain rule for linear pullbacks.
 
 Pullbacks use the weak convention <P_L u, phi> = |det L|^(-1) <u, phi o L^(-1)>,
 so that the pullback of an ordinary function is plain composition with L.
+
+The action on delta vectors is compiled once per operator (`_delta_action`:
+per term the derivative, the pullback and the coefficient monomials with
+their sign folded in) and sums every term into one accumulator.  P_L keeps
+the order of a delta derivative, so its action on each order k is computed
+once per (L, k) from x^a o L^(-1), |a| = k, and kept in a bounded cache
+(`_pullback_degree`) shared by every operator with that pullback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import perm
 
-from .scalar import GaussianRational, ZERO, ONE
+from .scalar import GaussianRational, ONE
 from .deltaspace import (
     DeltaVector,
     DimensionMismatch,
@@ -31,7 +39,6 @@ from .deltaspace import (
     mi_factorial,
     mi_order,
     mi_sub,
-    pair,
 )
 
 Matrix = tuple  # tuple of row tuples of Fractions
@@ -103,6 +110,42 @@ def mat_inv_det(m: Matrix) -> tuple:
 
 def _is_identity(m: Matrix) -> bool:
     return all(m[i][j] == (1 if i == j else 0) for i in range(len(m)) for j in range(len(m)))
+
+
+@lru_cache(maxsize=128)
+def _pullback_degree(pb: Matrix, k: int) -> dict:
+    """P_L on the delta derivatives of order k, as a -> ((alpha, f), ...)
+    with P_L delta^(a) = sum f delta^(alpha), |alpha| = |a| = k.
+
+    From <P_L delta^(a), x^alpha> = |det L|^(-1) <delta^(a), x^alpha o L^(-1)>:
+    f = c(alpha, a) a! / (alpha! |det L|), where c(alpha, a) is the
+    coefficient of x^a in the homogeneous x^alpha o L^(-1).  Cached per
+    (L, k): the same pullback meets every column of every restriction.  The
+    returned dict is shared by every caller and must not be changed.
+    """
+    inv, det = mat_inv_det(pb)
+    n = len(pb)
+    scale = 1 / abs(det)
+    out = {}
+    for alpha in enumerate_multi_indices(n, k):
+        if mi_order(alpha) != k:
+            continue
+        image = Polynomial.monomial(n, alpha).substitute_linear(inv)
+        for a, c in image.coeffs.items():
+            f = c * GaussianRational(Fraction(mi_factorial(a), mi_factorial(alpha)) * scale)
+            out.setdefault(a, []).append((alpha, f))
+    return {a: tuple(images) for a, images in out.items()}
+
+
+def _pullback_coeffs(v: DeltaVector, pb: Matrix) -> dict:
+    """P_L v as a dict alpha -> coefficient, from the `_pullback_degree`
+    tables (a coefficient may cancel to zero)."""
+    out = {}
+    for a, c in v.coeffs.items():
+        for alpha, f in _pullback_degree(pb, mi_order(a)).get(a, ()):
+            x = c * f
+            out[alpha] = out[alpha] + x if alpha in out else x
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -339,50 +382,43 @@ class OperatorExpr:
 
     # -- actions ----------------------------------------------------------------
 
-    def _pullback_delta(self, v: DeltaVector, pb: Matrix) -> DeltaVector:
-        """P_L v reconstructed from the pairings <P_L v, x^a>.
-
-        Linear pullbacks preserve the degree filtration, so pairings up to
-        deg v determine the image.
-        """
-        if v.is_zero():
-            return v
-        n = self.n
-        inv, det = mat_inv_det(pb)
-        out = {}
-        for alpha in enumerate_multi_indices(n, int(v.degree())):
-            xa = Polynomial.monomial(n, alpha).substitute_linear(inv)
-            val = pair(v, xa)
-            if val.is_zero():
-                continue
-            sign = -1 if mi_order(alpha) % 2 else 1
-            out[alpha] = val * GaussianRational(Fraction(sign, mi_factorial(alpha)) / abs(det))
-        return DeltaVector(n, out)
+    @cached_property
+    def _delta_action(self) -> tuple:
+        """The delta action, compiled once per operator: per term, gamma,
+        the pullback matrix (or None) and the coefficient monomials beta
+        with (-1)^|beta| folded into them."""
+        return tuple((gamma, pb, tuple((beta, -cb if mi_order(beta) % 2 else cb)
+                                       for beta, cb in coeff.coeffs.items()))
+                     for coeff, gamma, pb in self.terms)
 
     def apply_delta(self, v: DeltaVector) -> DeltaVector:
         """Exact image of a delta vector.
 
         Rules: d^gamma delta^(a) = delta^(a+gamma);
         x^b delta^(a) = (-1)^|b| a!/(a-b)! delta^(a-b) when b <= a, else 0;
-        pullbacks act through the chain rule.
+        P_L maps the delta derivatives of each order k among themselves (see
+        `_pullback_degree`).  The action is compiled once per operator
+        (`_delta_action`) and every term adds into one accumulator.
         """
         if self.n != v.n:
             raise DimensionMismatch("operator and delta vector dimensions differ")
-        total = DeltaVector.zero(self.n)
-        for coeff, gamma, pb in self.terms:
-            w = v if pb is None else self._pullback_delta(v, pb)
-            shifted = {mi_add(alpha, gamma): c for alpha, c in w.coeffs.items()}
-            acc = {}
-            for beta, cb in coeff.coeffs.items():
-                sign = -1 if mi_order(beta) % 2 else 1
-                for alpha, c in shifted.items():
-                    tgt = mi_sub(alpha, beta)
-                    if tgt is None:
-                        continue
-                    fac = Fraction(sign * mi_factorial(alpha), mi_factorial(tgt))
-                    acc[tgt] = acc.get(tgt, ZERO) + c * cb * GaussianRational(fac)
-            total = total + DeltaVector(self.n, acc)
-        return total
+        acc = {}
+        for gamma, pb, signed in self._delta_action:
+            items = (v.coeffs if pb is None else _pullback_coeffs(v, pb)).items()
+            for alpha, c in items:
+                s = tuple(a + g for a, g in zip(alpha, gamma))
+                for beta, cb in signed:
+                    fac = 1
+                    for si, bi in zip(s, beta):
+                        if bi > si:
+                            break
+                        if bi:
+                            fac *= perm(si, bi)
+                    else:
+                        tgt = tuple(si - bi for si, bi in zip(s, beta))
+                        x = c * cb if fac == 1 else c * cb * fac
+                        acc[tgt] = acc[tgt] + x if tgt in acc else x
+        return DeltaVector(self.n, acc)
 
     def apply_poly(self, f: Polynomial) -> Polynomial:
         """Exact image of a polynomial (pullbacks act by composition)."""

@@ -9,7 +9,8 @@ over which it is block diagonal up to a permutation of rows and columns.
 Everything here is exact and runs per block, never on the whole matrix:
 Gaussian elimination with first-nonzero pivoting per bipartite block (the
 reduced row echelon form is unique, so solves, kernels and witnesses equal
-the whole-matrix ones); block Krylov minimal polynomials (cached per part of
+the whole-matrix ones), each row operation running over the nonzero columns
+of the pivot row only; block Krylov minimal polynomials (cached per part of
 the symmetrised pattern, the lcm over the parts); and Horner per block with
 the polynomial reduced mod the block's minimal polynomial m_c, as
 f(M_c) = (f mod m_c)(M_c).  The projection polynomial
@@ -406,6 +407,9 @@ def _rref(rows):
 
     Returns (rref rows, pivot column list).  Deterministic: pivots are the
     first nonzero entry scanning columns left to right, rows top down.
+    Only the nonzero columns of the pivot row are touched: the rows from the
+    pivot row down vanish left of the pivot column, and x - f * 0 = x.  The
+    pivot entry becomes 1 and the rest of its column 0 without arithmetic.
     """
     m = [list(r) for r in rows]
     nr = len(m)
@@ -417,12 +421,20 @@ def _rref(rows):
         if piv is None:
             continue
         m[row], m[piv] = m[piv], m[row]
-        inv = m[row][col].inverse()
-        m[row] = [x * inv for x in m[row]]
+        prow = m[row]
+        support = [j for j in range(col + 1, nc) if not prow[j].is_zero()]
+        if prow[col] != ONE:
+            inv = prow[col].inverse()
+            for j in support:
+                prow[j] = prow[j] * inv
+            prow[col] = ONE
         for r in range(nr):
-            if r != row and not m[r][col].is_zero():
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
+            target = m[r]
+            if r != row and not target[col].is_zero():
+                f = target[col]
+                for j in support:
+                    target[j] = target[j] - f * prow[j]
+                target[col] = ZERO
         pivots.append(col)
         row += 1
         if row == nr:

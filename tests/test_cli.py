@@ -361,6 +361,24 @@ class TestCommands:
                             "--value", "-2", "--n1", "2", "--value2", "-3", "--n2", "3")
         assert json.loads(out)["value"] == -5
 
+    @pytest.mark.parametrize("extra, message", [
+        (("--rule", "delta"), "--residue is required for rule 'delta'"),
+        (("--rule", "tensor", "--value", "1"), "--value2 is required for rule 'tensor'"),
+        (("--rule", "derivative", "--value", "1", "--index", "1,0,5"),
+         "--index '1,0,5' is not 2 non-negative integers"),
+        (("--rule", "derivative", "--value", "1", "--index", "1"),
+         "--index '1' is not 2 non-negative integers"),
+        (("--rule", "monomial", "--value", "1", "--index", "1,-1"),
+         "--index '1,-1' is not 2 non-negative integers"),
+        (("--rule", "monomial", "--value", "1"), "--index '' is not 2 non-negative integers"),
+    ])
+    def test_degree_missing_or_malformed_arguments_exit_code(self, capsys, extra, message):
+        code = main(["degree", "--dim", "2", *extra])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"onshell: error: {message}\n"
+
     def test_chi_verify(self, capsys):
         code, out = run_cli(capsys, "chi-verify", "--dim", "4", "--k-max", "1",
                             "--m2", "0,1")
