@@ -252,27 +252,24 @@ def harmonic_components(config: FeynmanConfig, w: DeltaVector) -> dict:
     return out
 
 
-def _chi_pieces(config: FeynmanConfig, s_op: ConstCoeffOperator):
-    """chi(S) and chi1(S) from the trace decomposition of S delta.
-
-    With S = sum_j H_j box^j (H_j trace free), chi evaluates box -> -m^2:
-    chi(S) = sum_j (-m^2)^j H_j, and the exact quotient by (box + m^2) is
-    chi1(S) = -sum_(j>=1) H_j sum_(i<j) (-m^2)^(j-1-i) box^i.
-    """
+def _chi1(config: FeynmanConfig, s_op: ConstCoeffOperator) -> ConstCoeffOperator:
+    """chi1(S), the quotient of S by (box + m^2), from the trace split
+    S delta = sum_j box^j H_j delta (H_j trace free), or 0 when
+    order(S) + deg_v < 0: chi1(S) = -sum_(j>=1) H_j g_j with
+    g_j = sum_(i<j) (-m^2)^(j-1-i) box^i, so g_(j+1) = (-m^2) g_j + box^j."""
+    chi1 = ConstCoeffOperator.zero(config)
+    if s_op.order() + config.deg_v < 0:
+        return chi1
     comps = harmonic_components(config, s_op.apply_to_delta())
     box = ConstCoeffOperator.box(config)
     mm = GaussianRational.of(-config.m2)
-    chi = ConstCoeffOperator.zero(config)
-    chi1 = ConstCoeffOperator.zero(config)
-    for j, h in comps.items():
-        hop = ConstCoeffOperator.from_delta_vector(config, h)
-        chi = chi + hop.scale(mm ** j)
-        if j >= 1:
-            geom = ConstCoeffOperator.zero(config)
-            for i in range(j):
-                geom = geom + (box ** i).scale(mm ** (j - 1 - i))
-            chi1 = chi1 - hop * geom
-    return chi, chi1
+    geom, box_j = ConstCoeffOperator.zero(config), ConstCoeffOperator.one(config)
+    for j in range(1, max(comps, default=0) + 1):
+        geom = geom.scale(mm) + box_j
+        box_j = box_j * box
+        if j in comps:
+            chi1 = chi1 - ConstCoeffOperator.from_delta_vector(config, comps[j]) * geom
+    return chi1
 
 
 def theta_counterterm(s_op: ConstCoeffOperator, c, config: FeynmanConfig = None) -> DeltaVector:
@@ -283,27 +280,18 @@ def theta_counterterm(s_op: ConstCoeffOperator, c, config: FeynmanConfig = None)
     realizes the on-shell counterterm, with theta(S (box+m^2)) = 0 exactly.
     """
     config = config or s_op.config
-    c = GaussianRational.of(c)
-    s = s_op.order() + config.deg_v
-    if s < 0:
-        return DeltaVector.zero(config.n)
-    _, chi1 = _chi_pieces(config, s_op)
-    return chi1.apply_to_delta().scale(c)
+    return _chi1(config, s_op).apply_to_delta().scale(GaussianRational.of(c))
 
 
 def chi_projection(s_op: ConstCoeffOperator, c=ONE, config: FeynmanConfig = None) -> ChiResult:
-    """chi and chi1 via the spectral route, read off the counterterm.
-
-    chi1(S) is the constant-coefficient operator X with
-    X delta = c^(-1) * theta_counterterm(S, c); chi(S) = S + chi1(S)(box+m^2).
-    The result does not depend on c (checked exactly in the tests).
+    """chi and chi1 via the spectral route: chi1(S) is the operator X with
+    X delta = c^(-1) * theta_counterterm(S, c), for any c != 0 (checked
+    exactly in the tests), and chi(S) = S + chi1(S)(box+m^2).
     """
     config = config or s_op.config
-    c = GaussianRational.of(c)
-    if c.is_zero():
+    if GaussianRational.of(c).is_zero():
         raise ValueError("the normalization constant c must be nonzero")
-    ct = theta_counterterm(s_op, c, config)
-    chi1 = ConstCoeffOperator.from_delta_vector(config, ct.scale(c.inverse()))
+    chi1 = _chi1(config, s_op)
     chi = s_op + chi1 * ConstCoeffOperator.klein_gordon(config)
     if chi.order() > s_op.order():
         raise AssertionError("order bound violated by the spectral route")

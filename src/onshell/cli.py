@@ -8,7 +8,8 @@ parity, reflect(matrix), and the operators + - * ^ with parentheses.
 Juxtaposition is not multiplication; '*' is mandatory.
 
 Exit codes: 0 success, 1 usage or syntax errors, 2 mathematical "no"
-(non-existence or hypothesis failure) with a machine-readable certificate.
+(non-existence, hypothesis failure, route mismatch) with a machine-readable
+certificate.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .opalg import (
     check_signature,
     compose_checked,
     dalembert,
+    default_signature,
     euler,
     lorentz_generator,
     parity,
@@ -353,7 +355,6 @@ class _OperatorParser:
 
 
 def parse_operator(text: str, n: int, signature=None) -> OperatorExpr:
-    from .opalg import default_signature
     sig = tuple(signature) if signature is not None else default_signature(n)
     parser = _OperatorParser(text, n, sig)
     try:
@@ -558,7 +559,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _parse_metric(text: str, n: int):
     if text is None:
-        from .opalg import default_signature
         return default_signature(n)
     sig = tuple(1 if ch == "+" else -1 for ch in text)
     if len(text) != n or any(ch not in "+-" for ch in text):
@@ -619,6 +619,12 @@ def _single_op(args) -> OperatorExpr:
         raise ValueError("exactly one --op is required")
     sig = _parse_metric(args.metric, args.dim) if hasattr(args, "metric") else None
     return parse_operator(args.op[0], args.dim, sig)
+
+
+def _single_residue(args) -> DeltaVector:
+    if len(args.residue) != 1:
+        raise ValueError("exactly one --residue is required")
+    return _read_residue_arg(args.residue[0], args.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +702,7 @@ def _cmd_kernel(args):
 
 def _cmd_extend_check(args):
     q = _single_op(args)
-    w = _read_residue_arg(args.residue[0], args.dim)
+    w = _single_residue(args)
     rec = ExtensionRecord(args.dim, args.degree, {q: w})
     rep = existence_check(rec, q)
     return {"command": "extend-check", "status": "ok" if rep.exists else "no",
@@ -707,6 +713,8 @@ def _cmd_extend_check(args):
 def _cmd_counterterm(args):
     sig = _parse_metric(args.metric, args.dim)
     ops = [parse_operator(t, args.dim, sig) for t in args.op]
+    if not ops:
+        raise ValueError("at least one --op is required")
     if len(args.residue) != len(ops):
         raise ValueError("need exactly one --residue per --op")
     residues = {}
@@ -736,7 +744,7 @@ def _cmd_order_raise(args):
     if args.k > MAX_POWER:
         raise ValueError(f"--k {args.k} exceeds the maximum {MAX_POWER}")
     q = _single_op(args)
-    w = _read_residue_arg(args.residue[0], args.dim)
+    w = _single_residue(args)
     rk = q ** args.k if args.k >= 1 else q
     rec = ExtensionRecord(args.dim, args.degree, {rk: w})
     try:
@@ -823,10 +831,10 @@ def _cmd_chi(args):
     s_op = ConstCoeffOperator.monomial(config, indices)
     res = chi_projection(s_op, c, config)
     expl = chi_explicit(indices, args.dim, Fraction(args.m2), sig)
-    return {"command": "chi", "status": "ok",
+    agree = res.chi.coeffs == expl.coeffs
+    return {"command": "chi", "status": "ok" if agree else "no",
             "chi": str(res.chi), "chi1": str(res.chi1),
-            "chi_explicit": str(expl),
-            "routes_agree": res.chi.coeffs == expl.coeffs,
+            "chi_explicit": str(expl), "routes_agree": agree,
             "counterterm": delta_to_json(theta_counterterm(s_op, c, config)),
             "s": res.s}
 

@@ -234,7 +234,7 @@ class Polynomial(SparseMap):
         return Polynomial(n, {e: ONE})
 
     def vanishing_order(self):
-        """min |a| over nonzero coefficients; NEG_INF stands in for +inf at 0."""
+        """min |a| over nonzero coefficients; None for the zero polynomial."""
         if not self.coeffs:
             return None
         return min(mi_order(a) for a in self.coeffs)

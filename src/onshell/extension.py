@@ -30,6 +30,7 @@ from .opalg import (
     casimir,
     check_signature,
     commutator,
+    default_signature,
     euler,
     lorentz_generator,
     operator_equal,
@@ -306,9 +307,7 @@ def lorentz_casimir_setup(n: int, signature=None):
     generators M_(mu nu), mu < nu; the expression certificate lists each
     square with multiplicity two.
     """
-    sig = check_signature(n, signature) if signature is not None else None
-    from .opalg import default_signature
-    sig = sig or default_signature(n)
+    sig = check_signature(n, signature if signature is not None else default_signature(n))
     gens = []
     expr = []
     pos = {}
@@ -370,6 +369,8 @@ class UniquenessReport:
 def homogeneous_extension_unique(n: int, a, r: int) -> UniquenessReport:
     """Unique homogeneous extension iff Euler(n, a)|_r has trivial kernel,
     i.e. no level |alpha| <= r with |alpha| + n + a = 0."""
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
     a = GaussianRational.of(a)
     levels = []
     for k in range(r + 1):

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import product
 from math import perm
 
 from .scalar import GaussianRational, ONE
@@ -282,29 +283,17 @@ class OperatorExpr:
         n = self.n
         a, gamma, pbl = t1
         b, delta, pbm = t2
-        # move the pullback of t1 (if any) right, past b and d^delta
+        dpoly = Polynomial.monomial(n, delta)
+        pb = pbm
         if pbl is not None:
+            # move the pullback of t1 right, past b and d^delta:
+            # P_L o d^delta = (x^delta o L^(-T))(d) o P_L
             b = b.substitute_linear(pbl)
-            inv = mat_inv_det(pbl)[0]
-            dpoly = Polynomial.constant(n, ONE)
-            for j, dj in enumerate(delta):
-                if dj == 0:
-                    continue
-                lin = Polynomial(n, {
-                    tuple(1 if k == i else 0 for k in range(n)): GaussianRational.of(inv[i][j])
-                    for i in range(n) if inv[i][j] != 0
-                })
-                for _ in range(dj):
-                    dpoly = dpoly * lin
+            dpoly = dpoly.substitute_linear(tuple(zip(*mat_inv_det(pbl)[0])))
             pb = pbl if pbm is None else mat_mul(pbm, pbl)
-        else:
-            dpoly = Polynomial.monomial(n, delta)
-            pb = pbm
         # Leibniz: d^gamma (b .) = sum binom(gamma,kappa) (d^kappa b) d^(gamma-kappa)
         out = []
-        for kappa in enumerate_multi_indices(n, mi_order(gamma)):
-            if mi_sub(gamma, kappa) is None:
-                continue
+        for kappa in product(*(range(g + 1) for g in gamma)):
             db = b.differentiate(kappa)
             if db.is_zero():
                 continue

@@ -185,7 +185,6 @@ def _make(re: Fraction, im: Fraction) -> GaussianRational:
 ZERO = GaussianRational()
 ONE = GaussianRational(Fraction(1))
 I = GaussianRational(Fraction(0), Fraction(1))
-MINUS_ONE = GaussianRational(Fraction(-1))
 
 
 def rational(p, q=1) -> GaussianRational:

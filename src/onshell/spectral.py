@@ -20,11 +20,13 @@ the minimal polynomial of (Q|_r)* (Q|_r) normalized to value 1 at zero.
 Every projection in the package runs through one path: `gram_matrices`
 builds A = Q|_r, its adjoint A* (from `RestrictionMatrix.gram_adjoint`) and
 B = A* A; `projection_polynomial_of_gram` turns a minimal polynomial into
-p; `_matrix_poly_apply` is the one Horner step; and `_counterterm_apply`
-forms ((p - 1)/z)(M) w, which serves the on-shell, order-raising, Casimir
-and chi level-projection counterterms and, with a sign and the kernel part
-removed, the pseudoinverse solve.  `adjoint_restriction` stays as the
-second, symbolic route to A* and is compared against it in the tests.
+p; `_horner_blocks` is the one Horner step, run per block of every square
+matrix (`_block_poly_apply`) and of A A* (`_outer_poly_apply`); and
+`_counterterm_apply` forms ((p - 1)/z)(M) w, which serves the on-shell,
+order-raising, Casimir and chi level-projection counterterms and, with a
+sign and the kernel part removed, the pseudoinverse solve.
+`adjoint_restriction` stays as the second, symbolic route to A* and is
+compared against it in the tests.
 """
 
 from __future__ import annotations
@@ -463,12 +465,6 @@ def _kernel(rows, ncols: int, blocks) -> list:
     return out
 
 
-def _kernel_columns(rows, ncols):
-    """Basis of the null space of the matrix given by its dense `rows`."""
-    sparse = _sparse(rows)
-    return [v for _, v in _kernel(sparse, ncols, _split(sparse, ncols))]
-
-
 def kernel_basis(m: RestrictionMatrix) -> list:
     """Exact kernel basis as delta vectors in the domain space."""
     dom = m.domain_basis
@@ -493,18 +489,6 @@ def _solve_blocks(rows, rhs, ncols: int, blocks):
         for prow, pcol in enumerate(pivots):
             x[cs[pcol]] = rr[prow][-1]
     return x, bad
-
-
-def _solve(rows, rhs):
-    """One exact solution of M x = rhs, or None when inconsistent.
-
-    Free variables are set to zero; pivoting is first-nonzero, so the
-    returned certificate is deterministic.
-    """
-    nc = len(rows[0]) if rows else 0
-    sparse = _sparse(rows)
-    x, bad = _solve_blocks(sparse, rhs, nc, _split(sparse, nc))
-    return None if bad else x
 
 
 @dataclass(frozen=True)
@@ -590,13 +574,9 @@ def _horner_blocks(p: ExactPolynomial, vec: list, jobs) -> list:
 
 
 def _block_poly_apply(m: RestrictionMatrix, p: ExactPolynomial, vec: list) -> list:
-    """p(M) vec for square M, per block of `block_minimal_polynomials`.  When
-    no block's degree drops, one Horner over all of M does the same work
-    without the split."""
-    parts = m.block_minimal_polynomials if p.degree() > 0 else ()
-    if len(parts) < 2 or all(p.degree() < mc.degree() for _, _, mc in parts):
-        return _matrix_poly_apply(m.sparse_rows, p, vec)
-    return _horner_blocks(p, vec, ((block, mc, sub, None) for block, sub, mc in parts))
+    """p(M) vec for square M, per block of `block_minimal_polynomials`."""
+    return _horner_blocks(p, vec, ((block, mc, sub, None)
+                                   for block, sub, mc in m.block_minimal_polynomials))
 
 
 def _krylov_annihilator(rows, vec: list) -> ExactPolynomial:

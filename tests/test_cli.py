@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 from onshell.scalar import GaussianRational, I, ONE
+from onshell.chi import ConstCoeffOperator, FeynmanConfig
 from onshell.deltaspace import DeltaVector, Polynomial
 from onshell.opalg import (
     OperatorExpr,
@@ -378,6 +379,40 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"onshell: error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("extend-check", "--dim", "1", "--degree", "1", "--op", "d1"),
+         "exactly one --residue is required"),
+        (("order-raise", "--dim", "1", "--degree", "1", "--op", "euler(-2)", "--k", "1"),
+         "exactly one --residue is required"),
+        (("counterterm", "--dim", "1", "--degree", "1"), "at least one --op is required"),
+        (("homog-unique", "--dim", "0", "--a", "1", "--degree", "1"),
+         "dimension must be >= 1"),
+        (("homog-unique", "--dim", "-2", "--a", "1", "--degree", "1"),
+         "dimension must be >= 1"),
+    ])
+    def test_missing_or_invalid_inputs_exit_code(self, capsys, argv, message):
+        code = main(list(argv))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"onshell: error: {message}\n"
+
+    def test_chi_route_mismatch_exit_code(self, capsys, monkeypatch):
+        import onshell.cli as cli
+        argv = ("chi", "--dim", "2", "--metric", "+-", "--m2", "1", "--indices", "0,1")
+        code, agreed = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(agreed)["status"] == "ok"
+        other = ConstCoeffOperator.one(FeynmanConfig(2, (1, -1), Fraction(1)))
+        monkeypatch.setattr(cli, "chi_explicit", lambda *args: other)
+        code, out = run_cli(capsys, *argv)
+        payload = json.loads(out)
+        assert code == 2 and payload["status"] == "no"
+        assert payload["routes_agree"] is False and payload["chi_explicit"] == "(1)*1"
+        assert {k: v for k, v in payload.items() if k not in ("status", "routes_agree",
+                                                               "chi_explicit")} == \
+            {k: v for k, v in json.loads(agreed).items()
+             if k not in ("status", "routes_agree", "chi_explicit")}
 
     def test_chi_verify(self, capsys):
         code, out = run_cli(capsys, "chi-verify", "--dim", "4", "--k-max", "1",

@@ -353,6 +353,13 @@ class TestHomogeneousUniqueness:
     def test_complex_degree_never_degenerate(self):
         assert homogeneous_extension_unique(2, GaussianRational(-3, 1), 3).unique
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_dimension_below_one_rejected(self, n):
+        # as enumerate_multi_indices does; n = 0 with a = 1 has no kernel
+        # level to find and would otherwise answer "unique"
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            homogeneous_extension_unique(n, Fraction(1), 1)
+
 
 class TestLinearity:
     def test_precondition_examples(self):

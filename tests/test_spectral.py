@@ -24,7 +24,6 @@ from onshell.spectral import (
     ExactPolynomial,
     NonNormalMatrixError,
     RestrictionMatrix,
-    _solve,
     adjoint_restriction,
     kernel_basis,
     minimal_polynomial,
@@ -41,6 +40,7 @@ from conftest import (
     random_scalar,
     structured_operator,
 )
+from test_block_route import _dense_solve
 
 
 def sc(x):
@@ -242,7 +242,7 @@ def _dense_minimal_polynomial(m):
         while True:
             nxt = _dense_matvec(m, krylov[-1])
             cols = [[vec[i] for vec in krylov] for i in range(d)]
-            sol = _solve(cols, nxt)
+            sol = _dense_solve(cols, nxt)
             if sol is not None:
                 result = result.lcm(ExactPolynomial(tuple(-c for c in sol) + (ONE,)))
                 break
