@@ -32,7 +32,8 @@ from itertools import product
 
 from .scalar import GaussianRational, ZERO, ONE
 from .deltaspace import DeltaVector, DimensionMismatch, SparseMap, mi_order
-from .opalg import OperatorExpr, check_signature, dalembert, default_signature, squared_interval
+from .extension import ExtensionRecord, onshell_correction
+from .opalg import check_signature, dalembert, default_signature
 
 
 @dataclass(frozen=True)
@@ -54,12 +55,6 @@ class FeynmanConfig:
             raise ValueError("dimension must be >= 1")
         check_signature(self.n, self.signature)
         object.__setattr__(self, "m2", Fraction(self.m2))
-
-    def box_expr(self) -> OperatorExpr:
-        return dalembert(self.n, 0, self.signature)
-
-    def interval_expr(self) -> OperatorExpr:
-        return squared_interval(self.n, self.signature)
 
 
 @dataclass(frozen=True)
@@ -300,22 +295,19 @@ def chi_projection(s_op: ConstCoeffOperator, c=ONE, config: FeynmanConfig = None
 
 def counterterm_level_projection(s_op: ConstCoeffOperator, c, level: int,
                                  config: FeynmanConfig = None) -> DeltaVector:
-    """Literal restriction-level construction
-    sum_(k>=1) c_k B^(k-1) (Q|_level)* (c * S delta), with
-    p(z) = 1 + sum c_k z^k the projection polynomial of Q = box + m^2 at
-    the given level.
+    """Literal restriction-level construction: the on-shell counterterm
+    (`extension.onshell_correction`, with its exact self-check) of the
+    record whose one residue is (box + m^2) u' = c * S delta, at the given
+    level.  The level must be at least order(S) - 2.
 
     Identical to theta_counterterm for m = 0 at every level >= order(S) - 2
     (asserted in the tests); kept as the massless dual route and as the
     documented point of departure for m != 0.
     """
-    from .spectral import _counterterm_apply, gram_matrices, projection_polynomial_of_gram
     config = config or s_op.config
-    c = GaussianRational.of(c)
     q = dalembert(config.n, config.m2, config.signature)
-    _, astar, b = gram_matrices(q, level)
-    return _counterterm_apply(b, projection_polynomial_of_gram(b),
-                              astar.matvec(s_op.apply_to_delta().scale(c)))
+    w = s_op.apply_to_delta().scale(GaussianRational.of(c))
+    return onshell_correction(ExtensionRecord(config.n, level, {q: w}), q)
 
 
 # ---------------------------------------------------------------------------

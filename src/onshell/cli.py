@@ -5,7 +5,13 @@ Operators are written in a small expression language over the tokens
 x1..xn (coordinates), d1..dn (partials), rational literals p/q, the
 imaginary unit i, the builtins euler(a), box(m2), casimir, L(mu,nu),
 parity, reflect(matrix), and the operators + - * ^ with parentheses.
-Juxtaposition is not multiplication; '*' is mandatory.
+Juxtaposition is not multiplication; '*' is mandatory.  The coordinates
+x1..xn and partials d1..dn count from 1, the Lorentz generator indices of
+L(mu,nu) from 0 (as the metric's): in two dimensions the boost is L(0,1),
+as in `onshell essord --dim 2 --op "L(0,1)"`.
+
+`--metric` is resolved once, before the subcommand runs, and each
+subcommand takes exactly the residues it uses.
 
 Exit codes: 0 success, 1 usage or syntax errors, 2 mathematical "no"
 (non-existence, hypothesis failure, route mismatch) with a machine-readable
@@ -42,7 +48,6 @@ from .chi import (
     chi_crosscheck,
     chi_explicit,
     chi_projection,
-    theta_counterterm,
 )
 from .extension import (
     CasimirHypothesisError,
@@ -376,19 +381,6 @@ def _is_negative(c: GaussianRational) -> bool:
     return False
 
 
-def _scalar_factor(c: GaussianRational):
-    """Factor string for a 'positive' scalar, or None when c == 1."""
-    if c == ONE:
-        return None
-    if c.im == 0:
-        return str(c.re)
-    if c.re == 0:
-        return "i" if c.im == 1 else f"{c.im}*i"
-    im = f"i" if abs(c.im) == 1 else f"{abs(c.im)}*i"
-    sign = "+" if c.im > 0 else "-"
-    return f"({c.re} {sign} {im})"
-
-
 def operator_to_text(q: OperatorExpr) -> str:
     if q.is_zero():
         return "0"
@@ -398,10 +390,7 @@ def operator_to_text(q: OperatorExpr) -> str:
             neg = _is_negative(c)
             if neg:
                 c = -c
-            factors = []
-            s = _scalar_factor(c)
-            if s is not None:
-                factors.append(s)
+            factors = [] if c == ONE else [str(c)]
             for idx, e in enumerate(beta):
                 if e:
                     factors.append(f"x{idx + 1}" + (f"^{e}" if e > 1 else ""))
@@ -617,14 +606,15 @@ def _add_common(p, dim=True, degree=False, op=False, metric=False, residue=False
 def _single_op(args) -> OperatorExpr:
     if len(args.op) != 1:
         raise ValueError("exactly one --op is required")
-    sig = _parse_metric(args.metric, args.dim) if hasattr(args, "metric") else None
-    return parse_operator(args.op[0], args.dim, sig)
+    return parse_operator(args.op[0], args.dim, args.signature)
 
 
-def _single_residue(args) -> DeltaVector:
-    if len(args.residue) != 1:
-        raise ValueError("exactly one --residue is required")
-    return _read_residue_arg(args.residue[0], args.dim)
+def _residues(args, count: int, message: str) -> list:
+    """The --residue arguments in order, or ValueError(message) unless
+    there are exactly `count` of them."""
+    if len(args.residue) != count:
+        raise ValueError(message)
+    return [_read_residue_arg(text, args.dim) for text in args.residue]
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +671,7 @@ def _cmd_kernel(args):
     out = {"command": "kernel", "status": "ok",
            "kernel_basis": [delta_to_json(v) for v in kernel_basis(m)]}
     if args.residue:
-        w = _read_residue_arg(args.residue[0], args.dim)
+        [w] = _residues(args, 1, "exactly one --residue is required")
         if args.pseudo:
             try:
                 v = pseudoinverse_correction(m, w)
@@ -702,7 +692,7 @@ def _cmd_kernel(args):
 
 def _cmd_extend_check(args):
     q = _single_op(args)
-    w = _single_residue(args)
+    [w] = _residues(args, 1, "exactly one --residue is required")
     rec = ExtensionRecord(args.dim, args.degree, {q: w})
     rep = existence_check(rec, q)
     return {"command": "extend-check", "status": "ok" if rep.exists else "no",
@@ -711,16 +701,11 @@ def _cmd_extend_check(args):
 
 
 def _cmd_counterterm(args):
-    sig = _parse_metric(args.metric, args.dim)
-    ops = [parse_operator(t, args.dim, sig) for t in args.op]
+    ops = [parse_operator(t, args.dim, args.signature) for t in args.op]
     if not ops:
         raise ValueError("at least one --op is required")
-    if len(args.residue) != len(ops):
-        raise ValueError("need exactly one --residue per --op")
-    residues = {}
-    for q, rtext in zip(ops, args.residue):
-        residues[q] = _read_residue_arg(rtext, args.dim)
-    rec = ExtensionRecord(args.dim, args.degree, residues)
+    ws = _residues(args, len(ops), "need exactly one --residue per --op")
+    rec = ExtensionRecord(args.dim, args.degree, dict(zip(ops, ws)))
     if len(ops) == 1:
         v = onshell_correction(rec, ops[0])
     else:
@@ -744,7 +729,7 @@ def _cmd_order_raise(args):
     if args.k > MAX_POWER:
         raise ValueError(f"--k {args.k} exceeds the maximum {MAX_POWER}")
     q = _single_op(args)
-    w = _single_residue(args)
+    [w] = _residues(args, 1, "exactly one --residue is required")
     rk = q ** args.k if args.k >= 1 else q
     rec = ExtensionRecord(args.dim, args.degree, {rk: w})
     try:
@@ -760,8 +745,7 @@ def _cmd_order_raise(args):
 
 
 def _cmd_casimir_check(args):
-    sig = _parse_metric(args.metric, args.dim)
-    c_op, gens, expr = lorentz_casimir_setup(args.dim, sig)
+    c_op, gens, expr = lorentz_casimir_setup(args.dim, args.signature)
     rep = verify_casimir_hypotheses(c_op, gens, args.degree, expr)
     out = {"command": "casimir-check",
            "status": "ok" if rep.passed else "no",
@@ -771,13 +755,9 @@ def _cmd_casimir_check(args):
            "failures": list(rep.failures),
            "generators": [operator_to_text(g) for g in gens]}
     if rep.passed and args.residue:
-        if len(args.residue) != 1 + len(gens):
-            raise ValueError(f"need 1 + {len(gens)} residues: the Casimir's, then "
-                             "one per generator in (mu < nu) order")
-        residues = {c_op: _read_residue_arg(args.residue[0], args.dim)}
-        for g, rtext in zip(gens, args.residue[1:]):
-            residues[g] = _read_residue_arg(rtext, args.dim)
-        rec = ExtensionRecord(args.dim, args.degree, residues)
+        ws = _residues(args, 1 + len(gens), f"need 1 + {len(gens)} residues: the Casimir's, "
+                       "then one per generator in (mu < nu) order")
+        rec = ExtensionRecord(args.dim, args.degree, dict(zip([c_op, *gens], ws)))
         v = casimir_correction(rec, c_op, gens, expr)
         corrected = apply_counterterm(rec, v)
         out["counterterm"] = delta_to_json(v)
@@ -792,25 +772,21 @@ def _cmd_casimir_check(args):
 
 
 def _cmd_renorm(args):
-    sig = _parse_metric(args.metric, args.dim)
     degrees = []
     for pair_text in args.aj or []:
         a_text, n_text = pair_text.split(":")
         degrees.append((int(a_text), int(n_text)))
     ops = []
     if args.lorentz:
-        c_op, gens, _ = lorentz_casimir_setup(args.dim, sig)
-        ops.append(c_op)
+        ops.append(lorentz_casimir_setup(args.dim, args.signature)[0])
     t_op = homogeneity_operator(args.dim, degrees)
     if t_op is not None:
         ops.append(t_op)
-    if len(args.residue) != len(ops):
-        raise ValueError(f"need {len(ops)} residues "
-                         "(Casimir first when --lorentz, then the degree product)")
-    residues = {q: _read_residue_arg(t, args.dim) for q, t in zip(ops, args.residue)}
-    rec = ExtensionRecord(args.dim, args.degree, residues)
+    ws = _residues(args, len(ops), f"need {len(ops)} residues "
+                   "(Casimir first when --lorentz, then the degree product)")
+    rec = ExtensionRecord(args.dim, args.degree, dict(zip(ops, ws)))
     try:
-        v = renorm_map(rec, degrees, lorentz=args.lorentz, signature=sig)
+        v = renorm_map(rec, degrees, lorentz=args.lorentz, signature=args.signature)
     except CasimirHypothesisError as exc:
         return {"command": "renorm", "status": "no",
                 "failures": list(exc.report.failures)}
@@ -824,34 +800,27 @@ def _cmd_homog_unique(args):
 
 
 def _cmd_chi(args):
-    sig = _parse_metric(args.metric, args.dim)
     indices = tuple(int(t) for t in args.indices.split(",")) if args.indices else ()
-    config = FeynmanConfig(args.dim, sig, Fraction(args.m2))
+    config = FeynmanConfig(args.dim, args.signature, Fraction(args.m2))
     c = _parse_scalar_pair(args.c) if args.c else GaussianRational(0, -1)
     s_op = ConstCoeffOperator.monomial(config, indices)
     res = chi_projection(s_op, c, config)
-    expl = chi_explicit(indices, args.dim, Fraction(args.m2), sig)
+    expl = chi_explicit(indices, args.dim, Fraction(args.m2), args.signature)
     agree = res.chi.coeffs == expl.coeffs
     return {"command": "chi", "status": "ok" if agree else "no",
             "chi": str(res.chi), "chi1": str(res.chi1),
             "chi_explicit": str(expl), "routes_agree": agree,
-            "counterterm": delta_to_json(theta_counterterm(s_op, c, config)),
+            "counterterm": delta_to_json(res.chi1.apply_to_delta().scale(c)),
             "s": res.s}
 
 
 def _cmd_chi_verify(args):
     m2_list = [Fraction(t) for t in args.m2.split(",")]
-    sigs = None
-    if args.metric:
-        sigs = (_parse_metric(args.metric, args.dim),)
+    base = args.signature
+    sigs = (base,) if args.metric else (base, tuple(-s for s in base))
     rep = chi_crosscheck(args.k_max, args.dim, m2_list, sigs)
-    if sigs is None:
-        base = _parse_metric(None, args.dim)
-        metric = [_metric_text(base), _metric_text(tuple(-s for s in base))]
-    else:
-        metric = [_metric_text(s) for s in sigs]
     return {"command": "chi-verify", "status": "ok" if rep.ok else "no",
-            "metric": metric, "checked": rep.checked,
+            "metric": [_metric_text(s) for s in sigs], "checked": rep.checked,
             "mismatches": [{"signature": list(m.signature), "m2": str(m.m2),
                             "indices": list(m.indices),
                             "projection": m.projection, "explicit": m.explicit}
@@ -869,9 +838,7 @@ def _parse_index(text: str, n: int) -> tuple:
 def _cmd_degree(args):
     rule = args.rule
     if rule == "delta":
-        if not args.residue:
-            raise ValueError("--residue is required for rule 'delta'")
-        w = _read_residue_arg(args.residue[0], args.dim)
+        [w] = _residues(args, 1, "--residue is required for rule 'delta'")
         b = degree_mod.deg_delta(w)
     else:
         if args.value is None:
@@ -1007,12 +974,13 @@ def _parser() -> _ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        # the metric convention is resolved once, before the subcommand runs,
+        # and recorded in every output of a subcommand that takes one
+        if hasattr(args, "metric"):
+            args.signature = _parse_metric(args.metric, args.dim)
         payload = args.func(args)
-        # the metric convention is recorded in every output that resolved one
-        if getattr(args, "metric", None) is not None or (
-                hasattr(args, "metric") and hasattr(args, "dim")):
-            payload.setdefault("metric",
-                               _metric_text(_parse_metric(args.metric, args.dim)))
+        if hasattr(args, "metric"):
+            payload.setdefault("metric", _metric_text(args.signature))
     except (OperatorSyntaxError, ValueError, KeyError, ZeroDivisionError) as exc:
         print(f"onshell: error: {exc}", file=sys.stderr)
         return 1

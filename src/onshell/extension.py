@@ -73,8 +73,10 @@ class CasimirHypothesisError(ValueError):
 class ExtensionRecord:
     """Abstract extension: dimension, degree of divergence, residue map.
 
-    residues[Q] is Q u' as an element of D'({0}); keys are operators in
-    normal form, so algebraically equal operators share one entry.
+    residues[Q] is Q u' as an element of D'({0}).  Keys are used as built:
+    every opalg constructor and operation returns its operator in normal
+    form, so algebraically equal operators are equal keys and share one
+    entry.
     """
 
     n: int
@@ -82,17 +84,14 @@ class ExtensionRecord:
     residues: dict
 
     def __post_init__(self):
-        fixed = {}
         for q, w in self.residues.items():
-            qn = q.normal_form()
-            if qn.n != self.n or w.n != self.n:
+            if q.n != self.n or w.n != self.n:
                 raise DimensionMismatch("residue entry dimension mismatch")
-            bound = self.r + qn.essential_order().q
+            bound = self.r + q.essential_order().q
             if w.degree() > bound:
                 raise DegreeOverflow(
                     f"residue degree {w.degree()} exceeds r + essential order = {bound}")
-            fixed[qn] = w
-        object.__setattr__(self, "residues", fixed)
+        object.__setattr__(self, "residues", dict(self.residues))
 
     @staticmethod
     def from_ambiguity(n: int, r: int, ops, w0: DeltaVector) -> "ExtensionRecord":
@@ -106,10 +105,9 @@ class ExtensionRecord:
         return ExtensionRecord(n, r, {q: q.apply_delta(w0) for q in ops})
 
     def residue(self, q: OperatorExpr) -> DeltaVector:
-        key = q.normal_form()
-        if key not in self.residues:
-            raise MissingResidue(f"no residue registered for {key}")
-        return self.residues[key]
+        if q not in self.residues:
+            raise MissingResidue(f"no residue registered for {q}")
+        return self.residues[q]
 
 
 @dataclass(frozen=True)
@@ -163,20 +161,18 @@ def apply_counterterm(rec: ExtensionRecord, v: DeltaVector) -> ExtensionRecord:
 
 def order_raising_correction(rec: ExtensionRecord, r_op: OperatorExpr, k: int) -> DeltaVector:
     """Normal-case counterterm: with R^k u = 0 off the origin and R|_r normal,
-    the corrected extension satisfies R^(k+1) (u' + v) = 0."""
+    the on-shell counterterm of R^k makes the corrected extension satisfy
+    R^(k+1) (u' + v) = 0."""
     if k == 0:
         return onshell_correction(rec, r_op)
     ess = r_op.essential_order()
     if ess.q != 0:
         raise ValueError(f"order raising requires essential order 0, got {ess.q}")
-    mat = restrict(r_op, rec.r)
-    if not mat.is_normal():
+    if not restrict(r_op, rec.r).is_normal():
         raise NonNormalRestriction("R|_r is not normal for the weighted scalar product")
     rk = r_op ** k
-    w = rec.residue(rk)
-    a, astar, b = gram_matrices(rk, rec.r)
-    v = _counterterm_apply(b, projection_polynomial_of_gram(b), astar.matvec(w))
-    if not r_op.apply_delta(w + a.matvec(v)).is_zero():
+    v = onshell_correction(rec, rk)
+    if not r_op.apply_delta(rec.residue(rk) + rk.apply_delta(v)).is_zero():
         raise AssertionError("order-raising contract violated: R^(k+1) residue nonzero")
     return v
 
@@ -186,7 +182,6 @@ def multi_commuting_correction(rec: ExtensionRecord, qs) -> DeltaVector:
 
     Each factor's correction is computed against the residues updated by the
     previous factors; the total counterterm is returned."""
-    qs = [q.normal_form() for q in qs]
     for i in range(len(qs)):
         for j in range(i + 1, len(qs)):
             comm = commutator(qs[i], qs[j])
@@ -245,7 +240,6 @@ def _casimir_hypotheses(c_op: OperatorExpr, rs, r: int, expression):
     or not at all (None) when C does not have essential order 0."""
     failures = []
     n = c_op.n
-    rs = [x.normal_form() for x in rs]
 
     shape_ok = False
     if expression is None:

@@ -6,7 +6,7 @@ import pytest
 
 from onshell.scalar import GaussianRational, I, ONE, ZERO
 from onshell.deltaspace import DeltaVector
-from onshell.opalg import OperatorExpr, default_signature
+from onshell.opalg import OperatorExpr, dalembert, default_signature, squared_interval
 from onshell import chi as chi_mod
 from onshell.chi import (
     ConstCoeffOperator,
@@ -154,7 +154,7 @@ class TestHarmonicDecomposition:
             assert rebuilt.coeffs == s.coeffs
 
     def test_components_are_trace_free(self):
-        interval = CFG1.interval_expr()
+        interval = squared_interval(CFG1.n, CFG1.signature)
         s = ConstCoeffOperator.monomial(CFG1, (0, 0, 1, 1))
         for h in harmonic_components(CFG1, s.apply_to_delta()).values():
             assert interval.apply_delta(h).is_zero()
@@ -163,8 +163,8 @@ class TestHarmonicDecomposition:
 def _generic_harmonic_components(config, w):
     """The trace split by generic operator action (apply_delta), as the oracle."""
     n = config.n
-    box = config.box_expr()
-    interval = config.interval_expr()
+    box = dalembert(config.n, 0, config.signature)
+    interval = squared_interval(config.n, config.signature)
 
     def m_apply(v):
         return interval.apply_delta(box.apply_delta(v))
@@ -211,8 +211,8 @@ class TestHarmonicTwoRoutes:
             base = default_signature(n)
             for sig in (base, tuple(-s for s in base)):
                 config = FeynmanConfig(n, sig, Fraction(rng.randint(0, 3), rng.randint(1, 2)))
-                box = config.box_expr()
-                interval = config.interval_expr()
+                box = dalembert(config.n, 0, config.signature)
+                interval = squared_interval(config.n, config.signature)
                 for _ in range(6):
                     w = self._seeded_vector(rng, n)
                     got = harmonic_components(config, w)

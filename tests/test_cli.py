@@ -372,6 +372,8 @@ class TestCommands:
         (("--rule", "monomial", "--value", "1", "--index", "1,-1"),
          "--index '1,-1' is not 2 non-negative integers"),
         (("--rule", "monomial", "--value", "1"), "--index '' is not 2 non-negative integers"),
+        (("--rule", "delta", "--residue", '{"n":2,"terms":[]}', "--residue", '{"n":2,"terms":[]}'),
+         "--residue is required for rule 'delta'"),
     ])
     def test_degree_missing_or_malformed_arguments_exit_code(self, capsys, extra, message):
         code = main(["degree", "--dim", "2", *extra])
@@ -390,6 +392,13 @@ class TestCommands:
          "dimension must be >= 1"),
         (("homog-unique", "--dim", "-2", "--a", "1", "--degree", "1"),
          "dimension must be >= 1"),
+        (("kernel", "--dim", "1", "--degree", "0", "--op", "euler(-1/2)",
+          "--residue", '{"alpha":[0],"coeff":{"re":"1","im":"0"}}',
+          "--residue", '{"alpha":[0],"coeff":{"re":"2","im":"0"}}'),
+         "exactly one --residue is required"),
+        # --metric is resolved before the subcommand looks at its other inputs
+        (("order-raise", "--dim", "1", "--degree", "1", "--op", "d1", "--k", "100",
+          "--metric", "++"), "metric '++' does not match dimension 1"),
     ])
     def test_missing_or_invalid_inputs_exit_code(self, capsys, argv, message):
         code = main(list(argv))
@@ -413,6 +422,16 @@ class TestCommands:
                                                                "chi_explicit")} == \
             {k: v for k, v in json.loads(agreed).items()
              if k not in ("status", "routes_agree", "chi_explicit")}
+
+    def test_chi_splits_the_monomial_once(self, capsys, monkeypatch):
+        import onshell.chi as chi
+        calls = []
+        original = chi.harmonic_components
+        monkeypatch.setattr(chi, "harmonic_components",
+                            lambda *args: calls.append(args) or original(*args))
+        code, out = run_cli(capsys, "chi", "--dim", "4", "--indices", "0,0")
+        assert code == 0 and json.loads(out)["counterterm"]["terms"]
+        assert len(calls) == 1
 
     def test_chi_verify(self, capsys):
         code, out = run_cli(capsys, "chi-verify", "--dim", "4", "--k-max", "1",
