@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from onshell.scalar import GaussianRational, I, ONE, ZERO
-from onshell.deltaspace import DeltaVector
+from onshell.deltaspace import DegreeOverflow, DeltaVector
 from onshell.opalg import OperatorExpr, dalembert, default_signature, squared_interval
 from onshell import chi as chi_mod
 from onshell.chi import (
@@ -256,6 +256,13 @@ class TestLevelProjectionRoute:
                 for level in (base, base + 1):
                     got = counterterm_level_projection(s, ONE, level, cfg)
                     assert got == want, (idx, level)
+
+    def test_level_below_degree_bound_is_refused(self):
+        # the record {box: S delta} at level order(S) - 3 has a residue of
+        # degree above its bound, so no counterterm is formed
+        s = ConstCoeffOperator.monomial(CFG0, (0, 1, 2))
+        with pytest.raises(DegreeOverflow):
+            counterterm_level_projection(s, ONE, s.order() - 3, CFG0)
 
     def test_massive_level_route_breaks_degree_bound(self):
         # documents why the spectral route replaces the literal restriction
