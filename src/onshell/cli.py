@@ -444,6 +444,8 @@ def delta_from_json(obj, n: int) -> DeltaVector:
     coeffs = {}
     for t in terms:
         alpha = tuple(t["alpha"])
+        if not all(type(a) is int and a >= 0 for a in alpha):
+            raise TypeError(f"multi-index {t['alpha']} is not a list of non-negative integers")
         c = scalar_from_json(t["coeff"])
         coeffs[alpha] = coeffs.get(alpha, GaussianRational.of(0)) + c
     return DeltaVector(dim, coeffs)
@@ -568,12 +570,6 @@ def _parse_scalar_pair(text: str) -> GaussianRational:
     raise ValueError(f"cannot parse scalar {text!r}; expected re,im")
 
 
-def _read_residue_arg(text: str, n: int) -> DeltaVector:
-    if text == "-":
-        text = sys.stdin.read()
-    return delta_from_json(json.loads(text), n)
-
-
 def _emit(payload: dict, as_text: bool) -> None:
     if as_text:
         for key, value in payload.items():
@@ -614,7 +610,15 @@ def _residues(args, count: int, message: str) -> list:
     there are exactly `count` of them."""
     if len(args.residue) != count:
         raise ValueError(message)
-    return [_read_residue_arg(text, args.dim) for text in args.residue]
+    out = []
+    for text in args.residue:
+        try:
+            out.append(delta_from_json(json.loads(sys.stdin.read() if text == "-" else text),
+                                       args.dim))
+        except (TypeError, KeyError):  # well-formed JSON of another shape
+            raise ValueError('--residue is not a delta vector {"terms": [{"alpha": [i, ...], '
+                             '"coeff": {"re": "p/q", "im": "p/q"}}, ...]}') from None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +665,7 @@ def _cmd_projpoly(args):
     p = projection_polynomial_of_gram(b)
     out = {"command": "projpoly", "status": "ok", "coefficients": poly_to_json(p)}
     if args.projector:
-        out["projector"] = matrix_to_json(kernel_projector(b, p))
+        out["projector"] = matrix_to_json(kernel_projector(b))
     return out
 
 
@@ -733,7 +737,7 @@ def _cmd_order_raise(args):
     rk = q ** args.k if args.k >= 1 else q
     rec = ExtensionRecord(args.dim, args.degree, {rk: w})
     try:
-        v = order_raising_correction(rec, q, args.k)
+        v = order_raising_correction(rec, q, args.k, rk)
     except NonNormalRestriction as exc:
         return {"command": "order-raise", "status": "no", "error": str(exc)}
     corrected = apply_counterterm(rec, v)
@@ -774,8 +778,11 @@ def _cmd_casimir_check(args):
 def _cmd_renorm(args):
     degrees = []
     for pair_text in args.aj or []:
-        a_text, n_text = pair_text.split(":")
-        degrees.append((int(a_text), int(n_text)))
+        a_text, _, n_text = pair_text.partition(":")
+        try:
+            degrees.append((int(a_text), int(n_text)))
+        except ValueError:
+            raise ValueError(f"--aj {pair_text!r} is not of the form a:N") from None
     ops = []
     if args.lorentz:
         ops.append(lorentz_casimir_setup(args.dim, args.signature)[0])

@@ -6,10 +6,11 @@ operators Q, together with the degree of divergence r.  Everything the
 existence theory needs depends on u' only through these data.
 
 Existence of an on-shell extension is equivalent to the residue lying in
-Ran(Q|_r); the candidate counterterm comes from the projection polynomial,
-and the corrected residue is exactly the orthogonal projection of the
-residue onto the complement of the range (asserted at runtime, never
-assumed).
+Ran(Q|_r).  The counterterm ((p - 1)/z)(B) A* w of the projection
+polynomial p of B = A* A is -A^+ w, computed as the least-norm solve of
+B v = -A* w; the corrected residue is exactly the projection of the residue
+onto the complement of the range (asserted at runtime, never assumed).
+The Casimir counterterm stays on p, which defines it (see `spectral`).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .opalg import (
 from .spectral import (
     _counterterm_apply,
     _kernel,
-    _outer_poly_apply,
+    _min_norm_solve,
     _split,
     adjoint_restriction,
     gram_matrices,
@@ -140,13 +141,11 @@ def onshell_correction(rec: ExtensionRecord, q: OperatorExpr) -> DeltaVector:
     """
     w = rec.residue(q)
     a, astar, b = gram_matrices(q, rec.r)
-    p = projection_polynomial_of_gram(b)
-    v = _counterterm_apply(b, p, astar.matvec(w))
+    v = b.to_vector(_min_norm_solve(b, b.from_vector(astar.matvec(w)))).scale(-1)
     corrected = w + a.matvec(v)
-    # exact self-check: corrected residue is the complement projection of w,
-    # p(AA*) w, and it is orthogonal to Ran(Q|_r)
-    proj = _outer_poly_apply(a, astar, b, p, w)
-    if corrected != proj or not astar.matvec(corrected).is_zero():
+    # exact self-check: A*(w + A v) = 0 and v in Ran A* = (ker B)^perp fix
+    # v = -A^+ w, so w + A v is the part of w orthogonal to Ran(Q|_r)
+    if not astar.matvec(corrected).is_zero() or not range_membership(astar, v).member:
         raise AssertionError("projection contract violated in onshell_correction")
     return v
 
@@ -159,10 +158,11 @@ def apply_counterterm(rec: ExtensionRecord, v: DeltaVector) -> ExtensionRecord:
                            {q: w + q.apply_delta(v) for q, w in rec.residues.items()})
 
 
-def order_raising_correction(rec: ExtensionRecord, r_op: OperatorExpr, k: int) -> DeltaVector:
+def order_raising_correction(rec: ExtensionRecord, r_op: OperatorExpr, k: int,
+                             rk: OperatorExpr = None) -> DeltaVector:
     """Normal-case counterterm: with R^k u = 0 off the origin and R|_r normal,
     the on-shell counterterm of R^k makes the corrected extension satisfy
-    R^(k+1) (u' + v) = 0."""
+    R^(k+1) (u' + v) = 0.  rk is R^k if the caller has formed it already."""
     if k == 0:
         return onshell_correction(rec, r_op)
     ess = r_op.essential_order()
@@ -170,7 +170,7 @@ def order_raising_correction(rec: ExtensionRecord, r_op: OperatorExpr, k: int) -
         raise ValueError(f"order raising requires essential order 0, got {ess.q}")
     if not restrict(r_op, rec.r).is_normal():
         raise NonNormalRestriction("R|_r is not normal for the weighted scalar product")
-    rk = r_op ** k
+    rk = r_op ** k if rk is None else rk
     v = onshell_correction(rec, rk)
     if not r_op.apply_delta(rec.residue(rk) + rk.apply_delta(v)).is_zero():
         raise AssertionError("order-raising contract violated: R^(k+1) residue nonzero")

@@ -17,14 +17,15 @@ f(M_c) = (f mod m_c)(M_c).  The projection polynomial
 p_r(z) = prod(1 - z/lambda) over the nonzero spectrum is the z-free part of
 the minimal polynomial of (Q|_r)* (Q|_r) normalized to value 1 at zero.
 
-Every projection in the package runs through one path: `gram_matrices`
-builds A = Q|_r, its adjoint A* (from `RestrictionMatrix.gram_adjoint`) and
-B = A* A; `projection_polynomial_of_gram` turns a minimal polynomial into
-p; `_horner_blocks` is the one Horner step, run per block of every square
-matrix (`_block_poly_apply`) and of A A* (`_outer_poly_apply`); and
-`_counterterm_apply` forms ((p - 1)/z)(M) w, which serves the on-shell,
-order-raising, Casimir and chi level-projection counterterms and, with a
-sign and the kernel part removed, the pseudoinverse solve.
+Projections run on two routes; `gram_matrices` builds A = Q|_r, its
+adjoint A* (`RestrictionMatrix.gram_adjoint`) and B = A* A.  The least-norm
+solve `_min_norm_solve` gives the on-shell counterterm -A^+ w (and so the
+order-raising and chi level-projection ones) and the pseudoinverse solve;
+its kernel step `_kernel_part` gives the kernel projector.  The projection
+polynomial (`minimal_polynomial`, `projection_polynomial_of_gram`, the block
+Horner) serves `minpoly` and `projpoly`, where p is printed, and the Casimir
+map ((p - 1)/z)(C) w, which p defines: it adds h(0) P_ker w to -C^+ w, for
+h = (p - 1)/z.
 `adjoint_restriction` stays as the second, symbolic route to A* and is
 compared against it in the tests.
 """
@@ -138,35 +139,6 @@ class ExactPolynomial:
         if self.is_zero() or other.is_zero():
             return ExactPolynomial.zero()
         return (self * other.divmod(self.gcd(other))[0]).monic()
-
-    def deflate_root_zero(self) -> "ExactPolynomial":
-        """Divide by z, which must be an exact factor."""
-        if self.is_zero() or not self.coeffs[0].is_zero():
-            raise ValueError("z is not a factor")
-        return ExactPolynomial(self.coeffs[1:])
-
-    def derivative(self) -> "ExactPolynomial":
-        return ExactPolynomial(tuple(c * k for k, c in enumerate(self.coeffs) if k > 0))
-
-    def is_squarefree(self) -> bool:
-        if self.degree() <= 1:
-            return True
-        return self.gcd(self.derivative()).degree() == 0
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        bits = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            if k == 0:
-                bits.append(f"{c}")
-            elif k == 1:
-                bits.append(f"({c})*z")
-            else:
-                bits.append(f"({c})*z^{k}")
-        return " + ".join(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +416,19 @@ def _rref(rows):
     return m, pivots
 
 
+def _kernel_vectors(rr, pivots, cs, ncols: int) -> list:
+    """(free column, kernel vector) pairs, of length ncols, read off the reduced
+    row echelon form of a block on the columns cs (augmented or not)."""
+    out = []
+    for fc in sorted(set(range(len(cs))) - set(pivots)):
+        vec = [ZERO] * ncols
+        vec[cs[fc]] = ONE
+        for prow, pcol in enumerate(pivots):
+            vec[cs[pcol]] = -rr[prow][fc]
+        out.append((cs[fc], vec))
+    return out
+
+
 def _kernel(rows, ncols: int, blocks) -> list:
     """(free column, kernel vector) pairs of the matrix given by sparse rows,
     one per free column of the given blocks and in ascending column order.
@@ -451,16 +436,7 @@ def _kernel(rows, ncols: int, blocks) -> list:
     equal those of the reduced row echelon form of the whole matrix."""
     out = []
     for rs, cs in blocks:
-        rr, pivots = _rref(_dense(_local_rows(rows, rs, cs), len(cs)))
-        pivot_set = set(pivots)
-        for fc in range(len(cs)):
-            if fc in pivot_set:
-                continue
-            vec = [ZERO] * ncols
-            vec[cs[fc]] = ONE
-            for prow, pcol in enumerate(pivots):
-                vec[cs[pcol]] = -rr[prow][fc]
-            out.append((cs[fc], vec))
+        out += _kernel_vectors(*_rref(_dense(_local_rows(rows, rs, cs), len(cs))), cs, ncols)
     out.sort(key=lambda pair: pair[0])
     return out
 
@@ -472,10 +448,28 @@ def kernel_basis(m: RestrictionMatrix) -> list:
             for _, v in _kernel(m.sparse_rows, m.ncols, m.blocks)]
 
 
-def _solve_blocks(rows, rhs, ncols: int, blocks):
+def _weighted_dot(weights, u: list, v: list) -> GaussianRational:
+    """(u|v) = sum_j weights[j] conj(u_j) v_j."""
+    return sum((a.conj() * b * d for d, a, b in zip(weights, u, v)
+                if not a.is_zero() and not b.is_zero()), ZERO)
+
+
+def _kernel_part(kernel, weights, x: list) -> list:
+    """The weighted projection K c of x onto the span of the vectors K, with
+    (K* D K) c = K* D x for the weights D."""
+    gram = [[_weighted_dot(weights, k, l) for l in kernel + [x]] for k in kernel]
+    out = [ZERO] * len(x)
+    for row, k in zip(_rref(gram)[0], kernel):
+        out = [a if b.is_zero() else a + row[-1] * b for a, b in zip(out, k)]
+    return out
+
+
+def _solve_blocks(rows, rhs, ncols: int, blocks, weights=None):
     """(x, inconsistent blocks) for M x = rhs with M given by sparse rows,
     block by block: each block with a nonzero part of rhs is solved on its
-    own, free variables are 0."""
+    own, free variables are 0.  Given the alpha! weights of the domain, x
+    then loses its projection onto each block's kernel basis, read off the
+    same reduced row echelon form."""
     x = [ZERO] * ncols
     bad = []
     for rs, cs in blocks:
@@ -488,7 +482,20 @@ def _solve_blocks(rows, rhs, ncols: int, blocks):
             continue
         for prow, pcol in enumerate(pivots):
             x[cs[pcol]] = rr[prow][-1]
+        if weights is not None:
+            kernel = [k for _, k in _kernel_vectors(rr, pivots, cs, ncols)]
+            x = [a if b.is_zero() else a - b for a, b in zip(x, _kernel_part(kernel, weights, x))]
     return x, bad
+
+
+def _min_norm_solve(m: RestrictionMatrix, rhs: list) -> list:
+    """The x of least weighted norm with M x = rhs, for rhs in Ran M; the
+    blocks' kernels are orthogonal, so per-block projections suffice."""
+    x, bad = _solve_blocks(m.sparse_rows, rhs, m.ncols, m.blocks,
+                           [mi_factorial(alpha) for alpha in m.domain_basis])
+    if bad:
+        raise AssertionError("minimum-norm solve of an inconsistent system")
+    return x
 
 
 @dataclass(frozen=True)
@@ -545,38 +552,30 @@ def _sparse_matvec(rows, vec: list) -> list:
     return out
 
 
-def _matrix_poly_apply(rows, p: ExactPolynomial, vec: list, inner=None) -> list:
-    """p(M) vec by Horner iteration, for M given by its sparse rows, or for
-    the product M = rows * inner when the sparse rows `inner` are given."""
+def _matrix_poly_apply(rows, p: ExactPolynomial, vec: list) -> list:
+    """p(M) vec by Horner iteration, for M given by its sparse rows."""
     out = [ZERO] * len(vec)
     for c in reversed(p.coeffs):
         # out = M*out + c*vec
-        mv = _sparse_matvec(rows, out if inner is None else _sparse_matvec(inner, out))
+        mv = _sparse_matvec(rows, out)
         out = [s if v.is_zero() else s + c * v for s, v in zip(mv, vec)]
     return out
 
 
-def _horner_blocks(p: ExactPolynomial, vec: list, jobs) -> list:
-    """p(M) vec for M block diagonal over the jobs (indices, annihilating
-    polynomial m_c of M_c, sparse rows, inner rows as in _matrix_poly_apply):
+def _block_poly_apply(m: RestrictionMatrix, p: ExactPolynomial, vec: list) -> list:
+    """p(M) vec for square M, per block of `block_minimal_polynomials`:
     p(M_c) = (p mod m_c)(M_c), so each block runs Horner with the reduced p."""
     out = [ZERO] * len(vec)
     reduced = {}
-    for idx, mc, rows, inner in jobs:
+    for idx, rows, mc in m.block_minimal_polynomials:
         part = [vec[i] for i in idx]
         if all(x.is_zero() for x in part):
             continue
         if mc.coeffs not in reduced:
             reduced[mc.coeffs] = p.divmod(mc)[1] if p.degree() >= mc.degree() else p
-        for i, x in zip(idx, _matrix_poly_apply(rows, reduced[mc.coeffs], part, inner)):
+        for i, x in zip(idx, _matrix_poly_apply(rows, reduced[mc.coeffs], part)):
             out[i] = x
     return out
-
-
-def _block_poly_apply(m: RestrictionMatrix, p: ExactPolynomial, vec: list) -> list:
-    """p(M) vec for square M, per block of `block_minimal_polynomials`."""
-    return _horner_blocks(p, vec, ((block, mc, sub, None)
-                                   for block, sub, mc in m.block_minimal_polynomials))
 
 
 def _krylov_annihilator(rows, vec: list) -> ExactPolynomial:
@@ -652,7 +651,7 @@ def projection_polynomial_of_gram(b: RestrictionMatrix) -> ExactPolynomial:
     normal) matrix B: its minimal polynomial without the root at zero,
     normalized so p(0) = 1."""
     m = minimal_polynomial(b)
-    g = m.deflate_root_zero() if m.coeffs[0].is_zero() else m
+    g = ExactPolynomial(m.coeffs[1:]) if m.coeffs[0].is_zero() else m
     g0 = g(0)
     if g0.is_zero():
         raise AssertionError("gram matrix minimal polynomial is not squarefree")
@@ -661,27 +660,10 @@ def projection_polynomial_of_gram(b: RestrictionMatrix) -> ExactPolynomial:
 
 def _counterterm_apply(m: RestrictionMatrix, p: ExactPolynomial, w: DeltaVector) -> DeltaVector:
     """((p - 1)/z)(M) w for p(0) = 1: sum_(k>=1) c_k M^(k-1) w when
-    p(z) = 1 + sum c_k z^k.  With M = A* A and w = A* u, u + A of the result
-    is p(A A*) u, the part of u orthogonal to Ran A."""
+    p(z) = 1 + sum c_k z^k.  For normal M this is -M^+ w + c_1 P_ker w, so
+    the Casimir map, which it defines, is not a least-norm solve."""
     h = ExactPolynomial(p.coeffs[1:])
     return m.to_vector(_block_poly_apply(m, h, m.from_vector(w)))
-
-
-def _outer_poly_apply(a: RestrictionMatrix, astar: RestrictionMatrix, b: RestrictionMatrix,
-                      p: ExactPolynomial, w: DeltaVector) -> DeltaVector:
-    """p(A A*) w for B = A* A, without forming A A*: per bipartite block A_c
-    of A, Horner alternates A_c* and A_c.  With m_c the minimal polynomial of
-    B_c = A_c* A_c (the lcm of B's blocks inside it), z m_c annihilates
-    A_c A_c*, since A_c m_c(B_c) A_c* = 0."""
-    owner = {j: k for k, (_, cs) in enumerate(a.blocks) for j in cs}
-    mins = {}
-    for block, _, mc in b.block_minimal_polynomials:
-        k = owner[block[0]]
-        mins[k] = mins[k].lcm(mc) if k in mins else mc
-    jobs = ((rs, ExactPolynomial((ZERO,) + mins.get(k, ExactPolynomial.one()).coeffs),
-             _local_rows(a.sparse_rows, rs, cs), _local_rows(astar.sparse_rows, cs, rs))
-            for k, (rs, cs) in enumerate(a.blocks))
-    return a.to_vector(_horner_blocks(p, astar.from_vector(w), jobs))
 
 
 def projection_polynomial(q: OperatorExpr, r: int) -> ExactPolynomial:
@@ -694,20 +676,24 @@ def projection_polynomial(q: OperatorExpr, r: int) -> ExactPolynomial:
     return projection_polynomial_of_gram(gram_matrices(q, r)[2])
 
 
-def kernel_projector(b: RestrictionMatrix, p: ExactPolynomial) -> RestrictionMatrix:
-    """p(B) as a matrix, for p = projection_polynomial_of_gram(b): the
-    orthogonal projection onto ker B."""
-    d = b.nrows
-    cols = [_block_poly_apply(b, p, [ONE if i == j else ZERO for i in range(d)])
-            for j in range(d)]
-    return RestrictionMatrix._of_rows(b.n, b.r_domain, b.r_domain, _transpose(_sparse(cols), d),
-                                      d, f"proj-ker(r={b.r_domain})")
+def kernel_projector(m: RestrictionMatrix) -> RestrictionMatrix:
+    """The orthogonal projection K (K* D K)^-1 K* D onto ker M, for its kernel
+    basis K and the alpha! weights D, per block (the blocks' kernels are
+    orthogonal) and column by column."""
+    d = m.ncols
+    weights = [mi_factorial(alpha) for alpha in m.domain_basis]
+    cols = [None] * d
+    for block in m.blocks:
+        kernel = [k for _, k in _kernel(m.sparse_rows, d, [block])]
+        for j in block[1]:
+            cols[j] = _kernel_part(kernel, weights, [ONE if i == j else ZERO for i in range(d)])
+    return RestrictionMatrix._of_rows(m.n, m.r_domain, m.r_domain, _transpose(_sparse(cols), d),
+                                      d, f"proj-ker(r={m.r_domain})")
 
 
 def projector_onto_kernel(q: OperatorExpr, r: int) -> RestrictionMatrix:
     """p_r(B): the orthogonal projection onto ker(Q|_r) inside degree <= r."""
-    b = gram_matrices(q, r)[2]
-    return kernel_projector(b, projection_polynomial_of_gram(b))
+    return kernel_projector(gram_matrices(q, r)[2])
 
 
 def pseudoinverse_correction(m: RestrictionMatrix, w: DeltaVector) -> DeltaVector:
@@ -730,11 +716,9 @@ def pseudoinverse_correction(m: RestrictionMatrix, w: DeltaVector) -> DeltaVecto
         raise NonNormalMatrixError(
             "matrix is not normal for the weighted scalar product; "
             "fall back to range_membership")
-    p = projection_polynomial_of_gram(m)  # p(M) projects onto ker M
-    if not p.is_squarefree():
-        raise AssertionError("normal matrix has non-squarefree minimal polynomial")
-    rhs = [w.get(alpha) for alpha in m.codomain_basis]
-    kernel_part = _block_poly_apply(m, p, rhs)
-    # (1 - p(z))/z is 1/lambda on every nonzero eigenvalue lambda
-    rest = m.to_vector([a - b for a, b in zip(rhs, kernel_part)])
-    return _counterterm_apply(m, p, rest).scale(-1)
+    # least-norm x with M x = M w: w less its kernel part, in Ran M as M is normal
+    v = m.to_vector(_min_norm_solve(m, _min_norm_solve(m, m.from_vector(m.matvec(w)))))
+    # exact self-check: w - M v in ker M and v in Ran M* = (ker M)^perp fix v
+    if not m.matvec(w - m.matvec(v)).is_zero() or not range_membership(m.gram_adjoint(), v).member:
+        raise AssertionError("pseudoinverse contract violated")
+    return v

@@ -34,6 +34,9 @@ from onshell.cli import (
 
 from conftest import random_poly_coeff_operator
 
+RESIDUE_SHAPE = ('--residue is not a delta vector {"terms": [{"alpha": [i, ...], '
+                 '"coeff": {"re": "p/q", "im": "p/q"}}, ...]}')
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -399,6 +402,17 @@ class TestCommands:
         # --metric is resolved before the subcommand looks at its other inputs
         (("order-raise", "--dim", "1", "--degree", "1", "--op", "d1", "--k", "100",
           "--metric", "++"), "metric '++' does not match dimension 1"),
+        # well-formed JSON of the wrong shape
+        (("counterterm", "--dim", "1", "--degree", "0", "--op", "d1", "--residue", "[1]"),
+         RESIDUE_SHAPE),
+        (("extend-check", "--dim", "1", "--degree", "0", "--op", "d1",
+          "--residue", '{"terms":[1]}'), RESIDUE_SHAPE),
+        (("kernel", "--dim", "1", "--degree", "0", "--op", "d1",
+          "--residue", '{"alpha":[-1],"coeff":"1"}'), RESIDUE_SHAPE),
+        (("renorm", "--dim", "1", "--degree", "0", "--aj", "3", "--residue", '{"terms":[]}'),
+         "--aj '3' is not of the form a:N"),
+        (("renorm", "--dim", "1", "--degree", "0", "--aj", "3:1:2", "--residue", '{"terms":[]}'),
+         "--aj '3:1:2' is not of the form a:N"),
     ])
     def test_missing_or_invalid_inputs_exit_code(self, capsys, argv, message):
         code = main(list(argv))
@@ -503,6 +517,17 @@ class TestParserReuseAndGuards:
         assert captured.out == ""
         assert captured.err == "onshell: error: --k 100000000 exceeds the maximum 64\n"
         assert powers == []
+
+    def test_order_raise_forms_the_power_once(self, capsys, monkeypatch):
+        powers = []
+        original = OperatorExpr.__pow__
+        monkeypatch.setattr(OperatorExpr, "__pow__",
+                            lambda op, k: powers.append(k) or original(op, k))
+        code, out = run_cli(capsys, "order-raise", "--dim", "1", "--degree", "1",
+                            "--op", "euler(-2)", "--k", "3",
+                            "--residue", '{"alpha":[1],"coeff":{"re":"1","im":"0"}}')
+        assert code == 0 and json.loads(out)["raised_onshell"]
+        assert powers == [3]
 
     def test_oversized_product_is_refused_before_it_is_formed(self, monkeypatch):
         text = "(x1+x2+x3+x4)^15*(x1+x2+x3+x4)^15"

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from onshell.scalar import GaussianRational, I, ONE
+from onshell.scalar import GaussianRational, I, ONE, ZERO
 from onshell.deltaspace import DeltaVector, DegreeOverflow, enumerate_multi_indices
 from onshell.opalg import (
     OperatorExpr,
@@ -14,7 +14,7 @@ from onshell.opalg import (
     operator_equal,
 )
 import onshell.spectral as spectral
-from onshell.spectral import ExactPolynomial, kernel_basis, restrict
+from onshell.spectral import kernel_basis, restrict
 from onshell.extension import (
     CasimirHypothesisError,
     CasimirReport,
@@ -124,6 +124,7 @@ class TestOnshellCorrection:
             assert rec1.residue(q) == rec2.residue(q)
 
     def test_one_minimal_polynomial_per_correction(self, monkeypatch):
+        # the counterterm is a least-norm solve: no minimal polynomial at all
         calls = []
         original = spectral.minimal_polynomial
 
@@ -134,17 +135,25 @@ class TestOnshellCorrection:
         q = dalembert(2, 1)
         w = random_delta_vector(random.Random(3), 2, 3)
         onshell_correction(ExtensionRecord(2, 1, {q: w}), q)
-        assert calls == [3]
+        assert calls == []
 
     def test_self_check_catches_a_wrong_projection_polynomial(self, monkeypatch):
-        # with p = 1 the counterterm is zero and w + A v == p(AA*) w still
-        # holds; only the orthogonality A* (corrected residue) == 0 fails
-        monkeypatch.setattr("onshell.extension.projection_polynomial_of_gram",
-                            lambda b: ExactPolynomial.one())
-        q = dalembert(2, 1)
-        w = random_delta_vector(random.Random(3), 2, 3)
+        # the rotation generator has a two-dimensional kernel at r = 2 that is
+        # not spanned by basis vectors; a solve that keeps its free variables
+        # at 0 and skips the kernel step still solves B v = -A* w, so only the
+        # orthogonality of v to ker B fails
+        q = lorentz_generator(2, 0, 1, (1, -1))
+        rec = ExtensionRecord(2, 2, {q: random_delta_vector(random.Random(3), 2, 2)})
+        onshell_correction(rec, q)
+        monkeypatch.setattr("onshell.extension._min_norm_solve",
+                            lambda m, rhs: spectral._solve_blocks(m.sparse_rows, rhs, m.ncols,
+                                                                  m.blocks)[0])
         with pytest.raises(AssertionError, match="projection contract"):
-            onshell_correction(ExtensionRecord(2, 1, {q: w}), q)
+            onshell_correction(rec, q)
+        # a zero counterterm is orthogonal to everything; A* w != 0 fails
+        monkeypatch.setattr("onshell.extension._min_norm_solve", lambda m, rhs: [ZERO] * m.ncols)
+        with pytest.raises(AssertionError, match="projection contract"):
+            onshell_correction(rec, q)
 
 
 class TestApplyCounterterm:

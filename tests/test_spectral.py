@@ -47,6 +47,14 @@ def sc(x):
     return GaussianRational.of(Fraction(x))
 
 
+def _is_squarefree(p):
+    """gcd(p, p') is constant: a test-local check, the package needs none."""
+    if p.degree() <= 1:
+        return True
+    derivative = ExactPolynomial(tuple(c * k for k, c in enumerate(p.coeffs) if k > 0))
+    return p.gcd(derivative).degree() == 0
+
+
 class TestExactPolynomial:
     def test_divmod_and_gcd(self):
         # (z-1)(z-2) against (z-1)
@@ -60,8 +68,8 @@ class TestExactPolynomial:
 
     def test_squarefree_detection(self):
         sq = ExactPolynomial((sc(1), sc(2), ONE))  # (z+1)^2
-        assert not sq.is_squarefree()
-        assert ExactPolynomial((sc(-1), ONE)).is_squarefree()
+        assert not _is_squarefree(sq)
+        assert _is_squarefree(ExactPolynomial((sc(-1), ONE)))
 
     def test_evaluation(self):
         p = ExactPolynomial((ONE, sc(-4)))
@@ -206,7 +214,7 @@ class TestMinimalPolynomial:
             q = structured_operator(rng, 2)
             mat = restrict(q, rng.randint(0, 2))
             b = mat.gram_adjoint().matmul(mat)
-            assert minimal_polynomial(b).is_squarefree()
+            assert _is_squarefree(minimal_polynomial(b))
 
     def test_matches_annihilation(self):
         rng = random.Random(9)
@@ -386,7 +394,7 @@ class TestProjectionPolynomial:
 
             def zfree(m):
                 while m.degree() >= 1 and m.coeffs[0].is_zero():
-                    m = m.deflate_root_zero()
+                    m = ExactPolynomial(m.coeffs[1:])
                 return m
             assert zfree(m1).coeffs == zfree(m2).coeffs
 
