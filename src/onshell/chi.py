@@ -142,7 +142,6 @@ class ChiResult:
     chi: ConstCoeffOperator
     chi1: ConstCoeffOperator
     s: int  # counterterm degree used (order(S) + deg_v)
-    provenance: str
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +289,7 @@ def chi_projection(s_op: ConstCoeffOperator, c=ONE, config: FeynmanConfig = None
     chi = s_op + chi1 * ConstCoeffOperator.klein_gordon(config)
     if chi.order() > s_op.order():
         raise AssertionError("order bound violated by the spectral route")
-    return ChiResult(chi, chi1, s_op.order() + config.deg_v, "projection-route")
+    return ChiResult(chi, chi1, s_op.order() + config.deg_v)
 
 
 def counterterm_level_projection(s_op: ConstCoeffOperator, c, level: int,

@@ -53,8 +53,9 @@ from .extension import (
     CasimirHypothesisError,
     ExtensionRecord,
     NonNormalRestriction,
+    _casimir_hypotheses,
+    _casimir_map,
     apply_counterterm,
-    casimir_correction,
     existence_check,
     homogeneity_operator,
     homogeneous_extension_unique,
@@ -64,7 +65,6 @@ from .extension import (
     onshell_correction,
     order_raising_correction,
     renorm_map,
-    verify_casimir_hypotheses,
 )
 from .spectral import (
     NonNormalMatrixError,
@@ -419,9 +419,10 @@ def scalar_to_json(c: GaussianRational) -> dict:
 
 
 def scalar_from_json(obj) -> GaussianRational:
-    if isinstance(obj, str):
-        return GaussianRational(Fraction(obj))
-    return GaussianRational(Fraction(obj["re"]), Fraction(obj.get("im", "0")))
+    parts = [obj] if isinstance(obj, str) else [obj["re"], obj.get("im", "0")]
+    if not all(isinstance(p, str) for p in parts):  # a JSON number is a binary double
+        raise TypeError("a coefficient is not a rational string")
+    return GaussianRational(*map(Fraction, parts))
 
 
 def delta_to_json(v: DeltaVector) -> dict:
@@ -451,7 +452,7 @@ def delta_from_json(obj, n: int) -> DeltaVector:
     return DeltaVector(dim, coeffs)
 
 
-def matrix_to_json(m: RestrictionMatrix) -> dict:
+def matrix_to_json(m: RestrictionMatrix, provenance: str) -> dict:
     return {
         "n": m.n,
         "r_domain": m.r_domain,
@@ -459,7 +460,7 @@ def matrix_to_json(m: RestrictionMatrix) -> dict:
         "domain_basis": [list(a) for a in m.domain_basis],
         "codomain_basis": [list(a) for a in m.codomain_basis],
         "entries": [[scalar_to_json(c) for c in row] for row in m.entries],
-        "provenance": m.provenance,
+        "provenance": provenance,
     }
 
 
@@ -627,15 +628,15 @@ def _residues(args, count: int, message: str) -> list:
 
 def _cmd_restrict(args):
     q = _single_op(args)
-    m = restrict(q, args.degree, provenance=args.op[0])
-    return {"command": "restrict", "status": "ok", "matrix": matrix_to_json(m),
+    m = restrict(q, args.degree)
+    return {"command": "restrict", "status": "ok", "matrix": matrix_to_json(m, args.op[0]),
             "essential_order": q.essential_order().q}
 
 
 def _cmd_adjoint(args):
     q = _single_op(args)
-    m = adjoint_restriction(q, args.degree, provenance=args.op[0])
-    return {"command": "adjoint", "status": "ok", "matrix": matrix_to_json(m)}
+    m = adjoint_restriction(q, args.degree)
+    return {"command": "adjoint", "status": "ok", "matrix": matrix_to_json(m, args.op[0])}
 
 
 def _cmd_essord(args):
@@ -665,7 +666,7 @@ def _cmd_projpoly(args):
     p = projection_polynomial_of_gram(b)
     out = {"command": "projpoly", "status": "ok", "coefficients": poly_to_json(p)}
     if args.projector:
-        out["projector"] = matrix_to_json(kernel_projector(b))
+        out["projector"] = matrix_to_json(kernel_projector(b), f"proj-ker(r={args.degree})")
     return out
 
 
@@ -750,7 +751,7 @@ def _cmd_order_raise(args):
 
 def _cmd_casimir_check(args):
     c_op, gens, expr = lorentz_casimir_setup(args.dim, args.signature)
-    rep = verify_casimir_hypotheses(c_op, gens, args.degree, expr)
+    rep, mat = _casimir_hypotheses(c_op, gens, args.degree, expr)
     out = {"command": "casimir-check",
            "status": "ok" if rep.passed else "no",
            "level": rep.level,
@@ -762,7 +763,7 @@ def _cmd_casimir_check(args):
         ws = _residues(args, 1 + len(gens), f"need 1 + {len(gens)} residues: the Casimir's, "
                        "then one per generator in (mu < nu) order")
         rec = ExtensionRecord(args.dim, args.degree, dict(zip([c_op, *gens], ws)))
-        v = casimir_correction(rec, c_op, gens, expr)
+        v = _casimir_map(mat, rec.residue(c_op))
         corrected = apply_counterterm(rec, v)
         out["counterterm"] = delta_to_json(v)
         out["corrected_residues"] = [
@@ -845,7 +846,7 @@ def _parse_index(text: str, n: int) -> tuple:
 def _cmd_degree(args):
     rule = args.rule
     if rule == "delta":
-        [w] = _residues(args, 1, "--residue is required for rule 'delta'")
+        [w] = _residues(args, 1, "exactly one --residue is required for rule 'delta'")
         b = degree_mod.deg_delta(w)
     else:
         if args.value is None:

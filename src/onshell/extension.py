@@ -236,8 +236,9 @@ def verify_casimir_hypotheses(c_op: OperatorExpr, rs, r: int,
 
 
 def _casimir_hypotheses(c_op: OperatorExpr, rs, r: int, expression):
-    """(report, C|_r) for `verify_casimir_hypotheses`; C|_r is built once,
-    or not at all (None) when C does not have essential order 0."""
+    """(report, C|_r) for `verify_casimir_hypotheses` and `casimir_correction`;
+    C|_r is built once, or not at all (None) when C does not have essential
+    order 0."""
     failures = []
     n = c_op.n
 
@@ -291,7 +292,13 @@ def casimir_correction(rec: ExtensionRecord, c_op: OperatorExpr, rs,
     report, mat = _casimir_hypotheses(c_op, rs, rec.r, expression)
     if not report.passed:
         raise CasimirHypothesisError(report)
-    return _counterterm_apply(mat, projection_polynomial_of_gram(mat), rec.residue(c_op))
+    return _casimir_map(mat, rec.residue(c_op))
+
+
+def _casimir_map(mat, w: DeltaVector) -> DeltaVector:
+    """v = ((p - 1)/z)(C|_r) w for the projection polynomial p of C|_r = mat,
+    so w + C v = p(C|_r) w; `_casimir_hypotheses` must have passed."""
+    return _counterterm_apply(mat, projection_polynomial_of_gram(mat), w)
 
 
 def lorentz_casimir_setup(n: int, signature=None):

@@ -2,9 +2,10 @@
 
 Restriction matrices are small (dimensions C(n+r, n) at desk scale) and
 mostly zeros, with Gaussian-rational entries in the graded-lex basis order
-of `enumerate_multi_indices`.  A matrix stores only its sparse rows (the
-nonzero (column, entry) pairs of each row; dense rows are derived for
-output) and caches the connected parts of its nonzero pattern (`_split`),
+of `enumerate_multi_indices`.  A matrix stores n, its two degrees (which
+fix its shape) and its sparse rows (the nonzero (column, entry) pairs of
+each row; dense rows are derived for output), and caches the connected
+parts of its nonzero pattern (`_split`),
 over which it is block diagonal up to a permutation of rows and columns.
 Everything here is exact and runs per block, never on the whole matrix:
 Gaussian elimination with first-nonzero pivoting per bipartite block (the
@@ -32,9 +33,10 @@ compared against it in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 
 from .scalar import GaussianRational, ZERO, ONE
 from .deltaspace import (
@@ -145,7 +147,7 @@ class ExactPolynomial:
 # restriction matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class RestrictionMatrix:
     """Matrix of an operator between delta spaces in graded-lex basis order.
 
@@ -153,32 +155,13 @@ class RestrictionMatrix:
     basis (degree <= r_domain); column j is the image of the j-th domain
     basis vector.  The sparse rows are the only storage: per row, its
     nonzero (column, entry) pairs in ascending column order.  This form is
-    canonical, so matrices compare and hash by it (not by provenance).
+    canonical, so matrices compare and hash by it.
     """
 
     n: int
     r_domain: int
     r_codomain: int
     sparse_rows: tuple
-    ncols: int
-    provenance: str = field(compare=False)
-
-    def __init__(self, n: int, r_domain: int, r_codomain: int, entries, provenance: str = ""):
-        """The matrix with the given dense rows of GaussianRational."""
-        entries = tuple(entries)
-        self._set(n, r_domain, r_codomain, _sparse(entries),
-                  len(entries[0]) if entries else 0, provenance)
-
-    @classmethod
-    def _of_rows(cls, n, r_domain, r_codomain, rows, ncols, provenance) -> "RestrictionMatrix":
-        """The matrix with the given sparse rows, which must be canonical."""
-        m = cls.__new__(cls)
-        m._set(n, r_domain, r_codomain, rows, ncols, provenance)
-        return m
-
-    def _set(self, *values) -> None:
-        for f, value in zip(fields(self), values):
-            object.__setattr__(self, f.name, value)
 
     @property
     def domain_basis(self) -> tuple:
@@ -191,6 +174,10 @@ class RestrictionMatrix:
     @property
     def nrows(self) -> int:
         return len(self.sparse_rows)
+
+    @property
+    def ncols(self) -> int:
+        return comb(self.n + self.r_domain, self.n)
 
     @property
     def entries(self) -> tuple:
@@ -235,7 +222,7 @@ class RestrictionMatrix:
     def matvec(self, v: DeltaVector) -> DeltaVector:
         return self.to_vector(_sparse_matvec(self.sparse_rows, self.from_vector(v)))
 
-    def matmul(self, other: "RestrictionMatrix", provenance: str = "") -> "RestrictionMatrix":
+    def matmul(self, other: "RestrictionMatrix") -> "RestrictionMatrix":
         if self.ncols != other.nrows:
             raise DimensionMismatch("matrix product shape mismatch")
         right = other.sparse_rows
@@ -246,15 +233,7 @@ class RestrictionMatrix:
                 for j, b in right[k]:
                     acc[j] = acc[j] + a * b if j in acc else a * b
             rows.append(tuple((j, acc[j]) for j in sorted(acc) if not acc[j].is_zero()))
-        return RestrictionMatrix._of_rows(
-            self.n, other.r_domain, self.r_codomain, tuple(rows), other.ncols,
-            provenance or f"({self.provenance})*({other.provenance})")
-
-    @staticmethod
-    def identity(n: int, r: int, provenance: str = "id") -> "RestrictionMatrix":
-        d = len(enumerate_multi_indices(n, r))
-        return RestrictionMatrix._of_rows(n, r, r, tuple(((i, ONE),) for i in range(d)), d,
-                                          provenance)
+        return RestrictionMatrix(self.n, other.r_domain, self.r_codomain, tuple(rows))
 
     def gram_adjoint(self) -> "RestrictionMatrix":
         """Adjoint with respect to the weighted scalar products on both sides:
@@ -263,9 +242,8 @@ class RestrictionMatrix:
         cod_w = [mi_factorial(beta) for beta in self.codomain_basis]
         cols = [[(i, a.conj() * GaussianRational(Fraction(cod_w[j], dom_w[i]))) for i, a in row]
                 for j, row in enumerate(self.sparse_rows)]
-        return RestrictionMatrix._of_rows(self.n, self.r_codomain, self.r_domain,
-                                          _transpose(cols, self.ncols), self.nrows,
-                                          f"adj({self.provenance})")
+        return RestrictionMatrix(self.n, self.r_codomain, self.r_domain,
+                                 _transpose(cols, self.ncols))
 
     def is_normal(self) -> bool:
         if not self.is_square() or self.r_domain != self.r_codomain:
@@ -274,7 +252,7 @@ class RestrictionMatrix:
         return self.matmul(adj) == adj.matmul(self)
 
 
-def _from_images(n: int, r_domain: int, r_codomain: int, image, provenance: str) -> RestrictionMatrix:
+def _from_images(n: int, r_domain: int, r_codomain: int, image) -> RestrictionMatrix:
     """The matrix whose j-th column is image(alpha), a delta vector of degree
     <= r_codomain (asserted), for the j-th domain basis index alpha."""
     dom = enumerate_multi_indices(n, r_domain)
@@ -285,25 +263,22 @@ def _from_images(n: int, r_domain: int, r_codomain: int, image, provenance: str)
         if img.degree() > r_codomain:
             raise AssertionError("a column image exceeds the codomain degree")
         cols.append([(index[beta], c) for beta, c in img.coeffs.items()])
-    return RestrictionMatrix._of_rows(n, r_domain, r_codomain, _transpose(cols, len(index)),
-                                      len(dom), provenance)
+    return RestrictionMatrix(n, r_domain, r_codomain, _transpose(cols, len(index)))
 
 
-def restrict(q: OperatorExpr, r: int, provenance: str = "") -> RestrictionMatrix:
+def restrict(q: OperatorExpr, r: int) -> RestrictionMatrix:
     """Q|_r as an exact matrix from degree <= r to degree <= r + q."""
     return _from_images(q.n, r, r + q.essential_order().q,
-                        lambda alpha: q.apply_delta(DeltaVector.basis(q.n, alpha)),
-                        provenance or f"restrict(r={r})")
+                        lambda alpha: q.apply_delta(DeltaVector.basis(q.n, alpha)))
 
 
-def adjoint_restriction(q: OperatorExpr, r: int, provenance: str = "") -> RestrictionMatrix:
+def adjoint_restriction(q: OperatorExpr, r: int) -> RestrictionMatrix:
     """(Q|_r)* = T_r conj(Q)^t S_(r+q), from degree <= r+q to degree <= r."""
     ess = q.essential_order().q
     qt = q.conj().transpose()
     return _from_images(
         q.n, r + ess, r,
-        lambda alpha: tmap(r, qt.apply_poly(smap(r + ess, DeltaVector.basis(q.n, alpha)))),
-        provenance or f"adjoint(r={r})")
+        lambda alpha: tmap(r, qt.apply_poly(smap(r + ess, DeltaVector.basis(q.n, alpha)))))
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +618,7 @@ def gram_matrices(q: OperatorExpr, r: int):
     """(A, A*, B) for A = Q|_r, its adjoint A* and the Gram matrix B = A* A."""
     a = restrict(q, r)
     astar = a.gram_adjoint()
-    return a, astar, astar.matmul(a, provenance=f"B(r={r})")
+    return a, astar, astar.matmul(a)
 
 
 def projection_polynomial_of_gram(b: RestrictionMatrix) -> ExactPolynomial:
@@ -687,8 +662,7 @@ def kernel_projector(m: RestrictionMatrix) -> RestrictionMatrix:
         kernel = [k for _, k in _kernel(m.sparse_rows, d, [block])]
         for j in block[1]:
             cols[j] = _kernel_part(kernel, weights, [ONE if i == j else ZERO for i in range(d)])
-    return RestrictionMatrix._of_rows(m.n, m.r_domain, m.r_domain, _transpose(_sparse(cols), d),
-                                      d, f"proj-ker(r={m.r_domain})")
+    return RestrictionMatrix(m.n, m.r_domain, m.r_domain, _transpose(_sparse(cols), d))
 
 
 def projector_onto_kernel(q: OperatorExpr, r: int) -> RestrictionMatrix:

@@ -16,6 +16,7 @@ from onshell.opalg import (
     euler,
     parity,
 )
+from onshell.spectral import RestrictionMatrix, _sparse
 
 
 def small_fractions():
@@ -40,6 +41,14 @@ def delta_vectors(n: int, max_order: int):
 def polynomials(n: int, max_degree: int):
     return st.dictionaries(multi_indices(n, max_degree), scalars(), max_size=4).map(
         lambda d: Polynomial(n, d))
+
+
+def dense_matrix(n: int, r_domain: int, r_codomain: int, rows) -> RestrictionMatrix:
+    """The matrix with the given dense rows of GaussianRational, whose width
+    must be the domain dimension C(n + r_domain, n)."""
+    m = RestrictionMatrix(n, r_domain, r_codomain, _sparse(rows))
+    assert all(len(row) == m.ncols for row in rows)
+    return m
 
 
 def random_scalar(rng: random.Random) -> GaussianRational:

@@ -18,7 +18,6 @@ from onshell.deltaspace import DeltaVector, inner
 from onshell.opalg import dalembert, euler
 from onshell.spectral import (
     ExactPolynomial,
-    RestrictionMatrix,
     _counterterm_apply,
     _matrix_poly_apply,
     gram_matrices,
@@ -30,7 +29,7 @@ from onshell.spectral import (
     restrict,
 )
 
-from conftest import random_poly_coeff_operator, random_scalar
+from conftest import dense_matrix, random_poly_coeff_operator, random_scalar
 
 
 # -- the dense whole-matrix routines the block route replaced ----------------
@@ -100,7 +99,7 @@ def _dense_range_membership(m, w):
 
 def _matrix(entries, ncols):
     """A RestrictionMatrix of the given shape (delta space n = 1)."""
-    return RestrictionMatrix(1, ncols - 1, len(entries) - 1, tuple(map(tuple, entries)))
+    return dense_matrix(1, ncols - 1, len(entries) - 1, entries)
 
 
 def _interleaved(rng, shapes, zero_rows=1, zero_cols=1, deficient=True):

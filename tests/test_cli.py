@@ -30,7 +30,9 @@ from onshell.cli import (
     main,
     operator_to_text,
     parse_operator,
+    scalar_to_json,
 )
+from onshell.spectral import restrict
 
 from conftest import random_poly_coeff_operator
 
@@ -327,6 +329,31 @@ class TestCommands:
         assert all(entry["residue"]["terms"] == []
                    for entry in payload["corrected_residues"])
 
+    def test_casimir_check_checks_the_hypotheses_once(self, capsys, monkeypatch):
+        import onshell.extension as extension
+        import onshell.cli as cli
+        calls = []
+        original = extension._casimir_hypotheses
+        monkeypatch.setattr(cli, "_casimir_hypotheses",  # the handler's own check
+                            lambda *args: calls.append(args[2]) or original(*args),
+                            raising=False)
+        monkeypatch.setattr(extension, "_casimir_hypotheses",
+                            lambda *args: calls.append(args[2]) or original(*args))
+        code, _ = run_cli(capsys, "casimir-check", "--dim", "2", "--metric", "+-",
+                          "--degree", "1",
+                          "--residue", '{"alpha":[0,1],"coeff":{"re":"4","im":"0"}}',
+                          "--residue", '{"alpha":[1,0],"coeff":{"re":"2","im":"0"}}')
+        assert code == 0 and calls == [1]
+
+    def test_adjoint_matches_the_gram_adjoint(self, capsys):
+        text = "x1*d2 + i*x2^2*d1^2"
+        code, out = run_cli(capsys, "adjoint", "--dim", "2", "--degree", "1", "--op", text)
+        matrix = json.loads(out)["matrix"]
+        want = restrict(parse_operator(text, 2), 1).gram_adjoint()
+        assert code == 0 and matrix["provenance"] == text
+        assert (matrix["r_domain"], matrix["r_codomain"]) == (want.r_domain, want.r_codomain)
+        assert matrix["entries"] == [[scalar_to_json(c) for c in row] for row in want.entries]
+
     def test_casimir_check_inconsistent_residues(self, capsys):
         # a zero Casimir residue cannot coexist with a nonzero boost residue
         code, out = run_cli(capsys, "casimir-check", "--dim", "2", "--metric", "+-",
@@ -366,7 +393,7 @@ class TestCommands:
         assert json.loads(out)["value"] == -5
 
     @pytest.mark.parametrize("extra, message", [
-        (("--rule", "delta"), "--residue is required for rule 'delta'"),
+        (("--rule", "delta"), "exactly one --residue is required for rule 'delta'"),
         (("--rule", "tensor", "--value", "1"), "--value2 is required for rule 'tensor'"),
         (("--rule", "derivative", "--value", "1", "--index", "1,0,5"),
          "--index '1,0,5' is not 2 non-negative integers"),
@@ -376,7 +403,7 @@ class TestCommands:
          "--index '1,-1' is not 2 non-negative integers"),
         (("--rule", "monomial", "--value", "1"), "--index '' is not 2 non-negative integers"),
         (("--rule", "delta", "--residue", '{"n":2,"terms":[]}', "--residue", '{"n":2,"terms":[]}'),
-         "--residue is required for rule 'delta'"),
+         "exactly one --residue is required for rule 'delta'"),
     ])
     def test_degree_missing_or_malformed_arguments_exit_code(self, capsys, extra, message):
         code = main(["degree", "--dim", "2", *extra])
@@ -413,6 +440,12 @@ class TestCommands:
          "--aj '3' is not of the form a:N"),
         (("renorm", "--dim", "1", "--degree", "0", "--aj", "3:1:2", "--residue", '{"terms":[]}'),
          "--aj '3:1:2' is not of the form a:N"),
+        # a coefficient is a rational string: a JSON number would be read as
+        # its binary double (0.1 as 3602879701896397/36028797018963968)
+        (("kernel", "--dim", "1", "--degree", "0", "--op", "euler(-1/2)",
+          "--residue", '{"alpha":[0],"coeff":{"re":0.1,"im":0}}'), RESIDUE_SHAPE),
+        (("kernel", "--dim", "1", "--degree", "0", "--op", "euler(-1/2)",
+          "--residue", '{"alpha":[0],"coeff":{"re":true}}'), RESIDUE_SHAPE),
     ])
     def test_missing_or_invalid_inputs_exit_code(self, capsys, argv, message):
         code = main(list(argv))

@@ -30,6 +30,8 @@ from onshell.extension import (
     verify_casimir_hypotheses,
 )
 
+from conftest import dense_matrix
+
 
 def sc(re, im=0):
     return GaussianRational(Fraction(re), Fraction(im))
@@ -94,7 +96,7 @@ def test_pseudoinverse_and_projector(no_dense_rows):
     rows = [[ZERO] * 6 for _ in range(6)]
     rows[0][0] = ONE
     rows[3][3] = rows[3][5] = rows[5][3] = rows[5][5] = half
-    assert projector_onto_kernel(ROTATION, 2) == RestrictionMatrix(2, 2, 2, tuple(map(tuple, rows)))
+    assert projector_onto_kernel(ROTATION, 2) == dense_matrix(2, 2, 2, rows)
 
 
 def test_casimir_hypotheses(no_dense_rows):
@@ -104,11 +106,11 @@ def test_casimir_hypotheses(no_dense_rows):
 
 
 def test_product_drops_cancelled_entries():
-    a = RestrictionMatrix(1, 1, 1, ((ONE, ONE), (ONE, sc(2))))
-    b = RestrictionMatrix(1, 1, 1, ((ONE, ONE), (sc(-1), ZERO)))
+    a = dense_matrix(1, 1, 1, ((ONE, ONE), (ONE, sc(2))))
+    b = dense_matrix(1, 1, 1, ((ONE, ONE), (sc(-1), ZERO)))
     ab = a.matmul(b)  # ((0, 1), (-1, 1)): entry (0, 0) cancels
     assert ab.sparse_rows == (((1, ONE),), ((0, sc(-1)), (1, ONE)))
     assert all(not x.is_zero() for row in ab.sparse_rows for _, x in row)
-    dense = RestrictionMatrix(1, 1, 1, ((ZERO, ONE), (sc(-1), ONE)))
+    dense = dense_matrix(1, 1, 1, ((ZERO, ONE), (sc(-1), ONE)))
     assert ab == dense and hash(ab) == hash(dense)
     assert ab.entries == dense.entries

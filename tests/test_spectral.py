@@ -23,7 +23,6 @@ from onshell.opalg import (
 from onshell.spectral import (
     ExactPolynomial,
     NonNormalMatrixError,
-    RestrictionMatrix,
     adjoint_restriction,
     kernel_basis,
     minimal_polynomial,
@@ -35,6 +34,7 @@ from onshell.spectral import (
 )
 
 from conftest import (
+    dense_matrix,
     random_delta_vector,
     random_poly_coeff_operator,
     random_scalar,
@@ -191,7 +191,7 @@ class TestAdjoint:
 
 class TestMinimalPolynomial:
     def test_identity(self):
-        m = RestrictionMatrix.identity(1, 1)
+        m = dense_matrix(1, 1, 1, ((ONE, ZERO), (ZERO, ONE)))
         assert minimal_polynomial(m).coeffs == (sc(-1), ONE)
 
     def test_diag_one_zero(self):
@@ -261,7 +261,7 @@ def _dense_minimal_polynomial(m):
 def _square(rows):
     """A d x d matrix from rational entries (delta space n = 1, r = d - 1)."""
     d = len(rows)
-    return RestrictionMatrix(1, d - 1, d - 1, tuple(tuple(sc(x) for x in row) for row in rows))
+    return dense_matrix(1, d - 1, d - 1, [[sc(x) for x in row] for row in rows])
 
 
 def _gram(mat):
@@ -320,7 +320,7 @@ class TestBlockKrylovKernel:
         assert got.coeffs == _dense_minimal_polynomial(m).coeffs
 
     def test_empty_matrix(self):
-        assert minimal_polynomial(RestrictionMatrix(1, -1, -1, ())).coeffs == (ONE,)
+        assert minimal_polynomial(dense_matrix(1, -1, -1, ())).coeffs == (ONE,)
 
     def test_sparse_products_match_dense_definition(self):
         rng = random.Random(17)
@@ -335,8 +335,8 @@ class TestBlockKrylovKernel:
                 row[1] = ZERO
             for row in b_rows:
                 row[2] = ZERO
-            a = RestrictionMatrix(1, 2, 3, tuple(map(tuple, a_rows)))
-            b = RestrictionMatrix(1, 4, 2, tuple(map(tuple, b_rows)))
+            a = dense_matrix(1, 2, 3, a_rows)
+            b = dense_matrix(1, 4, 2, b_rows)
             want = tuple(tuple(sum((a_rows[i][k] * b_rows[k][j] for k in range(3)), ZERO)
                                for j in range(5)) for i in range(4))
             assert a.matmul(b).entries == want
