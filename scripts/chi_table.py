@@ -22,7 +22,6 @@ from onshell.chi import (
     FeynmanConfig,
     chi_explicit,
     chi_projection,
-    theta_counterterm,
 )
 
 
@@ -49,7 +48,7 @@ def main():
             expl = chi_explicit(idx, args.dim, Fraction(args.m2), sig)
             if res.chi.coeffs != expl.coeffs:
                 mismatches += 1
-            ct = theta_counterterm(s_op, c, config)
+            ct = res.chi1.apply_to_delta().scale(c)
             mark = "" if res.chi.coeffs == expl.coeffs else "  << ROUTES DISAGREE"
             print(f"{str(s_op):26} {str(res.chi):58} {ct}{mark}")
     if mismatches:

@@ -62,7 +62,6 @@ from .extension import (
     linearity_precondition,
     lorentz_casimir_setup,
     multi_commuting_correction,
-    onshell_correction,
     order_raising_correction,
     renorm_map,
 )
@@ -583,9 +582,8 @@ def _status_exit(payload: dict) -> int:
     return 0 if payload.get("status") == "ok" else 2
 
 
-def _add_common(p, dim=True, degree=False, op=False, metric=False, residue=False):
-    if dim:
-        p.add_argument("--dim", type=int, required=True, help="space dimension n")
+def _add_common(p, degree=False, op=False, metric=False, residue=False):
+    p.add_argument("--dim", type=int, required=True, help="space dimension n")
     if degree:
         p.add_argument("--degree", type=int, required=True, help="restriction degree r")
     if op:
@@ -711,10 +709,7 @@ def _cmd_counterterm(args):
         raise ValueError("at least one --op is required")
     ws = _residues(args, len(ops), "need exactly one --residue per --op")
     rec = ExtensionRecord(args.dim, args.degree, dict(zip(ops, ws)))
-    if len(ops) == 1:
-        v = onshell_correction(rec, ops[0])
-    else:
-        v = multi_commuting_correction(rec, ops)
+    v = multi_commuting_correction(rec, ops)
     corrected = apply_counterterm(rec, v)
     residue_report = []
     all_zero = True
@@ -864,11 +859,8 @@ def _cmd_degree(args):
                 raise ValueError("--value2 is required for rule 'tensor'")
             d2 = degree_mod.DegreeBound(int(args.value2), degree_mod.UPPER_BOUND)
             b = degree_mod.bound_tensor(d, args.n1, d2, args.n2)
-        elif rule == "operator":
-            q = _single_op(args)
-            b = degree_mod.bound_operator(d, q)
-        else:
-            raise ValueError(f"unknown rule {rule!r}")
+        else:  # "operator"; argparse admits no other rule
+            b = degree_mod.bound_operator(d, _single_op(args))
     value = "-inf" if b.value == degree_mod.NEG_INF else b.value
     return {"command": "degree", "status": "ok", "value": value,
             "exactness": b.exactness}
@@ -982,6 +974,8 @@ def _parser() -> _ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.dim < 1:
+            raise ValueError("dimension must be >= 1")
         # the metric convention is resolved once, before the subcommand runs,
         # and recorded in every output of a subcommand that takes one
         if hasattr(args, "metric"):

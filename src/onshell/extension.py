@@ -163,6 +163,8 @@ def order_raising_correction(rec: ExtensionRecord, r_op: OperatorExpr, k: int,
     """Normal-case counterterm: with R^k u = 0 off the origin and R|_r normal,
     the on-shell counterterm of R^k makes the corrected extension satisfy
     R^(k+1) (u' + v) = 0.  rk is R^k if the caller has formed it already."""
+    if k < 0:
+        raise ValueError(f"order raising requires k >= 0, got {k}")
     if k == 0:
         return onshell_correction(rec, r_op)
     ess = r_op.essential_order()
@@ -372,12 +374,11 @@ def homogeneous_extension_unique(n: int, a, r: int) -> UniquenessReport:
     i.e. no level |alpha| <= r with |alpha| + n + a = 0."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
+    if r < 0:
+        raise ValueError("maximal order must be >= 0")
     a = GaussianRational.of(a)
-    levels = []
-    for k in range(r + 1):
-        if (a + (k + n)).is_zero():
-            levels.append(k)
-    return UniquenessReport(not levels, tuple(levels))
+    levels = tuple(k for k in range(r + 1) if (a + (k + n)).is_zero())
+    return UniquenessReport(not levels, levels)
 
 
 def linearity_precondition(q: OperatorExpr, r: int) -> bool:

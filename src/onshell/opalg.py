@@ -11,7 +11,8 @@ composition rewrites products into this shape using the commutation rule
 d_i x_j = x_j d_i + [i == j] and the chain rule for linear pullbacks.
 
 Pullbacks use the weak convention <P_L u, phi> = |det L|^(-1) <u, phi o L^(-1)>,
-so that the pullback of an ordinary function is plain composition with L.
+so that the pullback of an ordinary function is plain composition with L;
+`mat_inv_det` forms L^(-1) and det L on the row reduction `scalar.reduce_row`.
 
 The action on delta vectors is compiled once per operator (`_delta_action`:
 per term the derivative, the pullback and the coefficient monomials with
@@ -29,7 +30,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 from math import perm
 
-from .scalar import GaussianRational, ONE
+from .scalar import GaussianRational, ONE, ZERO, clear_above, reduce_row
 from .deltaspace import (
     DeltaVector,
     DimensionMismatch,
@@ -86,27 +87,22 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 @lru_cache(maxsize=256)
 def mat_inv_det(m: Matrix) -> tuple:
-    """(inverse, determinant) of a square rational matrix by one
-    Gauss-Jordan elimination; SingularMatrixError when it is singular.
-    Cached: the same pullback matrix is inverted for every term it meets."""
+    """(inverse, determinant) of a square rational matrix from the reduced
+    row echelon form of [L | 1]; the determinant is the product of the pivot
+    entries times the sign of the pivot order.  SingularMatrixError when L is
+    singular.  Cached: the same pullback matrix is inverted for every term."""
     n = len(m)
-    aug = [list(m[i]) + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
+    echelon, det = [], ONE
+    for i, row in enumerate(m):
+        aug = [GaussianRational(x) for x in row] + [ONE if j == i else ZERO for j in range(n)]
+        f = reduce_row(echelon, aug, n)
+        if f is None:
             raise SingularMatrixError("pullback matrix is not invertible")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-            det = -det
-        det *= aug[col][col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug), det
+        det = det * f
+    pivots = [p for p, _, _ in echelon]
+    if sum(a > b for k, a in enumerate(pivots) for b in pivots[k + 1:]) % 2:
+        det = -det
+    return tuple(tuple(x.re for x in row[n:]) for _, row, _ in clear_above(echelon)), det.re
 
 
 def _is_identity(m: Matrix) -> bool:

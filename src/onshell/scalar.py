@@ -11,6 +11,11 @@ arithmetic builds its results with `_make`, which skips that coercion.
 `+`, `-`, `*` and `/` take a real-only path when both imaginary parts are 0
 (most coefficients in this package are real), which saves the `Fraction`
 operations on the zero parts; results are the same exact values.
+
+`reduce_row` is the one row reduction behind every exact elimination in
+the package (`spectral._rref`, `spectral._krylov_annihilator` and
+`opalg.mat_inv_det`); `clear_above` completes its echelon rows to the
+reduced row echelon form.
 """
 
 from __future__ import annotations
@@ -190,3 +195,44 @@ I = GaussianRational(Fraction(0), Fraction(1))
 def rational(p, q=1) -> GaussianRational:
     """Real rational p/q as a scalar."""
     return GaussianRational(Fraction(p, q))
+
+
+def reduce_row(echelon: list, row: list, width: int | None = None):
+    """Reduce the list `row` in place against `echelon`, (pivot, row, support)
+    triples whose rows are 1 at their pivot and 0 at the pivots before them;
+    support lists a row's nonzero columns right of its pivot.
+
+    Each pivot entry of `row` is cleared over the pivot row's support only
+    and set to 0 without arithmetic.  If a nonzero entry is left among the
+    first `width` columns (default: all), the row is scaled to 1 at the
+    first one, its pivot, and appended to `echelon`, and the entry it had
+    there is returned; otherwise None, and `row` is left reduced.
+    """
+    for p, prow, support in echelon:
+        f = row[p]
+        if f is not ZERO and not f.is_zero():
+            for j in support:
+                row[j] = row[j] - f * prow[j]
+            row[p] = ZERO
+    # most zero entries are the shared ZERO: the identity test skips is_zero
+    nonzero = [j for j, x in enumerate(row) if x is not ZERO and not x.is_zero()]
+    if not nonzero or width is not None and nonzero[0] >= width:
+        return None
+    p, *support = nonzero
+    f = row[p]
+    if f is not ONE and f != ONE:
+        inv = f.inverse()
+        for j in support:
+            row[j] = row[j] * inv
+        row[p] = ONE
+    echelon.append((p, row, support))
+    return f
+
+
+def clear_above(echelon: list) -> list:
+    """The reduced row echelon form of `echelon`'s rows, in ascending pivot
+    order: each row, last pivot first, is reduced against those done."""
+    done = []
+    for _, row, _ in sorted(echelon, key=lambda e: e[0], reverse=True):
+        reduce_row(done, row)
+    return done[::-1]

@@ -5,18 +5,18 @@ mostly zeros, with Gaussian-rational entries in the graded-lex basis order
 of `enumerate_multi_indices`.  A matrix stores n, its two degrees (which
 fix its shape) and its sparse rows (the nonzero (column, entry) pairs of
 each row; dense rows are derived for output), and caches the connected
-parts of its nonzero pattern (`_split`),
-over which it is block diagonal up to a permutation of rows and columns.
-Everything here is exact and runs per block, never on the whole matrix:
-Gaussian elimination with first-nonzero pivoting per bipartite block (the
-reduced row echelon form is unique, so solves, kernels and witnesses equal
-the whole-matrix ones), each row operation running over the nonzero columns
-of the pivot row only; block Krylov minimal polynomials (cached per part of
-the symmetrised pattern, the lcm over the parts); and Horner per block with
-the polynomial reduced mod the block's minimal polynomial m_c, as
-f(M_c) = (f mod m_c)(M_c).  The projection polynomial
-p_r(z) = prod(1 - z/lambda) over the nonzero spectrum is the z-free part of
-the minimal polynomial of (Q|_r)* (Q|_r) normalized to value 1 at zero.
+parts of its nonzero pattern (`_split`), over which it is block diagonal
+up to a permutation of rows and columns.  Everything here is exact and
+runs per block, never on the whole matrix: the reduced row echelon form
+of each bipartite block (`_rref`; it is unique, so solves, kernels and
+witnesses equal the whole-matrix ones) and the Krylov annihilators behind
+the block minimal polynomials (cached per part of the symmetrised pattern,
+the lcm over the parts) both run on the one row reduction
+`scalar.reduce_row`; Horner runs per block with the polynomial reduced mod
+the block's minimal polynomial m_c, as f(M_c) = (f mod m_c)(M_c).  The
+projection polynomial p_r(z) = prod(1 - z/lambda) over the nonzero
+spectrum is the z-free part of the minimal polynomial of (Q|_r)* (Q|_r)
+normalized to value 1 at zero.
 
 Projections run on two routes; `gram_matrices` builds A = Q|_r, its
 adjoint A* (`RestrictionMatrix.gram_adjoint`) and B = A* A.  The least-norm
@@ -36,9 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import count
 from math import comb
 
-from .scalar import GaussianRational, ZERO, ONE
+from .scalar import GaussianRational, ZERO, ONE, clear_above, reduce_row
 from .deltaspace import (
     DeltaVector,
     DimensionMismatch,
@@ -352,43 +353,17 @@ def _local_rows(rows, rs, cs) -> tuple:
 
 
 def _rref(rows):
-    """Reduced row echelon form with first-nonzero pivoting.
-
-    Returns (rref rows, pivot column list).  Deterministic: pivots are the
-    first nonzero entry scanning columns left to right, rows top down.
-    Only the nonzero columns of the pivot row are touched: the rows from the
-    pivot row down vanish left of the pivot column, and x - f * 0 = x.  The
-    pivot entry becomes 1 and the rest of its column 0 without arithmetic.
-    """
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    pivots = []
-    row = 0
-    for col in range(nc):
-        piv = next((r for r in range(row, nr) if not m[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        prow = m[row]
-        support = [j for j in range(col + 1, nc) if not prow[j].is_zero()]
-        if prow[col] != ONE:
-            inv = prow[col].inverse()
-            for j in support:
-                prow[j] = prow[j] * inv
-            prow[col] = ONE
-        for r in range(nr):
-            target = m[r]
-            if r != row and not target[col].is_zero():
-                f = target[col]
-                for j in support:
-                    target[j] = target[j] - f * prow[j]
-                target[col] = ZERO
-        pivots.append(col)
-        row += 1
-        if row == nr:
-            break
-    return m, pivots
+    """(rows, pivot columns) of the reduced row echelon form, zero rows last:
+    each row is inserted with `reduce_row`, then `clear_above` clears each
+    pivot column above its pivot.  The input rows are left untouched."""
+    echelon, zero_rows = [], []
+    for row in rows:
+        if len(echelon) == len(row):  # full column rank: the rest reduce to 0
+            zero_rows.append([ZERO] * len(row))
+        elif reduce_row(echelon, row := list(row)) is None:
+            zero_rows.append(row)
+    reduced = clear_above(echelon)
+    return [row for _, row, _ in reduced] + zero_rows, [p for p, _, _ in reduced]
 
 
 def _kernel_vectors(rr, pivots, cs, ncols: int) -> list:
@@ -554,30 +529,17 @@ def _block_poly_apply(m: RestrictionMatrix, p: ExactPolynomial, vec: list) -> li
 
 
 def _krylov_annihilator(rows, vec: list) -> ExactPolynomial:
-    """Monic p of least degree with p(M) vec = 0, for M given by sparse rows.
-
-    The Krylov vectors vec, M vec, M^2 vec, ... are reduced against a running
-    echelon form whose rows carry their combination of Krylov powers; the
-    first vector that reduces to zero yields the annihilator's coefficients.
-    """
-    echelon = []  # (pivot, row scaled to 1 at the pivot, combination of powers)
+    """Monic p of least degree with p(M) vec = 0, for M given by sparse rows:
+    each M^k vec is reduced with a unit entry at column d + k after it; the
+    first that leaves no pivot in its d columns has p in the power columns."""
+    d = len(vec)
+    echelon = []
     power = vec
-    while True:
-        cur = list(power)
-        comb = [ZERO] * len(echelon) + [ONE]
-        for piv, row, row_comb in echelon:
-            f = cur[piv]
-            if f.is_zero():
-                continue
-            cur = [x if y.is_zero() else x - f * y for x, y in zip(cur, row)]
-            for k, c in enumerate(row_comb):
-                if not c.is_zero():
-                    comb[k] = comb[k] - f * c
-        piv = next((i for i, x in enumerate(cur) if not x.is_zero()), None)
-        if piv is None:
-            return ExactPolynomial(tuple(comb))
-        inv = cur[piv].inverse()
-        echelon.append((piv, [x * inv for x in cur], [c * inv for c in comb]))
+    for k in count():
+        row = power + [ZERO] * (d + 1)
+        row[d + k] = ONE
+        if reduce_row(echelon, row, d) is None:
+            return ExactPolynomial(tuple(row[d:d + k + 1]))
         power = _sparse_matvec(rows, power)
 
 

@@ -446,6 +446,11 @@ class TestCommands:
           "--residue", '{"alpha":[0],"coeff":{"re":0.1,"im":0}}'), RESIDUE_SHAPE),
         (("kernel", "--dim", "1", "--degree", "0", "--op", "euler(-1/2)",
           "--residue", '{"alpha":[0],"coeff":{"re":true}}'), RESIDUE_SHAPE),
+        # a negative power was answered as k = 1, a negative order as "unique"
+        (("order-raise", "--dim", "1", "--degree", "1", "--op", "d1", "--k", "-1",
+          "--residue", '{"terms":[]}'), "order raising requires k >= 0, got -1"),
+        (("homog-unique", "--dim", "4", "--a", "-6", "--degree", "-3"),
+         "maximal order must be >= 0"),
     ])
     def test_missing_or_invalid_inputs_exit_code(self, capsys, argv, message):
         code = main(list(argv))
@@ -453,6 +458,39 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"onshell: error: {message}\n"
+
+    # the smallest valid arguments of each subcommand, --dim left out
+    DIMLESS_ARGV = {
+        "restrict": ("--degree", "1", "--op", "1"),
+        "adjoint": ("--degree", "1", "--op", "1"),
+        "essord": ("--op", "1"),
+        "minpoly": ("--degree", "1", "--op", "1"),
+        "projpoly": ("--degree", "1", "--op", "1"),
+        "kernel": ("--degree", "1", "--op", "1"),
+        "extend-check": ("--degree", "1", "--op", "1", "--residue", '{"terms":[]}'),
+        "counterterm": ("--degree", "1", "--op", "1", "--residue", '{"terms":[]}'),
+        "order-raise": ("--degree", "1", "--op", "1", "--k", "1", "--residue", '{"terms":[]}'),
+        "casimir-check": ("--degree", "1"),
+        "renorm": ("--degree", "1", "--aj", "1:1", "--residue", '{"terms":[]}'),
+        "homog-unique": ("--degree", "1", "--a", "1"),
+        "chi": (),
+        "chi-verify": ("--k-max", "1"),
+        "degree": ("--rule", "vanishing", "--value", "1", "--k", "1"),
+    }
+
+    def test_dimension_check_covers_every_subcommand(self):
+        assert set(self.DIMLESS_ARGV) == set(SUBCOMMANDS)
+
+    @pytest.mark.parametrize("dim", ["0", "-2"])
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_dimension_below_one_exit_code(self, capsys, command, dim):
+        # essord and degree printed an answer for --dim 0, restrict --dim -1
+        # failed on an index length
+        code = main([command, "--dim", dim, *self.DIMLESS_ARGV[command]])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "onshell: error: dimension must be >= 1\n"
 
     def test_chi_route_mismatch_exit_code(self, capsys, monkeypatch):
         import onshell.cli as cli

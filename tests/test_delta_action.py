@@ -7,11 +7,15 @@ here is the term-by-term route: one delta vector per term, summed, with
 P_L v reconstructed from the pairings <P_L v, x^a> = |det L|^(-1)
 <v, x^a o L^(-1)>.  `spectral._rref` touches only the nonzero columns of
 each pivot row; the oracle is the dense elimination of `test_block_route`.
-Both must agree exactly, entry for entry.
+Both must agree exactly, entry for entry.  `opalg.mat_inv_det` runs on the
+same row reduction; its inverse is checked by L L^(-1) = 1 and its signed
+determinant against the Leibniz expansion.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import onshell.opalg as opalg
@@ -205,3 +209,49 @@ class TestZeroSkippingElimination:
         assert pivots == [0]
         assert got == [[GaussianRational(1), ZERO, GaussianRational(Fraction(1, 2), Fraction(1, 2))],
                        [ZERO, ZERO, ZERO]]
+
+
+# -- the pullback inverse ---------------------------------------------------------
+
+def _leibniz_det(m):
+    total = Fraction(0)
+    for perm in permutations(range(len(m))):
+        term = Fraction(-1 if sum(a > b for k, a in enumerate(perm) for b in perm[k + 1:]) % 2
+                        else 1)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+@st.composite
+def _singular(draw, n):
+    """A rational n x n matrix with one row a combination of the others
+    (a zero row when n = 1), often transposed."""
+    entries = st.sampled_from((0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n - 1)]
+    coeffs = [draw(entries) for _ in rows]
+    combo = [sum((c * row[j] for c, row in zip(coeffs, rows)), Fraction(0)) for j in range(n)]
+    rows.insert(draw(st.integers(0, n - 1)), combo)
+    if draw(st.booleans()):
+        rows = [list(col) for col in zip(*rows)]
+    return opalg.mat_from(rows)
+
+
+class TestPullbackInverse:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(_invertible))
+    def test_inverse_and_signed_determinant(self, m):
+        inv, det = mat_inv_det(m)
+        n = len(m)
+        assert opalg.mat_mul(m, inv) == tuple(
+            tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+        assert all(type(x) is Fraction for row in inv for x in row)
+        assert type(det) is Fraction and det == _leibniz_det(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(_singular))
+    def test_singular_matrix_raises(self, m):
+        assert _leibniz_det(m) == 0
+        with pytest.raises(opalg.SingularMatrixError, match="pullback matrix is not invertible"):
+            mat_inv_det(m)

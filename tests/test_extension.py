@@ -232,6 +232,14 @@ class TestOrderRaising:
         with pytest.raises(NonNormalRestriction):
             order_raising_correction(rec, q, 1)
 
+    @pytest.mark.parametrize("given_rk", [False, True])
+    def test_negative_power_rejected(self, given_rk):
+        # with R^k given (as the CLI passes it) k = -1 was answered as k = 1
+        r_op = euler(1, Fraction(-1))
+        rec = ExtensionRecord(1, 0, {r_op: DELTA1})
+        with pytest.raises(ValueError, match="order raising requires k >= 0, got -1"):
+            order_raising_correction(rec, r_op, -1, r_op if given_rk else None)
+
 
 class TestMultiCommuting:
     def test_single_operator_equals_onshell(self):
@@ -368,6 +376,12 @@ class TestHomogeneousUniqueness:
         # level to find and would otherwise answer "unique"
         with pytest.raises(ValueError, match="dimension must be >= 1"):
             homogeneous_extension_unique(n, Fraction(1), 1)
+
+    @pytest.mark.parametrize("r", [-1, -3])
+    def test_negative_order_rejected(self, r):
+        # an empty range of levels would otherwise answer "unique"
+        with pytest.raises(ValueError, match="maximal order must be >= 0"):
+            homogeneous_extension_unique(4, Fraction(-6), r)
 
 
 class TestLinearity:
