@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .scalar import GaussianRational, ZERO, ONE
+from .scalar import GaussianRational, ZERO, ONE, rational
 from .deltaspace import DeltaVector, DimensionMismatch, SparseMap, mi_order
 from .extension import ExtensionRecord, onshell_correction
 from .opalg import check_signature, dalembert, default_signature
@@ -187,7 +187,8 @@ def _basis_split(signature: tuple, alpha: tuple) -> tuple:
     It depends on the metric and alpha only, never on m^2, so one entry
     serves every mass and every coefficient.  Integer coefficients are kept
     until the end: the Lagrange numerators and the descent by (x.x)^j are
-    exact integer maps, and the common denominator is divided out once.
+    exact integer maps, and the common denominator is divided out once, into
+    scalar factors.
     """
     n = len(signature)
     k = sum(alpha)
@@ -207,7 +208,7 @@ def _basis_split(signature: tuple, alpha: tuple) -> tuple:
         for i in range(j, 0, -1):
             comp = _interval_delta(signature, comp)
             denom *= _descend_factor(n, k - 2 * j, i)
-        h = tuple((beta, Fraction(c, denom)) for beta, c in comp.items() if c)
+        h = tuple((beta, rational(c, denom)) for beta, c in comp.items() if c)
         if h:
             out.append((j, h))
     return tuple(out)
@@ -231,16 +232,11 @@ def harmonic_components(config: FeynmanConfig, w: DeltaVector) -> dict:
         for j, terms in _basis_split(tuple(config.signature), alpha):
             hj = acc.setdefault(j, {})
             for beta, f in terms:
-                part = hj.get(beta)
-                if part is None:
-                    hj[beta] = [c.re * f, c.im * f]
-                else:
-                    part[0] += c.re * f
-                    part[1] += c.im * f
+                x = c * f
+                hj[beta] = hj[beta] + x if beta in hj else x
     out = {}
     for j in sorted(acc):
-        h = DeltaVector(config.n, {beta: GaussianRational(re, im)
-                                   for beta, (re, im) in acc[j].items()})
+        h = DeltaVector(config.n, acc[j])
         if not h.is_zero():
             out[j] = h
     return out
@@ -266,15 +262,19 @@ def _chi1(config: FeynmanConfig, s_op: ConstCoeffOperator) -> ConstCoeffOperator
     return chi1
 
 
-def theta_counterterm(s_op: ConstCoeffOperator, c, config: FeynmanConfig = None) -> DeltaVector:
+def theta_counterterm(s_op: ConstCoeffOperator, c, config: FeynmanConfig = None, *,
+                      chi1: ConstCoeffOperator = None) -> DeltaVector:
     """Delta-supported part of the on-shell replacement of S v.
 
     Returns 0 when s = order(S) + deg_v < 0 (the extension is unique below
     the threshold); otherwise c * chi1(S) delta, so that adding it to S v
     realizes the on-shell counterterm, with theta(S (box+m^2)) = 0 exactly.
+    A `chi1` already in hand (`chi_projection(S, ...).chi1`) is used as
+    chi1(S), so the trace split is not run again.
     """
-    config = config or s_op.config
-    return _chi1(config, s_op).apply_to_delta().scale(GaussianRational.of(c))
+    if chi1 is None:
+        chi1 = _chi1(config or s_op.config, s_op)
+    return chi1.apply_to_delta().scale(GaussianRational.of(c))
 
 
 def chi_projection(s_op: ConstCoeffOperator, c=ONE, config: FeynmanConfig = None) -> ChiResult:

@@ -48,6 +48,7 @@ from .chi import (
     chi_crosscheck,
     chi_explicit,
     chi_projection,
+    theta_counterterm,
 )
 from .extension import (
     CasimirHypothesisError,
@@ -813,7 +814,7 @@ def _cmd_chi(args):
     return {"command": "chi", "status": "ok" if agree else "no",
             "chi": str(res.chi), "chi1": str(res.chi1),
             "chi_explicit": str(expl), "routes_agree": agree,
-            "counterterm": delta_to_json(res.chi1.apply_to_delta().scale(c)),
+            "counterterm": delta_to_json(theta_counterterm(s_op, c, config, chi1=res.chi1)),
             "s": res.s}
 
 

@@ -183,7 +183,9 @@ def multi_commuting_correction(rec: ExtensionRecord, qs) -> DeltaVector:
     """Sequential counterterm for a family of mutually commuting operators.
 
     Each factor's correction is computed against the residues updated by the
-    previous factors; the total counterterm is returned."""
+    previous factors; the total counterterm is returned.  The residues are
+    updated only between factors: the record after the last one is left to
+    the caller."""
     for i in range(len(qs)):
         for j in range(i + 1, len(qs)):
             comm = commutator(qs[i], qs[j])
@@ -191,9 +193,10 @@ def multi_commuting_correction(rec: ExtensionRecord, qs) -> DeltaVector:
                 raise NonCommutingOperators(i, j, comm)
     total = DeltaVector.zero(rec.n)
     cur = rec
-    for q in qs:
+    for i, q in enumerate(qs):
+        if i:
+            cur = apply_counterterm(cur, v)
         v = onshell_correction(cur, q)
-        cur = apply_counterterm(cur, v)
         total = total + v
     return total
 

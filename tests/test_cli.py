@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 from onshell.scalar import GaussianRational, I, ONE
-from onshell.chi import ConstCoeffOperator, FeynmanConfig
+from onshell.chi import ConstCoeffOperator, FeynmanConfig, theta_counterterm
 from onshell.deltaspace import DeltaVector, Polynomial
 from onshell.opalg import (
     OperatorExpr,
@@ -651,3 +651,42 @@ class TestOptionValuesStartingWithDash:
                 main(list(argv))
             assert exc.value.code == 1
             assert message in capsys.readouterr().err
+
+
+class TestEachOperationRunsOnce:
+    def test_one_operator_counterterm_applies_once(self, capsys, monkeypatch):
+        from onshell import cli, extension
+        calls = []
+        original = extension.apply_counterterm
+
+        def counted(rec, v):
+            calls.append(1)
+            return original(rec, v)
+
+        for module in (cli, extension):
+            monkeypatch.setattr(module, "apply_counterterm", counted)
+        code, out = run_cli(capsys, "counterterm", "--dim", "4", "--degree", "3",
+                            "--op", "box(1)", "--residue",
+                            '{"alpha":[0,0,0,0],"coeff":{"re":"1","im":"0"}}')
+        # delta is not in the range of box(1) at order 3: a nonzero counterterm, exit 2
+        assert code == 2 and json.loads(out)["counterterm"]["terms"]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("metric", ["+---", "-+++"])
+    @pytest.mark.parametrize("c, m2", [(None, "0"), ("2,-3/5", "0"), ("2,-3/5", "3/2")])
+    def test_chi_counterterm_is_theta_counterterm(self, capsys, metric, c, m2):
+        from itertools import combinations_with_replacement
+        sig = tuple(1 if ch == "+" else -1 for ch in metric)
+        config = FeynmanConfig(4, sig, Fraction(m2))
+        coeff = GaussianRational(0, -1) if c is None else GaussianRational(2, Fraction(-3, 5))
+        for k in range(4):
+            for idx in combinations_with_replacement(range(4), k):
+                argv = ["chi", "--dim", "4", f"--metric={metric}", "--m2", m2,
+                        "--indices", ",".join(map(str, idx))]
+                if c is not None:
+                    argv += ["--c", c]
+                code, out = run_cli(capsys, *argv)
+                assert code == 0
+                want = theta_counterterm(ConstCoeffOperator.monomial(config, idx), coeff,
+                                         config)
+                assert json.loads(out)["counterterm"] == delta_to_json(want)

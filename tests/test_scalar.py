@@ -2,9 +2,10 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from onshell.scalar import GaussianRational, I, ONE, ZERO, rational
 
@@ -154,3 +155,106 @@ def test_real_and_complex_paths_match_a_fraction_pair_reference():
         else:
             with pytest.raises(ZeroDivisionError):
                 a / b
+
+
+# -- oracle: every traced scalar method against a Fraction-pair reference ----
+
+def _parts():
+    small = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 36))
+    big = st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80), st.integers(1, 2 ** 70))
+    return st.one_of(st.just(Fraction(0)), small, big)
+
+
+def _gaussians():
+    return st.builds(GaussianRational, _parts(), _parts())
+
+
+def _operands():
+    return st.one_of(_gaussians(), st.integers(-10 ** 6, 10 ** 6), _parts())
+
+
+def _pair(x):
+    if isinstance(x, GaussianRational):
+        return (x.re, x.im)
+    return (Fraction(x), Fraction(0))
+
+
+def _assert_canonical(z, want):
+    """z is a canonical GaussianRational with the reference value `want`."""
+    assert type(z) is GaussianRational
+    assert type(z.a) is int and type(z.b) is int and type(z.d) is int
+    assert z.d > 0 and gcd(z.a, z.b, z.d) == 1
+    if not z.a and not z.b:
+        assert z.d == 1 and not z
+    for part in (z.re, z.im):
+        assert type(part) is Fraction and gcd(part.numerator, part.denominator) == 1
+    assert (z.re, z.im) == want
+    assert z == GaussianRational(*want) and hash(z) == hash(want)
+
+
+def _ref_pow(a, k):
+    out = (Fraction(1), Fraction(0))
+    base = a if k >= 0 else _ref_div((Fraction(1), Fraction(0)), a)
+    for _ in range(abs(k)):
+        out = _ref_mul(out, base)
+    return out
+
+
+@given(_gaussians(), _operands(), st.integers(-3, 3))
+def test_every_scalar_method_matches_a_fraction_pair_reference(z, x, k):
+    rz, rx = _pair(z), _pair(x)
+    _assert_canonical(z, rz)
+    for got, want in ((z + x, _ref_add(rz, rx)), (x + z, _ref_add(rx, rz)),
+                      (z - x, _ref_sub(rz, rx)), (x - z, _ref_sub(rx, rz)),
+                      (z * x, _ref_mul(rz, rx)), (x * z, _ref_mul(rx, rz)),
+                      (-z, (-rz[0], -rz[1])), (z.conj(), (rz[0], -rz[1]))):
+        _assert_canonical(got, want)
+    norm = z.norm2()
+    assert type(norm) is Fraction and norm == rz[0] ** 2 + rz[1] ** 2
+    if any(rx):
+        _assert_canonical(z / x, _ref_div(rz, rx))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            z / x
+    if any(rz):
+        _assert_canonical(x / z, _ref_div(rx, rz))
+        _assert_canonical(z.inverse(), _ref_div((Fraction(1), Fraction(0)), rz))
+        _assert_canonical(z ** k, _ref_pow(rz, k))
+    else:
+        for zero_division in (lambda: z.inverse(), lambda: 1 / z, lambda: z ** -1):
+            with pytest.raises(ZeroDivisionError):
+                zero_division()
+        _assert_canonical(z ** abs(k), (Fraction(int(k == 0)), Fraction(0)))
+
+
+@given(_parts(), _parts())
+def test_parts_are_read_only_and_survive_pickle_and_copy(re, im):
+    for z in (GaussianRational(re, im), GaussianRational(str(re), str(im))):
+        _assert_canonical(z, (re, im))
+        for name in ("re", "im", "a", "b", "d"):
+            with pytest.raises(AttributeError):
+                setattr(z, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(z, name)
+        for copied in (copy.copy(z), copy.deepcopy(z), pickle.loads(pickle.dumps(z))):
+            _assert_canonical(copied, (re, im))
+            assert (copied.a, copied.b, copied.d) == (z.a, z.b, z.d)
+        assert (z.re, z.im) == (re, im)
+
+
+def test_int_parts_and_zero_are_canonical():
+    _assert_canonical(GaussianRational(), (Fraction(0), Fraction(0)))
+    _assert_canonical(ZERO, (Fraction(0), Fraction(0)))
+    _assert_canonical(GaussianRational(Fraction(0, 5), "0/7"), (Fraction(0), Fraction(0)))
+    _assert_canonical(GaussianRational(-4, 6), (Fraction(-4), Fraction(6)))
+    _assert_canonical(GaussianRational(Fraction(1, 6), Fraction(-3, 4)), (Fraction(1, 6), Fraction(-3, 4)))
+    assert (GaussianRational(Fraction(1, 6), Fraction(-3, 4)).a,
+            GaussianRational(Fraction(1, 6), Fraction(-3, 4)).d) == (2, 12)
+    half = GaussianRational(Fraction(1, 2), Fraction(1, 2))
+    _assert_canonical(half + half, (Fraction(1), Fraction(1)))
+    _assert_canonical(half - half, (Fraction(0), Fraction(0)))
+    _assert_canonical(half * 0, (Fraction(0), Fraction(0)))
+    _assert_canonical(half * 4, (Fraction(2), Fraction(2)))
+    for parts in ((0.5,), (1, 0.5), (None,), (1, [1])):
+        with pytest.raises(TypeError):
+            GaussianRational(*parts)
