@@ -20,6 +20,14 @@ provided and cross-validated:
 
 The j = 0 coefficient of the explicit formula is taken to be 1 (the bare
 monomial); the crosscheck validates this reading.
+
+The fixed operators of a configuration are built once, in bounded
+`functools.lru_cache` tables keyed by the hashable `FeynmanConfig`: `box`
+and `klein_gordon` (CONFIG_CACHE = 64 configurations), the powers box^j
+(POWER_CACHE = 1024 entries, each one product from the last), which both the
+geometric factors of the spectral route and the alpha coefficients read, and
+alpha_j^k (ALPHA_CACHE = 1024 entries, per (j, k, configuration)).  Cached
+operators are shared, so no caller may mutate their `coeffs`.
 """
 
 from __future__ import annotations
@@ -34,6 +42,10 @@ from .scalar import GaussianRational, ZERO, ONE, rational
 from .deltaspace import DeltaVector, DimensionMismatch, SparseMap, mi_order
 from .extension import ExtensionRecord, onshell_correction
 from .opalg import check_signature, dalembert, default_signature
+
+CONFIG_CACHE = 64
+POWER_CACHE = 1024
+ALPHA_CACHE = 1024
 
 
 @dataclass(frozen=True)
@@ -53,7 +65,7 @@ class FeynmanConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
-        check_signature(self.n, self.signature)
+        object.__setattr__(self, "signature", check_signature(self.n, self.signature))
         object.__setattr__(self, "m2", Fraction(self.m2))
 
 
@@ -86,14 +98,10 @@ class ConstCoeffOperator(SparseMap):
     @staticmethod
     def monomial(config: FeynmanConfig, indices) -> "ConstCoeffOperator":
         """d_(mu_1) ... d_(mu_k) for concrete index values."""
-        gamma = [0] * config.n
-        for mu in indices:
-            if not 0 <= mu < config.n:
-                raise ValueError(f"index {mu} out of range for dimension {config.n}")
-            gamma[mu] += 1
-        return ConstCoeffOperator(config, {tuple(gamma): ONE})
+        return ConstCoeffOperator(config, {_exponent(config.n, indices): ONE})
 
     @staticmethod
+    @lru_cache(maxsize=CONFIG_CACHE)
     def box(config: FeynmanConfig) -> "ConstCoeffOperator":
         cs = {}
         for mu, s in enumerate(config.signature):
@@ -102,6 +110,7 @@ class ConstCoeffOperator(SparseMap):
         return ConstCoeffOperator(config, cs)
 
     @staticmethod
+    @lru_cache(maxsize=CONFIG_CACHE)
     def klein_gordon(config: FeynmanConfig) -> "ConstCoeffOperator":
         return ConstCoeffOperator.box(config) + ConstCoeffOperator.one(config).scale(config.m2)
 
@@ -135,6 +144,24 @@ class ConstCoeffOperator(SparseMap):
                             for i, e in enumerate(g) if e > 0) or "1"
             bits.append(f"({c})*{mono}")
         return " + ".join(bits)
+
+
+def _exponent(n: int, indices) -> tuple:
+    """The exponent gamma of d_(mu_1) ... d_(mu_k): gamma[mu] counts mu."""
+    gamma = [0] * n
+    for mu in indices:
+        if not 0 <= mu < n:
+            raise ValueError(f"index {mu} out of range for dimension {n}")
+        gamma[mu] += 1
+    return tuple(gamma)
+
+
+@lru_cache(maxsize=POWER_CACHE)
+def _box_power(config: FeynmanConfig, j: int) -> ConstCoeffOperator:
+    """box^j, one product from box^(j-1); shared, so never mutated."""
+    if j == 0:
+        return ConstCoeffOperator.one(config)
+    return _box_power(config, j - 1) * ConstCoeffOperator.box(config)
 
 
 @dataclass(frozen=True)
@@ -229,7 +256,7 @@ def harmonic_components(config: FeynmanConfig, w: DeltaVector) -> dict:
         raise DimensionMismatch("delta vector dimension does not match the configuration")
     acc: dict = {}
     for alpha, c in w.coeffs.items():
-        for j, terms in _basis_split(tuple(config.signature), alpha):
+        for j, terms in _basis_split(config.signature, alpha):
             hj = acc.setdefault(j, {})
             for beta, f in terms:
                 x = c * f
@@ -251,12 +278,10 @@ def _chi1(config: FeynmanConfig, s_op: ConstCoeffOperator) -> ConstCoeffOperator
     if s_op.order() + config.deg_v < 0:
         return chi1
     comps = harmonic_components(config, s_op.apply_to_delta())
-    box = ConstCoeffOperator.box(config)
     mm = GaussianRational.of(-config.m2)
-    geom, box_j = ConstCoeffOperator.zero(config), ConstCoeffOperator.one(config)
+    geom = ConstCoeffOperator.zero(config)
     for j in range(1, max(comps, default=0) + 1):
-        geom = geom.scale(mm) + box_j
-        box_j = box_j * box
+        geom = geom.scale(mm) + _box_power(config, j - 1)
         if j in comps:
             chi1 = chi1 - ConstCoeffOperator.from_delta_vector(config, comps[j]) * geom
     return chi1
@@ -340,14 +365,18 @@ def alpha_coefficient(j: int, k: int, n: int, m2, signature=None) -> ConstCoeffO
     and the divisibility property, so the bare monomial is kept; the
     crosscheck against the independent route validates this choice.
     """
-    config = FeynmanConfig(n, tuple(signature) if signature is not None else default_signature(n),
-                           Fraction(m2))
+    config = FeynmanConfig(n, signature if signature is not None else default_signature(n), m2)
     if j == 0:
         return ConstCoeffOperator.one(config)
     if not 1 <= j <= k // 2:
         raise ValueError(f"alpha requires 1 <= j <= k/2, got j={j}, k={k}")
-    box = ConstCoeffOperator.box(config)
-    m2 = Fraction(m2)
+    return _alpha(j, k, config)
+
+
+@lru_cache(maxsize=ALPHA_CACHE)
+def _alpha(j: int, k: int, config: FeynmanConfig) -> ConstCoeffOperator:
+    """alpha_j^k for 1 <= j <= k/2, built once per (j, k, configuration)."""
+    n, m2 = config.n, config.m2
     total = ConstCoeffOperator.zero(config)
     for p in range(j):
         denom = Fraction(1)
@@ -355,36 +384,41 @@ def alpha_coefficient(j: int, k: int, n: int, m2, signature=None) -> ConstCoeffO
             # p + q <= 2j - 2 <= k - 2, so the factor is at least n >= 1
             denom *= n + 2 * k - 2 * p - 2 * q - 4
         coeff = Fraction(math.comb(j - 1, p), 1) * (m2 ** p) / denom
-        total = total + (box ** (j - 1 - p)).scale(coeff)
+        total = total + _box_power(config, j - 1 - p).scale(coeff)
     sign = -1 if j % 2 else 1
-    kg = ConstCoeffOperator.klein_gordon(config)
-    return (kg * total).scale(sign)
+    return (ConstCoeffOperator.klein_gordon(config) * total).scale(sign)
 
 
 def chi_explicit(indices, n: int, m2, signature=None) -> ConstCoeffOperator:
     """chi on a concrete derivative monomial via the closed formula
-    sum_j alpha_j^k (1/j!) Lambda^j (d_(mu_1) ... d_(mu_k))."""
-    sig = tuple(signature) if signature is not None else default_signature(n)
-    config = FeynmanConfig(n, sig, Fraction(m2))
+    sum_j alpha_j^k (1/j!) Lambda^j (d_(mu_1) ... d_(mu_k)).
+
+    Lambda^j is applied level by level.  A monomial depends only on its
+    index multiset, so each level keeps one weight per reduced multiset (a
+    sorted index tuple): the exact sum over every ordered sequence of j pair
+    contractions, gathered into fewer terms.  The first level contracts the
+    indices in the order given.
+    """
+    config = FeynmanConfig(n, signature if signature is not None else default_signature(n), m2)
+    sig = config.signature
     idx = tuple(indices)
     k = len(idx)
     total = ConstCoeffOperator.monomial(config, idx)
-    terms = [(ONE, idx)]
+    level = {idx: ONE}
     for j in range(1, k // 2 + 1):
-        nxt = []
-        for w, rest in terms:
-            if w.is_zero():
-                continue
+        nxt: dict = {}
+        for rest, w in level.items():
             for w2, reduced in lambda_contraction(rest, sig):
-                nxt.append((w * w2, reduced))
-        terms = nxt
-        pj = ConstCoeffOperator.zero(config)
-        for w, rest in terms:
-            if not w.is_zero():
-                pj = pj + ConstCoeffOperator.monomial(config, rest).scale(w)
-        pj = pj.scale(Fraction(1, math.factorial(j)))
-        if not pj.is_zero():
-            total = total + alpha_coefficient(j, k, n, m2, sig) * pj
+                if w2:
+                    key = tuple(sorted(reduced))
+                    x = w * w2
+                    nxt[key] = nxt[key] + x if key in nxt else x
+        level = nxt
+        if not level:
+            break
+        pj = ConstCoeffOperator(config, {_exponent(n, rest): w for rest, w in level.items()})
+        total = total + alpha_coefficient(j, k, n, config.m2, sig) * pj.scale(
+            Fraction(1, math.factorial(j)))
     return total
 
 
@@ -413,7 +447,11 @@ class CrosscheckReport:
 
 def chi_crosscheck(k_max: int, n: int, m2_list, signatures=None) -> CrosscheckReport:
     """Compare the two routes coefficientwise on every derivative monomial of
-    order <= k_max, for every mass value and both metric conventions."""
+    order <= k_max, for every mass value and both metric conventions.
+
+    The explicit route runs on every ordered monomial; the projection route,
+    which sees only the exponent, runs once per index multiset and each
+    ordering is compared against that result."""
     if signatures is None:
         base = default_signature(n)
         signatures = (base, tuple(-s for s in base))
@@ -421,14 +459,18 @@ def chi_crosscheck(k_max: int, n: int, m2_list, signatures=None) -> CrosscheckRe
     checked = 0
     for sig in signatures:
         for m2 in m2_list:
-            config = FeynmanConfig(n, tuple(sig), Fraction(m2))
+            config = FeynmanConfig(n, sig, m2)
+            projected = {}  # sorted index tuple -> chi by the projection route
             for k in range(k_max + 1):
                 for idx in product(range(n), repeat=k):
                     checked += 1
-                    s_op = ConstCoeffOperator.monomial(config, idx)
-                    proj = chi_projection(s_op, ONE, config).chi
+                    key = tuple(sorted(idx))
+                    proj = projected.get(key)
+                    if proj is None:
+                        s_op = ConstCoeffOperator.monomial(config, key)
+                        proj = projected[key] = chi_projection(s_op, ONE, config).chi
                     expl = chi_explicit(idx, n, m2, sig)
                     if proj.coeffs != expl.coeffs:
                         mismatches.append(CrosscheckEntry(
-                            tuple(sig), Fraction(m2), idx, str(proj), str(expl)))
+                            config.signature, config.m2, idx, str(proj), str(expl)))
     return CrosscheckReport(checked, tuple(mismatches))

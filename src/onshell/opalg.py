@@ -235,17 +235,22 @@ class OperatorExpr:
 
     # -- canonical key / equality ---------------------------------------------
 
-    def key(self):
+    @cached_property
+    def _key(self) -> tuple:
         return (self.n, tuple(
             (gamma, pb, tuple(sorted(coeff.coeffs.items(), key=lambda kv: kv[0])))
             for coeff, gamma, pb in self.terms
         ))
 
+    def key(self):
+        """The canonical key behind == and hash, built once per operator."""
+        return self._key
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, OperatorExpr) and self.key() == other.key()
+        return isinstance(other, OperatorExpr) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return hash(self._key)
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -83,6 +83,9 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # equal to hash((re, im)), as hash(Fraction(a)) == hash(a)
+        if self.d == 1:
+            return hash((self.a, self.b))
         return hash((self.re, self.im))
 
     # -- coercion ----------------------------------------------------------

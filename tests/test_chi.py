@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -344,6 +346,55 @@ class TestChiExplicit:
         assert got.coeffs == ConstCoeffOperator.monomial(cfg, (0, 1)).coeffs
 
 
+def _ordered_chi_explicit(indices, n, m2, sig):
+    """The explicit formula summed over every ordered sequence of pair
+    contractions, one term per sequence."""
+    config = FeynmanConfig(n, sig, m2)
+    k = len(indices)
+    total = ConstCoeffOperator.monomial(config, indices)
+    terms = [(ONE, tuple(indices))]
+    for j in range(1, k // 2 + 1):
+        terms = [(w * w2, reduced) for w, rest in terms
+                 for w2, reduced in lambda_contraction(rest, sig)]
+        pj = ConstCoeffOperator.zero(config)
+        for w, rest in terms:
+            pj = pj + ConstCoeffOperator.monomial(config, rest).scale(w)
+        total = total + alpha_coefficient(j, k, n, m2, sig) * pj.scale(
+            Fraction(1, math.factorial(j)))
+    return total
+
+
+class TestChiExplicitMultisetSum:
+    def test_matches_the_ordered_sum(self):
+        rng = random.Random(15)
+        for n in (2, 3, 4):
+            base = default_signature(n)
+            for sig in (base, tuple(-g for g in base)):
+                for m2 in (Fraction(0), Fraction(3, 2)):
+                    for k in range(7):
+                        idx = tuple(rng.randrange(n) for _ in range(k))
+                        got = chi_explicit(idx, n, m2, sig)
+                        assert got.coeffs == _ordered_chi_explicit(idx, n, m2, sig).coeffs
+
+
+class TestFeynmanConfig:
+    def test_list_signature_is_stored_as_a_tuple(self):
+        listed = FeynmanConfig(2, [1, -1], 1)
+        tupled = FeynmanConfig(2, (1, -1), Fraction(1))
+        assert listed.signature == (1, -1)
+        assert listed == tupled and hash(listed) == hash(tupled)
+        total = ConstCoeffOperator.one(listed) + ConstCoeffOperator.one(tupled)
+        assert total.coeffs == {(0, 0): GaussianRational.of(2)}
+        assert chi_explicit((0, 0), 2, 1, [1, -1]).coeffs == \
+            chi_explicit((0, 0), 2, Fraction(1), (1, -1)).coeffs
+
+    def test_fixed_operators_are_built_once_per_config(self):
+        same = FeynmanConfig(4, [1, -1, -1, -1], 1)
+        assert ConstCoeffOperator.box(CFG1) is ConstCoeffOperator.box(same)
+        assert ConstCoeffOperator.klein_gordon(CFG1) is ConstCoeffOperator.klein_gordon(same)
+        assert alpha_coefficient(2, 5, 4, 1) is alpha_coefficient(2, 5, 4, Fraction(1), [1, -1, -1, -1])
+
+
 class TestCrosscheck:
     def test_vacuous(self):
         rep = chi_crosscheck(0, 4, [Fraction(0)])
@@ -367,3 +418,25 @@ class TestCrosscheck:
         rep = chi_crosscheck(2, 4, [Fraction(0)], signatures=((1, -1, -1, -1),))
         assert not rep.ok
         assert all(m.indices for m in rep.mismatches)  # only k >= 2 can differ
+
+    def test_projection_once_per_multiset(self, monkeypatch):
+        original = chi_mod.chi_projection
+        seen = []
+
+        def counted(s_op, c=ONE, config=None):
+            seen.append((config, tuple(s_op.coeffs)))
+            return original(s_op, c, config)
+
+        monkeypatch.setattr(chi_mod, "chi_projection", counted)
+        rep = chi_crosscheck(3, 4, [Fraction(0), Fraction(1)], signatures=((1, -1, -1, -1),))
+        assert rep.ok and rep.checked == 2 * (1 + 4 + 16 + 64)
+        # 1 + 4 + 10 + 20 exponent multisets of order <= 3, per mass
+        assert len(seen) == len(set(seen)) == 2 * 35
+
+    def test_order_six_all_masses_both_metrics(self):
+        start = time.perf_counter()
+        rep = chi_crosscheck(6, 4, [Fraction(0), Fraction(1), Fraction(3, 2)])
+        elapsed = time.perf_counter() - start
+        assert rep.ok
+        assert rep.checked == 2 * 3 * sum(4 ** k for k in range(7))
+        assert elapsed < 60.0

@@ -1,7 +1,8 @@
 """Golden outputs of the scripts under scripts/.
 
 The chi table is the printed form of both chi routes and the delta
-counterterm for every derivative multiset with k <= 4; any change in a
+counterterm for every derivative multiset with k <= 4 (and k <= 6, whose
+sums reach the third level of pair contractions); any change in a
 value, a term order or the formatting changes its SHA-256.  The extension
 demo prints delta vectors with their own `__str__`, so its SHA-256 pins
 that text too.
@@ -22,6 +23,10 @@ ROOT = Path(__file__).resolve().parent.parent
      "313bc43157dea294c2230a1522bb56483e9289b26be921dd54f2e07ead4bceb4"),
     (["--k-max", "4", "--m2", "3/2", "--metric=-+++"],
      "95c91f3e223dfe43df399b383e6c3fe3ce48a5f28ca7cc5386fdff44330f0645"),
+    (["--k-max", "6"],
+     "cba5568dae4b0236f5d21399ad6b2ad638afe44ae63d740a4e43615a7d1d6665"),
+    (["--k-max", "6", "--m2", "3/2", "--metric=-+++"],
+     "f1675abd556512d82cfa4643ed5963e1b99901401c1780742d5d1001050f36c2"),
 ])
 def test_chi_table_output_is_unchanged(args, digest):
     run = subprocess.run([sys.executable, "scripts/chi_table.py", *args], cwd=ROOT,
