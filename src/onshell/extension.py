@@ -11,6 +11,15 @@ polynomial p of B = A* A is -A^+ w, computed as the least-norm solve of
 B v = -A* w; the corrected residue is exactly the projection of the residue
 onto the complement of the range (asserted at runtime, never assumed).
 The Casimir counterterm stays on p, which defines it (see `spectral`).
+
+The counterterm is one linear map of the residue, so its matrices are
+built once per (Q, r): `onshell_correction` takes A, A* and B from
+`spectral.gram_matrices`, `existence_check` and `apply_counterterm` take
+Q|_r from `spectral.restrict`, both bounded `functools.lru_cache` tables
+keyed by (Q, r) (RESTRICT_CACHE = 32 and GRAM_CACHE = 16 entries), and
+each block of a kept matrix is eliminated once however many residues are
+solved against it.  A record's later residues of one (Q, r) cost a
+substitution per block.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from .opalg import (
 from .spectral import (
     _counterterm_apply,
     _kernel,
+    _kernel_of,
     _min_norm_solve,
     _split,
     adjoint_restriction,
@@ -151,11 +161,12 @@ def onshell_correction(rec: ExtensionRecord, q: OperatorExpr) -> DeltaVector:
 
 
 def apply_counterterm(rec: ExtensionRecord, v: DeltaVector) -> ExtensionRecord:
-    """u' -> u' + v: every registered residue moves by the image of v."""
+    """u' -> u' + v: every registered residue moves by the image Q|_r v of v,
+    through the kept matrix of `restrict`."""
     if v.degree() > rec.r:
         raise DegreeOverflow("counterterm degree exceeds the record degree")
     return ExtensionRecord(rec.n, rec.r,
-                           {q: w + q.apply_delta(v) for q, w in rec.residues.items()})
+                           {q: w + restrict(q, rec.r).matvec(v) for q, w in rec.residues.items()})
 
 
 def order_raising_correction(rec: ExtensionRecord, r_op: OperatorExpr, k: int,
@@ -282,7 +293,7 @@ def _casimir_hypotheses(c_op: OperatorExpr, rs, r: int, expression):
         # form fixes, so the two kernels agree exactly when the lists do
         stacked = tuple(row for rop in rs for row in restrict(rop, r).sparse_rows)
         joint = _kernel(stacked, mat.ncols, _split(stacked, mat.ncols))
-        kernel_ok = _kernel(mat.sparse_rows, mat.ncols, mat.blocks) == joint
+        kernel_ok = _kernel_of(mat.parts, mat.ncols) == joint
         if not kernel_ok:
             failures.append(f"ker(C|_{r}) differs from the joint kernel of the generators")
 

@@ -22,7 +22,9 @@ triple is canonical already), which skip that coercion.
 `reduce_row` is the one row reduction behind every exact elimination in
 the package (`spectral._rref`, `spectral._krylov_annihilator` and
 `opalg.mat_inv_det`); `clear_above` completes its echelon rows to the
-reduced row echelon form.
+reduced row echelon form.  Given a `log` list, both record the multipliers
+they apply, so `spectral._rref` can replay an elimination on a right-hand
+side without running it again.
 """
 
 from __future__ import annotations
@@ -240,7 +242,7 @@ def rational(p, q=1) -> GaussianRational:
     return GaussianRational(Fraction(p, q))
 
 
-def reduce_row(echelon: list, row: list, width: int | None = None):
+def reduce_row(echelon: list, row: list, width: int | None = None, log: list | None = None):
     """Reduce the list `row` in place against `echelon`, (pivot, row, support)
     triples whose rows are 1 at their pivot and 0 at the pivots before them;
     support lists a row's nonzero columns right of its pivot.
@@ -249,7 +251,9 @@ def reduce_row(echelon: list, row: list, width: int | None = None):
     and set to 0 without arithmetic.  If a nonzero entry is left among the
     first `width` columns (default: all), the row is scaled to 1 at the
     first one, its pivot, and appended to `echelon`, and the entry it had
-    there is returned; otherwise None, and `row` is left reduced.
+    there is returned; otherwise None, and `row` is left reduced.  Given
+    `log`, each row operation is appended in order: (p, f) for
+    row -= f * (the echelon row with pivot p), (None, s) for row *= s.
     """
     for p, prow, support in echelon:
         f = row[p]
@@ -257,6 +261,8 @@ def reduce_row(echelon: list, row: list, width: int | None = None):
             for j in support:
                 row[j] = row[j] - f * prow[j]
             row[p] = ZERO
+            if log is not None:
+                log.append((p, f))
     # most zero entries are the shared ZERO: the identity test skips is_zero
     nonzero = [j for j, x in enumerate(row) if x is not ZERO and not x.is_zero()]
     if not nonzero or width is not None and nonzero[0] >= width:
@@ -268,14 +274,20 @@ def reduce_row(echelon: list, row: list, width: int | None = None):
         for j in support:
             row[j] = row[j] * inv
         row[p] = ONE
+        if log is not None:
+            log.append((None, inv))
     echelon.append((p, row, support))
     return f
 
 
-def clear_above(echelon: list) -> list:
+def clear_above(echelon: list, log: list | None = None) -> list:
     """The reduced row echelon form of `echelon`'s rows, in ascending pivot
-    order: each row, last pivot first, is reduced against those done."""
+    order: each row, last pivot first, is reduced against those done.  Given
+    `log`, each row appends (its pivot, its `reduce_row` log)."""
     done = []
-    for _, row, _ in sorted(echelon, key=lambda e: e[0], reverse=True):
-        reduce_row(done, row)
+    for p, row, _ in sorted(echelon, key=lambda e: e[0], reverse=True):
+        steps = None if log is None else []
+        reduce_row(done, row, log=steps)
+        if log is not None:
+            log.append((p, steps))
     return done[::-1]

@@ -22,20 +22,40 @@ Projections run on two routes; `gram_matrices` builds A = Q|_r, its
 adjoint A* (`RestrictionMatrix.gram_adjoint`) and B = A* A.  The least-norm
 solve `_min_norm_solve` gives the on-shell counterterm -A^+ w (and so the
 order-raising and chi level-projection ones) and the pseudoinverse solve;
-its kernel step `_kernel_part` gives the kernel projector.  The projection
+its kernel step `_Block.kernel_part` gives the kernel projector.  The projection
 polynomial (`minimal_polynomial`, `projection_polynomial_of_gram`, the block
 Horner) serves `minpoly` and `projpoly`, where p is printed, and the Casimir
 map ((p - 1)/z)(C) w, which p defines: it adds h(0) P_ker w to -C^+ w, for
 h = (p - 1)/z.
 `adjoint_restriction` stays as the second, symbolic route to A* and is
 compared against it in the tests.
+
+Each block is factored once and every right-hand side is substituted.
+`_rref` keeps, beside the reduced row echelon form, the row operations
+that produced it (the logs of `scalar.reduce_row` and `clear_above`);
+`_Factor.substitute` replays them on a right-hand side in O(d^2), which
+decides consistency and gives the solution with free variables 0 exactly
+as the augmented elimination would (the RREF is unique).  A matrix keeps
+one `_Block` per part of `blocks` (`RestrictionMatrix.parts`); a block
+factors itself, reads off its kernel vectors and factors its kernel Gram
+system K* D K on first use, so `_min_norm_solve`, `range_membership`,
+`kernel_basis` and `kernel_projector` share one elimination per block and
+a block no solve reaches is never eliminated.  `restrict` and
+`gram_matrices` are `functools.lru_cache` tables keyed by (Q, r) (an
+`OperatorExpr` hashes by its canonical key), bounded at RESTRICT_CACHE = 32
+and GRAM_CACHE = 16 entries, so the counterterms of one (Q, r) build its
+matrices and factor each block once however many residues they are asked
+for.  Cached matrices are shared: they are frozen, their rows are tuples,
+and what they cache is a function of the matrix alone and never changed
+once made.  `restrict.cache_clear()` and `gram_matrices.cache_clear()`
+empty the tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import count
 from math import comb
 
@@ -50,6 +70,11 @@ from .deltaspace import (
     tmap,
 )
 from .opalg import OperatorExpr
+
+
+# bounds of the per-(Q, r) tables of `restrict` and `gram_matrices`
+RESTRICT_CACHE = 32
+GRAM_CACHE = 16
 
 
 class NonSquareMatrixError(ValueError):
@@ -194,6 +219,14 @@ class RestrictionMatrix:
         return _split(self.sparse_rows, self.ncols)
 
     @cached_property
+    def parts(self) -> tuple:
+        """Per part of `blocks`, a `_Block` with the alpha! weights of the
+        domain: its factorization, kernel and kernel Gram system are made
+        on first use and kept with the matrix."""
+        return _blocks_of(self.sparse_rows, self.blocks,
+                          [mi_factorial(alpha) for alpha in self.domain_basis])
+
+    @cached_property
     def block_minimal_polynomials(self) -> tuple:
         """Per part of the symmetrised nonzero pattern of a square matrix,
         which the matrix maps into itself: (indices, local sparse rows,
@@ -267,8 +300,10 @@ def _from_images(n: int, r_domain: int, r_codomain: int, image) -> RestrictionMa
     return RestrictionMatrix(n, r_domain, r_codomain, _transpose(cols, len(index)))
 
 
+@lru_cache(maxsize=RESTRICT_CACHE)
 def restrict(q: OperatorExpr, r: int) -> RestrictionMatrix:
-    """Q|_r as an exact matrix from degree <= r to degree <= r + q."""
+    """Q|_r as an exact matrix from degree <= r to degree <= r + q; kept per
+    (Q, r), with the factorizations its solves make."""
     return _from_images(q.n, r, r + q.essential_order().q,
                         lambda alpha: q.apply_delta(DeltaVector.basis(q.n, alpha)))
 
@@ -352,97 +387,212 @@ def _local_rows(rows, rs, cs) -> tuple:
     return tuple(tuple((local[j], a) for j, a in rows[i]) for i in rs)
 
 
-def _rref(rows):
-    """(rows, pivot columns) of the reduced row echelon form, zero rows last:
-    each row is inserted with `reduce_row`, then `clear_above` clears each
-    pivot column above its pivot.  The input rows are left untouched."""
-    echelon, zero_rows = [], []
+class _Factor:
+    """The reduced row echelon form of a matrix given by dense rows, with the
+    row operations that produced it, so that a right-hand side is reduced
+    by replaying them (`substitute`) instead of eliminating again.  Nothing
+    in it is changed once made; it is a slotted class because one is built
+    per block and a frozen dataclass is several times slower to build.  It
+    unpacks as (rows, pivots), fresh lists, like a plain elimination.
+
+    rows: the reduced rows, pivot rows in pivot order, zero rows last;
+    pivots: the pivot column of each pivot row; forward: per reduced input
+    row, (its `reduce_row` log, its pivot or None); back: the `clear_above`
+    log; rest: the input rows met at full column rank, left unreduced.
+    """
+
+    __slots__ = ("width", "rows", "pivots", "forward", "back", "rest")
+
+    def __init__(self, width: int, rows: list, pivots: list, forward: list, back: list,
+                 rest: list):
+        self.width, self.rows, self.pivots = width, rows, pivots
+        self.forward, self.back, self.rest = forward, back, rest
+
+    def __iter__(self):
+        return iter(([list(row) for row in self.rows], list(self.pivots)))
+
+    def substitute(self, rhs: list):
+        """The x with free variables 0 that solves rows x = rhs, or None when
+        there is none: the logged row operations replayed on rhs, O(d^2).
+        rhs is inconsistent when a row that reduced to zero keeps a nonzero
+        entry, or a row met at full column rank does not hold at x; the
+        augmented elimination of [rows | rhs] decides the same."""
+        vals = {}
+        for b, (steps, p) in zip(rhs, self.forward):
+            for q, f in steps:
+                if q is None:
+                    b = b * f
+                elif not vals[q].is_zero():
+                    b = b - f * vals[q]
+            if p is not None:
+                vals[p] = b
+            elif not b.is_zero():
+                return None
+        for p, steps in self.back:
+            b = vals[p]
+            for q, f in steps:
+                if not vals[q].is_zero():
+                    b = b - f * vals[q]
+            vals[p] = b
+        x = [ZERO] * self.width
+        for p in self.pivots:
+            x[p] = vals[p]
+        for row, b in zip(self.rest, rhs[len(self.forward):]):
+            if sum((a * c for a, c in zip(row, x) if not a.is_zero()), ZERO) != b:
+                return None
+        return x
+
+
+def _rref(rows) -> _Factor:
+    """The reduced row echelon form with its row operations: each row is
+    inserted with `reduce_row`, then `clear_above` clears each pivot column
+    above its pivot.  The input rows are left untouched."""
+    echelon, zero_rows, forward, rest, back = [], [], [], [], []
+    width = 0
     for row in rows:
-        if len(echelon) == len(row):  # full column rank: the rest reduce to 0
-            zero_rows.append([ZERO] * len(row))
-        elif reduce_row(echelon, row := list(row)) is None:
+        width = len(row)
+        if len(echelon) == width:  # full column rank: the rest reduce to 0
+            zero_rows.append([ZERO] * width)
+            rest.append(tuple(row))
+            continue
+        steps = []
+        if reduce_row(echelon, row := list(row), log=steps) is None:
             zero_rows.append(row)
-    reduced = clear_above(echelon)
-    return [row for _, row, _ in reduced] + zero_rows, [p for p, _, _ in reduced]
+            forward.append((steps, None))
+        else:
+            forward.append((steps, echelon[-1][0]))
+    reduced = clear_above(echelon, back)
+    return _Factor(width, [row for _, row, _ in reduced] + zero_rows,
+                   [p for p, _, _ in reduced], forward, back, rest)
 
 
-def _kernel_vectors(rr, pivots, cs, ncols: int) -> list:
-    """(free column, kernel vector) pairs, of length ncols, read off the reduced
-    row echelon form of a block on the columns cs (augmented or not)."""
+def _weighted_dot(weights, u, v: list) -> GaussianRational:
+    """(u|v) = sum_j weights[j] conj(u_j) v_j for u given by its nonzero
+    (index, entry) pairs."""
+    return sum((a.conj() * v[j] * weights[j] for j, a in u if not v[j].is_zero()), ZERO)
+
+
+class _Block:
+    """One part (rows rs, columns cs) of a matrix given by its sparse rows.
+
+    Its factorization (`_rref` of the block), its kernel vectors and, for
+    the domain weights D, the factorization of the kernel Gram system
+    K* D K are each made on first use and then kept, so a block that no
+    solve reaches is never eliminated and one that many solves reach is
+    eliminated once.  Vectors are local: entry k belongs to column cs[k].
+    """
+
+    def __init__(self, rows, rs, cs, weights=None):
+        self.rows, self.rs, self.cs, self.weights = rows, rs, cs, weights
+
+    @cached_property
+    def factor(self) -> _Factor:
+        return _rref(_dense(_local_rows(self.rows, self.rs, self.cs), len(self.cs)))
+
+    @cached_property
+    def kernel(self) -> tuple:
+        """(free column, kernel vector) pairs, one per free column, read off
+        the reduced row echelon form; a vector is its nonzero (column,
+        entry) pairs."""
+        rows, pivots = self.factor.rows, self.factor.pivots
+        out = []
+        for fc in sorted(set(range(len(self.cs))) - set(pivots)):
+            vec = [(fc, ONE)]
+            for prow, pcol in enumerate(pivots):
+                if not rows[prow][fc].is_zero():
+                    vec.append((pcol, -rows[prow][fc]))
+            out.append((fc, tuple(vec)))
+        return tuple(out)
+
+    @cached_property
+    def local_weights(self) -> list:
+        return [self.weights[j] for j in self.cs]
+
+    @cached_property
+    def kernel_gram(self) -> _Factor:
+        """The factored Gram system K* D K of the kernel vectors K."""
+        vectors = [k for _, k in self.kernel]
+        dense = _dense(vectors, len(self.cs))
+        return _rref([[_weighted_dot(self.local_weights, k, l) for l in dense] for k in vectors])
+
+    def kernel_part(self, x: list) -> list:
+        """The weighted projection K c of x onto the span of the kernel
+        vectors K, with (K* D K) c = K* D x."""
+        c = self.kernel_gram.substitute([_weighted_dot(self.local_weights, k, x)
+                                         for _, k in self.kernel])
+        out = [ZERO] * len(x)
+        for a, (_, k) in zip(c, self.kernel):
+            if not a.is_zero():
+                for j, b in k:
+                    out[j] = out[j] + a * b
+        return out
+
+
+def _blocks_of(rows, blocks, weights=None) -> tuple:
+    """A `_Block` per (rows, columns) part of the matrix given by sparse rows."""
+    return tuple(_Block(rows, rs, cs, weights) for rs, cs in blocks)
+
+
+def _kernel_of(parts, ncols: int) -> list:
+    """(free column, kernel vector) pairs, vectors of length ncols, one per
+    free column of the parts and in ascending column order.  Each block is
+    reduced on its own; its vectors vanish off its columns and equal those
+    of the reduced row echelon form of the whole matrix."""
     out = []
-    for fc in sorted(set(range(len(cs))) - set(pivots)):
-        vec = [ZERO] * ncols
-        vec[cs[fc]] = ONE
-        for prow, pcol in enumerate(pivots):
-            vec[cs[pcol]] = -rr[prow][fc]
-        out.append((cs[fc], vec))
+    for part in parts:
+        for fc, vec in part.kernel:
+            full = [ZERO] * ncols
+            for j, a in vec:
+                full[part.cs[j]] = a
+            out.append((part.cs[fc], full))
+    out.sort(key=lambda pair: pair[0])
     return out
 
 
 def _kernel(rows, ncols: int, blocks) -> list:
-    """(free column, kernel vector) pairs of the matrix given by sparse rows,
-    one per free column of the given blocks and in ascending column order.
-    Each block is reduced on its own; its vectors vanish off its columns and
-    equal those of the reduced row echelon form of the whole matrix."""
-    out = []
-    for rs, cs in blocks:
-        out += _kernel_vectors(*_rref(_dense(_local_rows(rows, rs, cs), len(cs))), cs, ncols)
-    out.sort(key=lambda pair: pair[0])
-    return out
+    """`_kernel_of` the given blocks of the matrix given by sparse rows."""
+    return _kernel_of(_blocks_of(rows, blocks), ncols)
 
 
 def kernel_basis(m: RestrictionMatrix) -> list:
     """Exact kernel basis as delta vectors in the domain space."""
     dom = m.domain_basis
     return [DeltaVector(m.n, {dom[i]: c for i, c in enumerate(v)})
-            for _, v in _kernel(m.sparse_rows, m.ncols, m.blocks)]
+            for _, v in _kernel_of(m.parts, m.ncols)]
 
 
-def _weighted_dot(weights, u: list, v: list) -> GaussianRational:
-    """(u|v) = sum_j weights[j] conj(u_j) v_j."""
-    return sum((a.conj() * b * d for d, a, b in zip(weights, u, v)
-                if not a.is_zero() and not b.is_zero()), ZERO)
-
-
-def _kernel_part(kernel, weights, x: list) -> list:
-    """The weighted projection K c of x onto the span of the vectors K, with
-    (K* D K) c = K* D x for the weights D."""
-    gram = [[_weighted_dot(weights, k, l) for l in kernel + [x]] for k in kernel]
-    out = [ZERO] * len(x)
-    for row, k in zip(_rref(gram)[0], kernel):
-        out = [a if b.is_zero() else a + row[-1] * b for a, b in zip(out, k)]
-    return out
+def _solve(parts, rhs, ncols: int, project: bool = False):
+    """(x, inconsistent blocks) for M x = rhs, block by block: each block
+    with a nonzero part of rhs is solved on its own, free variables 0, by
+    substitution into its kept factorization.  With project, x then loses
+    its weighted projection onto each block's kernel."""
+    x = [ZERO] * ncols
+    bad = []
+    for part in parts:
+        local = [rhs[i] for i in part.rs]
+        if all(b.is_zero() for b in local):
+            continue
+        y = part.factor.substitute(local)
+        if y is None:
+            bad.append((part.rs, part.cs))
+            continue
+        if project and part.kernel:
+            y = [a if b.is_zero() else a - b for a, b in zip(y, part.kernel_part(y))]
+        for j, a in zip(part.cs, y):
+            x[j] = a
+    return x, bad
 
 
 def _solve_blocks(rows, rhs, ncols: int, blocks, weights=None):
-    """(x, inconsistent blocks) for M x = rhs with M given by sparse rows,
-    block by block: each block with a nonzero part of rhs is solved on its
-    own, free variables are 0.  Given the alpha! weights of the domain, x
-    then loses its projection onto each block's kernel basis, read off the
-    same reduced row echelon form."""
-    x = [ZERO] * ncols
-    bad = []
-    for rs, cs in blocks:
-        if all(rhs[i].is_zero() for i in rs):
-            continue
-        block = _dense(_local_rows(rows, rs, cs), len(cs))
-        rr, pivots = _rref([row + [rhs[i]] for row, i in zip(block, rs)])
-        if pivots and pivots[-1] == len(cs):
-            bad.append((rs, cs))  # pivot in the augmented column
-            continue
-        for prow, pcol in enumerate(pivots):
-            x[cs[pcol]] = rr[prow][-1]
-        if weights is not None:
-            kernel = [k for _, k in _kernel_vectors(rr, pivots, cs, ncols)]
-            x = [a if b.is_zero() else a - b for a, b in zip(x, _kernel_part(kernel, weights, x))]
-    return x, bad
+    """`_solve` for the matrix given by sparse rows, its blocks factored for
+    this call only; given the domain weights, x loses its kernel part."""
+    return _solve(_blocks_of(rows, blocks, weights), rhs, ncols, weights is not None)
 
 
 def _min_norm_solve(m: RestrictionMatrix, rhs: list) -> list:
     """The x of least weighted norm with M x = rhs, for rhs in Ran M; the
     blocks' kernels are orthogonal, so per-block projections suffice."""
-    x, bad = _solve_blocks(m.sparse_rows, rhs, m.ncols, m.blocks,
-                           [mi_factorial(alpha) for alpha in m.domain_basis])
+    x, bad = _solve(m.parts, rhs, m.ncols, project=True)
     if bad:
         raise AssertionError("minimum-norm solve of an inconsistent system")
     return x
@@ -470,7 +620,7 @@ def range_membership(m: RestrictionMatrix, w: DeltaVector) -> RangeDecision:
         raise DimensionMismatch("target degree exceeds the codomain order")
     if w.n != m.n:
         raise DimensionMismatch("target dimension does not match the matrix")
-    x, bad = _solve_blocks(m.sparse_rows, rhs, m.ncols, m.blocks)
+    x, bad = _solve(m.parts, rhs, m.ncols)
     if not bad:
         dom = m.domain_basis
         pre = DeltaVector(m.n, {dom[i]: c for i, c in enumerate(x)})
@@ -576,8 +726,10 @@ def minimal_polynomial(m: RestrictionMatrix) -> ExactPolynomial:
     return result
 
 
+@lru_cache(maxsize=GRAM_CACHE)
 def gram_matrices(q: OperatorExpr, r: int):
-    """(A, A*, B) for A = Q|_r, its adjoint A* and the Gram matrix B = A* A."""
+    """(A, A*, B) for A = Q|_r, its adjoint A* and the Gram matrix B = A* A;
+    kept per (Q, r), with the factorizations their solves make."""
     a = restrict(q, r)
     astar = a.gram_adjoint()
     return a, astar, astar.matmul(a)
@@ -616,15 +768,18 @@ def projection_polynomial(q: OperatorExpr, r: int) -> ExactPolynomial:
 def kernel_projector(m: RestrictionMatrix) -> RestrictionMatrix:
     """The orthogonal projection K (K* D K)^-1 K* D onto ker M, for its kernel
     basis K and the alpha! weights D, per block (the blocks' kernels are
-    orthogonal) and column by column."""
+    orthogonal) and column by column, from each block's kept K* D K."""
     d = m.ncols
-    weights = [mi_factorial(alpha) for alpha in m.domain_basis]
-    cols = [None] * d
-    for block in m.blocks:
-        kernel = [k for _, k in _kernel(m.sparse_rows, d, [block])]
-        for j in block[1]:
-            cols[j] = _kernel_part(kernel, weights, [ONE if i == j else ZERO for i in range(d)])
-    return RestrictionMatrix(m.n, m.r_domain, m.r_domain, _transpose(_sparse(cols), d))
+    cols = [()] * d
+    for part in m.parts:
+        if not part.kernel:
+            continue
+        for k, j in enumerate(part.cs):
+            unit = [ZERO] * len(part.cs)
+            unit[k] = ONE
+            cols[j] = tuple((i, a) for i, a in zip(part.cs, part.kernel_part(unit))
+                            if not a.is_zero())
+    return RestrictionMatrix(m.n, m.r_domain, m.r_domain, _transpose(cols, d))
 
 
 def projector_onto_kernel(q: OperatorExpr, r: int) -> RestrictionMatrix:

@@ -220,7 +220,10 @@ class TestEliminationMatchesDense:
 
     def test_elimination_sees_blocks_only(self, monkeypatch):
         # restrict(box(1), 3) at n = 4 is 126 x 35 in 16 parts, the largest
-        # with 15 rows; the dense route reduced all 126 (and A*'s 35) rows
+        # with 15 rows; the dense route reduced all 126 (and A*'s 35) rows.
+        # Kept matrices keep their factorizations: start from empty tables
+        restrict.cache_clear()
+        gram_matrices.cache_clear()
         heights = []
         original = spectral._rref
 

@@ -137,7 +137,8 @@ def test_real_and_complex_paths_match_a_fraction_pair_reference():
         return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
 
     for _ in range(400):
-        # real-only pairs take the fast path, the others the complex one
+        # about half the operands are real; real and complex ones run the
+        # same integer-triple arithmetic and must both match the reference
         a = GaussianRational(part(), part() if rng.random() < 0.5 else 0)
         b = GaussianRational(part(), part() if rng.random() < 0.5 else 0)
         ra, rb = _ref(a), _ref(b)
