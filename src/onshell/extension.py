@@ -16,7 +16,7 @@ The counterterm is one linear map of the residue, so its matrices are
 built once per (Q, r): `onshell_correction` takes A, A* and B from
 `spectral.gram_matrices`, `existence_check` and `apply_counterterm` take
 Q|_r from `spectral.restrict`, both bounded `functools.lru_cache` tables
-keyed by (Q, r) (RESTRICT_CACHE = 32 and GRAM_CACHE = 16 entries), and
+keyed by (Q, r) (RESTRICT_CACHE = 12 and GRAM_CACHE = 14 entries), and
 each block of a kept matrix is eliminated once however many residues are
 solved against it.  A record's later residues of one (Q, r) cost a
 substitution per block.
@@ -162,7 +162,10 @@ def onshell_correction(rec: ExtensionRecord, q: OperatorExpr) -> DeltaVector:
 
 def apply_counterterm(rec: ExtensionRecord, v: DeltaVector) -> ExtensionRecord:
     """u' -> u' + v: every registered residue moves by the image Q|_r v of v,
-    through the kept matrix of `restrict`."""
+    through the kept matrix of `restrict`.  This assumes each residue's
+    (Q, r) was restricted recently, as after its `onshell_correction`; for
+    one that was not, the first call builds Q|_r, one `apply_delta` per
+    domain basis vector instead of one in all."""
     if v.degree() > rec.r:
         raise DegreeOverflow("counterterm degree exceeds the record degree")
     return ExtensionRecord(rec.n, rec.r,

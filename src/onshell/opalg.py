@@ -249,8 +249,12 @@ class OperatorExpr:
     def __eq__(self, other) -> bool:
         return isinstance(other, OperatorExpr) and self._key == other._key
 
-    def __hash__(self) -> int:
+    @cached_property
+    def _hash(self) -> int:
         return hash(self._key)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -42,13 +42,20 @@ system K* D K on first use, so `_min_norm_solve`, `range_membership`,
 `kernel_basis` and `kernel_projector` share one elimination per block and
 a block no solve reaches is never eliminated.  `restrict` and
 `gram_matrices` are `functools.lru_cache` tables keyed by (Q, r) (an
-`OperatorExpr` hashes by its canonical key), bounded at RESTRICT_CACHE = 32
-and GRAM_CACHE = 16 entries, so the counterterms of one (Q, r) build its
-matrices and factor each block once however many residues they are asked
-for.  Cached matrices are shared: they are frozen, their rows are tuples,
-and what they cache is a function of the matrix alone and never changed
-once made.  `restrict.cache_clear()` and `gram_matrices.cache_clear()`
-empty the tables.
+`OperatorExpr` hashes by its canonical key, hashed once), bounded at
+RESTRICT_CACHE = 12 and GRAM_CACHE = 14 entries, so the counterterms of one
+(Q, r) build its matrices and factor each block once however many residues
+they are asked for.  The bounds are the longest reuse measured: in the
+benchmark's counterterm workload, whose Casimir and commuting-family queries
+come back to earlier (Q, r), every repeat hits with 12 restriction and 14
+Gram entries, and one CLI command needs at most 7 restriction entries
+(`casimir-check` and `renorm --lorentz` at n = 4) and repeats no Gram
+triple.  Larger tables only keep more unused matrices alive, and on fresh
+operators the kept entries already cost garbage-collector time.  Cached
+matrices are shared: they are frozen, their rows are tuples, and what they
+cache is a function of the matrix alone and never changed once made.
+`restrict.cache_clear()` and `gram_matrices.cache_clear()` empty the
+tables.
 """
 
 from __future__ import annotations
@@ -72,9 +79,9 @@ from .deltaspace import (
 from .opalg import OperatorExpr
 
 
-# bounds of the per-(Q, r) tables of `restrict` and `gram_matrices`
-RESTRICT_CACHE = 32
-GRAM_CACHE = 16
+# bounds of the per-(Q, r) tables of `restrict` and `gram_matrices`; see above
+RESTRICT_CACHE = 12
+GRAM_CACHE = 14
 
 
 class NonSquareMatrixError(ValueError):
@@ -220,11 +227,10 @@ class RestrictionMatrix:
 
     @cached_property
     def parts(self) -> tuple:
-        """Per part of `blocks`, a `_Block` with the alpha! weights of the
-        domain: its factorization, kernel and kernel Gram system are made
-        on first use and kept with the matrix."""
-        return _blocks_of(self.sparse_rows, self.blocks,
-                          [mi_factorial(alpha) for alpha in self.domain_basis])
+        """Per part of `blocks`, a `_Block` over the domain basis: its
+        factorization, kernel, alpha! weights and kernel Gram system are
+        made on first use and kept with the matrix."""
+        return _blocks_of(self.sparse_rows, self.blocks, self.domain_basis)
 
     @cached_property
     def block_minimal_polynomials(self) -> tuple:
@@ -395,21 +401,22 @@ class _Factor:
     per block and a frozen dataclass is several times slower to build.  It
     unpacks as (rows, pivots), fresh lists, like a plain elimination.
 
-    rows: the reduced rows, pivot rows in pivot order, zero rows last;
+    entries: the reduced rows, pivot rows in pivot order, zero rows last
+    (named like a matrix's dense rows, which `perfbench/tracing.py` sizes);
     pivots: the pivot column of each pivot row; forward: per reduced input
     row, (its `reduce_row` log, its pivot or None); back: the `clear_above`
     log; rest: the input rows met at full column rank, left unreduced.
     """
 
-    __slots__ = ("width", "rows", "pivots", "forward", "back", "rest")
+    __slots__ = ("width", "entries", "pivots", "forward", "back", "rest")
 
-    def __init__(self, width: int, rows: list, pivots: list, forward: list, back: list,
+    def __init__(self, width: int, entries: list, pivots: list, forward: list, back: list,
                  rest: list):
-        self.width, self.rows, self.pivots = width, rows, pivots
+        self.width, self.entries, self.pivots = width, entries, pivots
         self.forward, self.back, self.rest = forward, back, rest
 
     def __iter__(self):
-        return iter(([list(row) for row in self.rows], list(self.pivots)))
+        return iter(([list(row) for row in self.entries], list(self.pivots)))
 
     def substitute(self, rhs: list):
         """The x with free variables 0 that solves rows x = rhs, or None when
@@ -475,15 +482,16 @@ def _weighted_dot(weights, u, v: list) -> GaussianRational:
 class _Block:
     """One part (rows rs, columns cs) of a matrix given by its sparse rows.
 
-    Its factorization (`_rref` of the block), its kernel vectors and, for
-    the domain weights D, the factorization of the kernel Gram system
-    K* D K are each made on first use and then kept, so a block that no
-    solve reaches is never eliminated and one that many solves reach is
-    eliminated once.  Vectors are local: entry k belongs to column cs[k].
+    Its factorization (`_rref` of the block), its kernel vectors and, given
+    the domain basis, the alpha! weights D of its columns and the
+    factorization of the kernel Gram system K* D K are each made on first
+    use and then kept, so a block that no solve reaches is never eliminated
+    and one that many solves reach is eliminated once.  Vectors are local:
+    entry k belongs to column cs[k].
     """
 
-    def __init__(self, rows, rs, cs, weights=None):
-        self.rows, self.rs, self.cs, self.weights = rows, rs, cs, weights
+    def __init__(self, rows, rs, cs, basis=None):
+        self.rows, self.rs, self.cs, self.basis = rows, rs, cs, basis
 
     @cached_property
     def factor(self) -> _Factor:
@@ -494,7 +502,7 @@ class _Block:
         """(free column, kernel vector) pairs, one per free column, read off
         the reduced row echelon form; a vector is its nonzero (column,
         entry) pairs."""
-        rows, pivots = self.factor.rows, self.factor.pivots
+        rows, pivots = self.factor.entries, self.factor.pivots
         out = []
         for fc in sorted(set(range(len(self.cs))) - set(pivots)):
             vec = [(fc, ONE)]
@@ -506,7 +514,7 @@ class _Block:
 
     @cached_property
     def local_weights(self) -> list:
-        return [self.weights[j] for j in self.cs]
+        return [mi_factorial(self.basis[j]) for j in self.cs]
 
     @cached_property
     def kernel_gram(self) -> _Factor:
@@ -528,9 +536,10 @@ class _Block:
         return out
 
 
-def _blocks_of(rows, blocks, weights=None) -> tuple:
-    """A `_Block` per (rows, columns) part of the matrix given by sparse rows."""
-    return tuple(_Block(rows, rs, cs, weights) for rs, cs in blocks)
+def _blocks_of(rows, blocks, basis=None) -> tuple:
+    """A `_Block` per (rows, columns) part of the matrix given by sparse rows
+    and, when given, its domain basis."""
+    return tuple(_Block(rows, rs, cs, basis) for rs, cs in blocks)
 
 
 def _kernel_of(parts, ncols: int) -> list:
@@ -583,10 +592,10 @@ def _solve(parts, rhs, ncols: int, project: bool = False):
     return x, bad
 
 
-def _solve_blocks(rows, rhs, ncols: int, blocks, weights=None):
+def _solve_blocks(rows, rhs, ncols: int, blocks):
     """`_solve` for the matrix given by sparse rows, its blocks factored for
-    this call only; given the domain weights, x loses its kernel part."""
-    return _solve(_blocks_of(rows, blocks, weights), rhs, ncols, weights is not None)
+    this call only."""
+    return _solve(_blocks_of(rows, blocks), rhs, ncols)
 
 
 def _min_norm_solve(m: RestrictionMatrix, rhs: list) -> list:
