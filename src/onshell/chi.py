@@ -5,15 +5,20 @@ deg v = -2, every constant-coefficient monomial S gets a counterterm that
 moves S v to its on-shell compatible version.  Two independent routes are
 provided and cross-validated:
 
-* the projection route: exact spectral decomposition of S delta into
-  trace components box^j h_j (h_j annihilated by multiplication with
-  x_mu x^mu), evaluated at box -> -m^2.  The components are eigenvectors
-  of the operator (x_mu x^mu) o box with known exact rational eigenvalues,
-  so the split is a Lagrange-interpolated projection, all in exact
-  arithmetic.  For m = 0 this is identically the projection-polynomial
-  construction p_s((box|_s)* box) applied to S v (asserted in the tests);
-  for m != 0 that literal construction breaks its own degree bound and the
-  trace evaluation is the correct continuation (see tests and the ledger).
+* the projection route: the exact trace (Fischer) split
+  S delta = sum_j box^j H_j delta, with H_j delta annihilated by
+  multiplication with x_mu x^mu, evaluated at box -> -m^2:
+  chi(S) = sum_j (-m^2)^j H_j.  The components are eigenvectors of the
+  operator (x_mu x^mu) o box with known exact rational eigenvalues, so the
+  split is a Lagrange-interpolated projection, all in exact arithmetic.
+  The quotient chi1(S), with chi(S) = S + chi1(S)(box + m^2), is
+  -sum_i box^i K_i with K_i = H_(i+1) + (-m^2) K_(i+1); chi1(S) delta is
+  formed by Horner in box, each step an exponent shift of delta
+  derivatives, with no operator product.  For m = 0 this is identically the
+  projection-polynomial construction p_s((box|_s)* box) applied to S v
+  (asserted in the tests); for m != 0 that literal construction breaks its
+  own degree bound and the trace evaluation is the correct continuation
+  (see tests and the ledger).
 
 * the explicit route: the closed combinatorial formula with pair
   contractions and the alpha coefficients.
@@ -21,12 +26,21 @@ provided and cross-validated:
 The j = 0 coefficient of the explicit formula is taken to be 1 (the bare
 monomial); the crosscheck validates this reading.
 
-The fixed operators of a configuration are built once, in bounded
-`functools.lru_cache` tables keyed by the hashable `FeynmanConfig`: `box`
-and `klein_gordon` (CONFIG_CACHE = 64 configurations), the powers box^j
-(POWER_CACHE = 1024 entries, each one product from the last), which both the
-geometric factors of the spectral route and the alpha coefficients read, and
-alpha_j^k (ALPHA_CACHE = 1024 entries, per (j, k, configuration)).  Cached
+Both maps are linear, and the projection route depends on S only through
+its coefficients on the commuting monomials d^gamma, so it keeps one exact
+image (chi, chi1) per (configuration, exponent) in a bounded
+`functools.lru_cache` table (`_basis_chi`, BASIS_CACHE = 4096 entries),
+each checked once when it is made, by the same shifts:
+chi delta = S delta + (box + m^2) chi1 delta, else `AssertionError`.  The
+image of S = sum_gamma c_gamma d^gamma is sum_gamma c_gamma (the image of
+d^gamma), and a single monomial with coefficient 1 gets the kept operators
+themselves.  The split of each basis vector delta^(alpha) is kept per
+metric (`_basis_split`, also at most 4096 entries).  The other fixed
+operators of a configuration are built once, in tables keyed by the
+hashable `FeynmanConfig`: `box` and `klein_gordon` (CONFIG_CACHE = 64
+configurations), the powers box^j (POWER_CACHE = 1024 entries, each one
+product from the last) and alpha_j^k (ALPHA_CACHE = 1024 entries, per
+(j, k, configuration)), which only the explicit route reads.  Cached
 operators are shared, so no caller may mutate their `coeffs`.
 """
 
@@ -39,13 +53,14 @@ from functools import lru_cache
 from itertools import product
 
 from .scalar import GaussianRational, ZERO, ONE, rational
-from .deltaspace import DeltaVector, DimensionMismatch, SparseMap, mi_order
+from .deltaspace import DeltaVector, DimensionMismatch, SparseMap, mi_add, mi_order
 from .extension import ExtensionRecord, onshell_correction
 from .opalg import check_signature, dalembert, default_signature
 
 CONFIG_CACHE = 64
 POWER_CACHE = 1024
 ALPHA_CACHE = 1024
+BASIS_CACHE = 4096
 
 
 @dataclass(frozen=True)
@@ -66,7 +81,8 @@ class FeynmanConfig:
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
         object.__setattr__(self, "signature", check_signature(self.n, self.signature))
-        object.__setattr__(self, "m2", Fraction(self.m2))
+        if self.m2.__class__ is not Fraction:
+            object.__setattr__(self, "m2", Fraction(self.m2))
 
 
 @dataclass(frozen=True)
@@ -186,7 +202,7 @@ def _descend_factor(n: int, d: int, i: int) -> int:
 
 
 def _box_delta(signature: tuple, v: dict) -> dict:
-    """box delta^(a) = sum_mu g_(mu mu) delta^(a + 2 e_mu), on {a: int}."""
+    """box delta^(a) = sum_mu g_(mu mu) delta^(a + 2 e_mu), on {a: int} or {a: scalar}."""
     out: dict = {}
     for alpha, c in v.items():
         for mu, g in enumerate(signature):
@@ -207,7 +223,7 @@ def _interval_delta(signature: tuple, v: dict) -> dict:
     return out
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=BASIS_CACHE)
 def _basis_split(signature: tuple, alpha: tuple) -> tuple:
     """The split of one basis vector delta^(alpha): ((j, ((beta, h_j[beta]), ...)), ...).
 
@@ -215,23 +231,29 @@ def _basis_split(signature: tuple, alpha: tuple) -> tuple:
     serves every mass and every coefficient.  Integer coefficients are kept
     until the end: the Lagrange numerators and the descent by (x.x)^j are
     exact integer maps, and the common denominator is divided out once, into
-    scalar factors.
+    scalar factors.  M = (x.x) o box runs once per Krylov vector
+    M^p delta^(alpha), p <= k/2, and each Lagrange numerator
+    prod_(i != j) (M - lam_i) delta^(alpha) is an integer combination of them.
     """
     n = len(signature)
     k = sum(alpha)
     lams = [_trace_eigenvalue(n, k, j) for j in range(k // 2 + 1)]
+    krylov = [{alpha: 1}]
+    for _ in lams[1:]:
+        krylov.append(_interval_delta(signature, _box_delta(signature, krylov[-1])))
     out = []
-    for j in range(k // 2 + 1):
-        comp = {alpha: 1}
+    for j, lam_j in enumerate(lams):
+        poly = [1]  # prod_(i != j) (z - lam_i), lowest power first
         denom = 1
         for i, lam in enumerate(lams):
-            if i == j:
-                continue
-            mc = _interval_delta(signature, _box_delta(signature, comp))
-            for beta, c in comp.items():
-                mc[beta] = mc.get(beta, 0) - lam * c
-            comp = {beta: c for beta, c in mc.items() if c}
-            denom *= lams[j] - lam
+            if i != j:
+                poly = [a - lam * b for a, b in zip([0] + poly, poly + [0])]
+                denom *= lam_j - lam
+        comp: dict = {}
+        for coef, vec in zip(poly, krylov):
+            for beta, c in vec.items():
+                comp[beta] = comp.get(beta, 0) + coef * c
+        comp = {beta: c for beta, c in comp.items() if c}
         for i in range(j, 0, -1):
             comp = _interval_delta(signature, comp)
             denom *= _descend_factor(n, k - 2 * j, i)
@@ -269,22 +291,75 @@ def harmonic_components(config: FeynmanConfig, w: DeltaVector) -> dict:
     return out
 
 
-def _chi1(config: FeynmanConfig, s_op: ConstCoeffOperator) -> ConstCoeffOperator:
-    """chi1(S), the quotient of S by (box + m^2), from the trace split
-    S delta = sum_j box^j H_j delta (H_j trace free), or 0 when
-    order(S) + deg_v < 0: chi1(S) = -sum_(j>=1) H_j g_j with
-    g_j = sum_(i<j) (-m^2)^(j-1-i) box^i, so g_(j+1) = (-m^2) g_j + box^j."""
-    chi1 = ConstCoeffOperator.zero(config)
-    if s_op.order() + config.deg_v < 0:
-        return chi1
-    comps = harmonic_components(config, s_op.apply_to_delta())
+def _add_scaled(acc: dict, coeffs: dict, c) -> None:
+    """acc += c * coeffs on {exponent: scalar}; c = ONE adds coeffs as they are."""
+    for a, x in coeffs.items():
+        if c is not ONE:
+            x = x * c
+        acc[a] = acc[a] + x if a in acc else x
+
+
+@lru_cache(maxsize=BASIS_CACHE)
+def _basis_chi(config: FeynmanConfig, gamma: tuple) -> tuple:
+    """(chi, chi1) of the monomial S = d^gamma from its trace split
+    S delta = sum_j box^j H_j delta (H_j delta trace free), before the
+    order(S) + deg_v threshold, which callers apply to the whole of S.
+
+    chi = sum_j (-m^2)^j H_j is the split evaluated at box -> -m^2, and
+    chi1 = -sum_i box^i K_i with K_i = H_(i+1) + (-m^2) K_(i+1), so that
+    S - chi = sum_j H_j (box^j - (-m^2)^j) = -chi1 (box + m^2).  chi1 delta
+    is formed by Horner in box, each step one `_box_delta` exponent shift,
+    and every entry is checked exactly by the same shifts:
+    chi delta = S delta + (box + m^2) chi1 delta.  The operators are shared,
+    so no caller may mutate their `coeffs`.
+    """
+    sig = config.signature
+    comps = harmonic_components(config, DeltaVector(config.n, {gamma: ONE}))
+    top = max(comps, default=0)
     mm = GaussianRational.of(-config.m2)
-    geom = ConstCoeffOperator.zero(config)
-    for j in range(1, max(comps, default=0) + 1):
-        geom = geom.scale(mm) + _box_power(config, j - 1)
+    chi: dict = {}
+    power = ONE
+    for j in range(top + 1):
         if j in comps:
-            chi1 = chi1 - ConstCoeffOperator.from_delta_vector(config, comps[j]) * geom
-    return chi1
+            _add_scaled(chi, comps[j].coeffs, power)
+        power = power * mm
+    k_i: dict = {}
+    horner: dict = {}
+    for i in range(top - 1, -1, -1):
+        k_i = {a: x * mm for a, x in k_i.items()}
+        if i + 1 in comps:
+            _add_scaled(k_i, comps[i + 1].coeffs, ONE)
+        horner = _box_delta(sig, horner)
+        _add_scaled(horner, k_i, ONE)
+    chi1 = {a: -x for a, x in horner.items() if x}
+    # exact self-check: chi delta - S delta = (box + m^2) chi1 delta
+    lhs = dict(chi)
+    lhs[gamma] = lhs[gamma] - ONE if gamma in lhs else -ONE
+    rhs = _box_delta(sig, chi1)
+    _add_scaled(rhs, chi1, GaussianRational.of(config.m2))
+    if {a: x for a, x in lhs.items() if x} != {a: x for a, x in rhs.items() if x}:
+        raise AssertionError("spectral chi contract violated: chi != S + chi1 (box + m^2)")
+    return ConstCoeffOperator(config, chi), ConstCoeffOperator(config, chi1)
+
+
+def _chi_pair(config: FeynmanConfig, s_op: ConstCoeffOperator) -> tuple:
+    """(chi, chi1) of S = sum_gamma c_gamma d^gamma: (S, 0) when
+    order(S) + deg_v < 0, else sum_gamma c_gamma (the images of d^gamma), one
+    dict per result.  A single term with coefficient 1 returns the kept
+    images themselves."""
+    if s_op.order() + config.deg_v < 0:
+        return s_op, ConstCoeffOperator.zero(config)
+    if len(s_op.coeffs) == 1:
+        (gamma, c), = s_op.coeffs.items()
+        if c == ONE:
+            return _basis_chi(config, gamma)
+    chi: dict = {}
+    chi1: dict = {}
+    for gamma, c in s_op.coeffs.items():
+        b_chi, b_chi1 = _basis_chi(config, gamma)
+        _add_scaled(chi, b_chi.coeffs, c)
+        _add_scaled(chi1, b_chi1.coeffs, c)
+    return ConstCoeffOperator(config, chi), ConstCoeffOperator(config, chi1)
 
 
 def theta_counterterm(s_op: ConstCoeffOperator, c, config: FeynmanConfig = None, *,
@@ -295,26 +370,28 @@ def theta_counterterm(s_op: ConstCoeffOperator, c, config: FeynmanConfig = None,
     the threshold); otherwise c * chi1(S) delta, so that adding it to S v
     realizes the on-shell counterterm, with theta(S (box+m^2)) = 0 exactly.
     A `chi1` already in hand (`chi_projection(S, ...).chi1`) is used as
-    chi1(S), so the trace split is not run again.
+    chi1(S), so the table is not read again.
     """
     if chi1 is None:
-        chi1 = _chi1(config or s_op.config, s_op)
+        chi1 = _chi_pair(config or s_op.config, s_op)[1]
     return chi1.apply_to_delta().scale(GaussianRational.of(c))
 
 
 def chi_projection(s_op: ConstCoeffOperator, c=ONE, config: FeynmanConfig = None) -> ChiResult:
-    """chi and chi1 via the spectral route: chi1(S) is the operator X with
-    X delta = c^(-1) * theta_counterterm(S, c), for any c != 0 (checked
-    exactly in the tests), and chi(S) = S + chi1(S)(box+m^2).
+    """chi and chi1 via the spectral route, with chi(S) = S + chi1(S)(box+m^2)
+    and chi1(S) the operator X with X delta = c^(-1) * theta_counterterm(S, c)
+    for any c != 0 (checked exactly in the tests).
     """
     config = config or s_op.config
     if GaussianRational.of(c).is_zero():
         raise ValueError("the normalization constant c must be nonzero")
-    chi1 = _chi1(config, s_op)
-    chi = s_op + chi1 * ConstCoeffOperator.klein_gordon(config)
-    if chi.order() > s_op.order():
+    if s_op.space() != config:
+        raise DimensionMismatch("the operator's configuration does not match the given one")
+    chi, chi1 = _chi_pair(config, s_op)
+    order = s_op.order()
+    if chi.order() > order:
         raise AssertionError("order bound violated by the spectral route")
-    return ChiResult(chi, chi1, s_op.order() + config.deg_v)
+    return ChiResult(chi, chi1, order + config.deg_v)
 
 
 def counterterm_level_projection(s_op: ConstCoeffOperator, c, level: int,
@@ -347,13 +424,13 @@ def lambda_contraction(indices, signature) -> list:
     for mu in idx:
         if not 0 <= mu < n:
             raise ValueError(f"index {mu} out of range for dimension {n}")
+    weight = [GaussianRational.of(g) for g in sig]
     out = []
     k = len(idx)
     for i in range(k):
         for j in range(i + 1, k):
-            w = GaussianRational.of(sig[idx[i]]) if idx[i] == idx[j] else ZERO
-            reduced = tuple(idx[t] for t in range(k) if t not in (i, j))
-            out.append((w, reduced))
+            w = weight[idx[i]] if idx[i] == idx[j] else ZERO
+            out.append((w, idx[:i] + idx[i + 1:j] + idx[j + 1:]))
     return out
 
 
@@ -393,33 +470,45 @@ def chi_explicit(indices, n: int, m2, signature=None) -> ConstCoeffOperator:
     """chi on a concrete derivative monomial via the closed formula
     sum_j alpha_j^k (1/j!) Lambda^j (d_(mu_1) ... d_(mu_k)).
 
-    Lambda^j is applied level by level.  A monomial depends only on its
-    index multiset, so each level keeps one weight per reduced multiset (a
-    sorted index tuple): the exact sum over every ordered sequence of j pair
-    contractions, gathered into fewer terms.  The first level contracts the
-    indices in the order given.
+    Lambda^j is applied level by level, with one weight per reduced
+    monomial (an exponent): the exact sum over every ordered sequence of j
+    pair contractions, gathered into fewer terms.  The first level contracts
+    the indices in the order given (`lambda_contraction`); a later level
+    contracts by index counts, as a monomial depends only on them: exponent
+    c goes to c - 2 e_mu with weight g_(mu mu) C(c_mu, 2).  The total is one
+    exponent dict, and alpha_j^k times the level-j weights / j! is added into
+    it by exponent shifts.
     """
     config = FeynmanConfig(n, signature if signature is not None else default_signature(n), m2)
     sig = config.signature
     idx = tuple(indices)
     k = len(idx)
-    total = ConstCoeffOperator.monomial(config, idx)
-    level = {idx: ONE}
-    for j in range(1, k // 2 + 1):
+    total = {_exponent(n, idx): ONE}
+    level: dict = {}
+    for w, reduced in lambda_contraction(idx, sig):
+        if w:
+            key = _exponent(n, reduced)
+            level[key] = level[key] + w if key in level else w
+    j = 1
+    while level:
+        alpha = alpha_coefficient(j, k, n, config.m2, sig).coeffs
+        inv = rational(1, math.factorial(j))
+        for rest, w in level.items():
+            f = w * inv
+            for a, x in alpha.items():
+                key = mi_add(a, rest)
+                y = x * f
+                total[key] = total[key] + y if key in total else y
         nxt: dict = {}
         for rest, w in level.items():
-            for w2, reduced in lambda_contraction(rest, sig):
-                if w2:
-                    key = tuple(sorted(reduced))
-                    x = w * w2
+            for mu, c in enumerate(rest):
+                if c >= 2:
+                    key = rest[:mu] + (c - 2,) + rest[mu + 1:]
+                    x = w * (sig[mu] * c * (c - 1) // 2)
                     nxt[key] = nxt[key] + x if key in nxt else x
         level = nxt
-        if not level:
-            break
-        pj = ConstCoeffOperator(config, {_exponent(n, rest): w for rest, w in level.items()})
-        total = total + alpha_coefficient(j, k, n, config.m2, sig) * pj.scale(
-            Fraction(1, math.factorial(j)))
-    return total
+        j += 1
+    return ConstCoeffOperator(config, total)
 
 
 # ---------------------------------------------------------------------------

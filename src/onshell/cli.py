@@ -15,7 +15,10 @@ subcommand takes exactly the residues it uses.
 
 Exit codes: 0 success, 1 usage or syntax errors, 2 mathematical "no"
 (non-existence, hypothesis failure, route mismatch) with a machine-readable
-certificate.
+certificate, 3 contract violated: one of the engine's exact self-checks
+failed (an `AssertionError`), reported as one line
+`onshell: contract violated: ...` on stderr, with no traceback and no
+output on stdout.
 """
 
 from __future__ import annotations
@@ -987,6 +990,10 @@ def main(argv=None) -> int:
     except (OperatorSyntaxError, ValueError, KeyError, ZeroDivisionError) as exc:
         print(f"onshell: error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        # an exact self-check failed: the engine, not the input, is at fault
+        print(f"onshell: contract violated: {' '.join(str(exc).split())}", file=sys.stderr)
+        return 3
     _emit(payload, args.as_text)
     return _status_exit(payload)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add
 
 from .scalar import GaussianRational, ZERO, ONE
 
@@ -51,7 +52,7 @@ def mi_factorial(alpha: MultiIndex) -> int:
 
 
 def mi_add(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
-    return tuple(a + b for a, b in zip(alpha, beta))
+    return tuple(map(add, alpha, beta))
 
 
 def mi_leq(beta: MultiIndex, alpha: MultiIndex) -> bool:

@@ -286,6 +286,12 @@ class RestrictionMatrix:
                                  _transpose(cols, self.ncols))
 
     def is_normal(self) -> bool:
+        """M M* = M* M for the weighted scalar products; decided once per
+        matrix, and only the answer is kept, not the adjoint."""
+        return self._normal
+
+    @cached_property
+    def _normal(self) -> bool:
         if not self.is_square() or self.r_domain != self.r_codomain:
             return False
         adj = self.gram_adjoint()

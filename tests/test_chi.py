@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from onshell.scalar import GaussianRational, I, ONE, ZERO
-from onshell.deltaspace import DegreeOverflow, DeltaVector
+from onshell.deltaspace import DegreeOverflow, DeltaVector, DimensionMismatch
 from onshell.opalg import OperatorExpr, dalembert, default_signature, squared_interval
 from onshell import chi as chi_mod
 from onshell.chi import (
@@ -130,6 +130,79 @@ class TestChiProjection:
                 total = total + chi_projection(s, ONE, cfg).chi.scale(cfg.signature[mu])
             want = ConstCoeffOperator.one(cfg).scale(-cfg.m2)
             assert total.coeffs == want.coeffs
+
+
+def _product_chi1(config, s_op):
+    """chi1(S) = -sum_j H_j g_j with g_j = sum_(i<j) (-m^2)^(j-1-i) box^i,
+    built from operator products and box powers, as the oracle."""
+    chi1 = ConstCoeffOperator.zero(config)
+    if s_op.order() + config.deg_v < 0:
+        return chi1
+    mm = GaussianRational.of(-config.m2)
+    for j, h in harmonic_components(config, s_op.apply_to_delta()).items():
+        g = ConstCoeffOperator.zero(config)
+        for i in range(j):
+            g = g + chi_mod._box_power(config, i).scale(mm ** (j - 1 - i))
+        chi1 = chi1 - ConstCoeffOperator.from_delta_vector(config, h) * g
+    return chi1
+
+
+class TestSpectralRouteOracle:
+    """The (configuration, exponent) table against the product formula on
+    seeded multi-term operators with complex coefficients, order <= 6."""
+
+    @staticmethod
+    def _seeded_operator(rng, config):
+        coeffs = {}
+        for _ in range(rng.randint(1, 4)):
+            alpha = [0] * config.n
+            for _ in range(rng.randint(0, 6)):
+                alpha[rng.randrange(config.n)] += 1
+            coeffs[tuple(alpha)] = GaussianRational(
+                Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        return ConstCoeffOperator(config, coeffs)
+
+    @pytest.mark.parametrize("m2", [Fraction(0), Fraction(1), Fraction(3, 2)])
+    @pytest.mark.parametrize("sig", [(1, -1, -1, -1), (-1, 1, 1, 1)])
+    def test_table_matches_product_formula(self, sig, m2):
+        rng = random.Random(f"{sig}{m2}")
+        config = FeynmanConfig(4, sig, m2)
+        kg = ConstCoeffOperator.klein_gordon(config)
+        for _ in range(8):
+            s = self._seeded_operator(rng, config)
+            chi_mod._basis_chi.cache_clear()
+            cold = chi_projection(s, ONE, config)
+            warm = chi_projection(s, ONE, config)
+            assert cold.chi.coeffs == warm.chi.coeffs
+            assert cold.chi1.coeffs == warm.chi1.coeffs
+            assert cold.chi1.coeffs == _product_chi1(config, s).coeffs
+            assert cold.chi.coeffs == (s + cold.chi1 * kg).coeffs
+            c = GaussianRational(Fraction(rng.randint(1, 5), 3), rng.randint(-2, 2))
+            assert theta_counterterm(s, c, config) == cold.chi1.apply_to_delta().scale(c)
+
+    def test_single_monomial_returns_the_kept_images(self):
+        s = ConstCoeffOperator.monomial(CFG1, (0, 0, 1, 1))
+        first, second = chi_projection(s, ONE, CFG1), chi_projection(s, ONE, CFG1)
+        assert first.chi is second.chi and first.chi1 is second.chi1
+
+    def test_self_check_fires(self, monkeypatch):
+        # a split that drops the box^1 component breaks chi = S + chi1 (box + m^2)
+        original = chi_mod.harmonic_components
+
+        def dropped(config, w):
+            return {j: h for j, h in original(config, w).items() if j != 1}
+
+        chi_mod._basis_chi.cache_clear()
+        monkeypatch.setattr(chi_mod, "harmonic_components", dropped)
+        with pytest.raises(AssertionError, match="spectral chi contract"):
+            chi_projection(ConstCoeffOperator.monomial(CFG1, (0, 0, 1, 1)), ONE, CFG1)
+        chi_mod._basis_chi.cache_clear()
+
+    def test_configuration_mismatch_rejected(self):
+        s = ConstCoeffOperator.monomial(CFG0, (0, 0))
+        with pytest.raises(DimensionMismatch):
+            chi_projection(s, ONE, CFG1)
 
 
 class TestFundamentalSolutionDegree:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from onshell.scalar import GaussianRational, I, ONE
+from onshell.scalar import GaussianRational, I, ONE, ZERO
 from onshell.chi import ConstCoeffOperator, FeynmanConfig, theta_counterterm
 from onshell.deltaspace import DeltaVector, Polynomial
 from onshell.opalg import (
@@ -492,6 +492,22 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == "onshell: error: dimension must be >= 1\n"
 
+    def test_contract_violation_exit_code(self, capsys, monkeypatch):
+        # a solver whose exact self-check fails exits 3 with one line on
+        # stderr, no traceback and no JSON
+        argv = ["counterterm", "--dim", "2", "--degree", "2", "--op", "L(0,1)", "--residue",
+                '{"terms":[{"alpha":[2,0],"coeff":{"re":"1","im":"0"}},'
+                '{"alpha":[0,1],"coeff":{"re":"1/2","im":"1"}}]}']
+        assert main(argv) == 2  # the residue is generic: not on-shell after the counterterm
+        capsys.readouterr()
+        monkeypatch.setattr("onshell.extension._min_norm_solve", lambda m, rhs: [ZERO] * m.ncols)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("onshell: contract violated: ")
+        assert "projection contract" in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
     def test_chi_route_mismatch_exit_code(self, capsys, monkeypatch):
         import onshell.cli as cli
         argv = ("chi", "--dim", "2", "--metric", "+-", "--m2", "1", "--indices", "0,1")
@@ -510,6 +526,8 @@ class TestCommands:
 
     def test_chi_splits_the_monomial_once(self, capsys, monkeypatch):
         import onshell.chi as chi
+        # an earlier test may have filled the (configuration, exponent) table
+        chi._basis_chi.cache_clear()
         calls = []
         original = chi.harmonic_components
         monkeypatch.setattr(chi, "harmonic_components",

@@ -17,8 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 import onshell.spectral as spectral
 from onshell.scalar import GaussianRational, ZERO
-from onshell.opalg import dalembert, euler
-from onshell.extension import ExtensionRecord, apply_counterterm, onshell_correction
+from onshell.opalg import dalembert, euler, lorentz_generator
+from onshell.extension import (ExtensionRecord, apply_counterterm, onshell_correction,
+                               order_raising_correction)
 
 from conftest import random_delta_vector
 from test_block_route import _dense_rref
@@ -133,3 +134,31 @@ class TestReuse:
         again = spectral.gram_matrices(q, r)
         assert all(a is not b and a == b for a, b in zip(kept, again))
         assert _four_counterterms(q, n, r) == first
+
+    def test_normality_decided_once_per_kept_matrix(self, monkeypatch):
+        # a kept (Q, r) answers is_normal from its cached bool: the second
+        # pseudoinverse and order-raising calls form no matrix product
+        _clear()
+        products = []
+        original = spectral.RestrictionMatrix.matmul
+
+        def recording(self, other):
+            products.append(self.nrows)
+            return original(self, other)
+        monkeypatch.setattr(spectral.RestrictionMatrix, "matmul", recording)
+        q = lorentz_generator(2, 0, 1, (1, -1))
+        rng = random.Random(17)
+        m = spectral.restrict(q, 2)
+        w = random_delta_vector(rng, 2, 2)
+        first = spectral.pseudoinverse_correction(m, w)
+        assert len(products) == 2
+        del products[:]
+        assert spectral.pseudoinverse_correction(spectral.restrict(q, 2), w) == first
+        assert products == []
+        rec = ExtensionRecord(2, 2, {q: w})
+        v = order_raising_correction(rec, q, 1)
+        del products[:]
+        assert order_raising_correction(rec, q, 1) == v
+        assert products == []
+        # only the answer is kept, not the adjoint
+        assert not any(isinstance(x, spectral.RestrictionMatrix) for x in vars(m).values())
