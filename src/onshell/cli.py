@@ -73,7 +73,6 @@ from .spectral import (
     NonNormalMatrixError,
     RestrictionMatrix,
     adjoint_restriction,
-    gram_matrices,
     kernel_basis,
     kernel_projector,
     minimal_polynomial,
@@ -652,7 +651,7 @@ def _cmd_minpoly(args):
     q = _single_op(args)
     # Q|_r is square exactly when Q has essential order 0
     if args.gram or q.essential_order().q != 0:
-        m = gram_matrices(q, args.degree)[2]
+        m = restrict(q, args.degree).gram
         which = "gram"
     else:
         m = restrict(q, args.degree)
@@ -664,7 +663,7 @@ def _cmd_minpoly(args):
 
 def _cmd_projpoly(args):
     q = _single_op(args)
-    b = gram_matrices(q, args.degree)[2]
+    b = restrict(q, args.degree).gram
     p = projection_polynomial_of_gram(b)
     out = {"command": "projpoly", "status": "ok", "coefficients": poly_to_json(p)}
     if args.projector:
@@ -677,7 +676,7 @@ def _cmd_kernel(args):
     m = restrict(q, args.degree)
     out = {"command": "kernel", "status": "ok",
            "kernel_basis": [delta_to_json(v) for v in kernel_basis(m)]}
-    if args.residue:
+    if args.residue or args.pseudo:
         [w] = _residues(args, 1, "exactly one --residue is required")
         if args.pseudo:
             try:

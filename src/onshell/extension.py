@@ -13,11 +13,11 @@ onto the complement of the range (asserted at runtime, never assumed).
 The Casimir counterterm stays on p, which defines it (see `spectral`).
 
 The counterterm is one linear map of the residue, so its matrices are
-built once per (Q, r): `onshell_correction` takes A, A* and B from
-`spectral.gram_matrices`, `existence_check` and `apply_counterterm` take
-Q|_r from `spectral.restrict`, both bounded `functools.lru_cache` tables
-keyed by (Q, r) (RESTRICT_CACHE = 12 and GRAM_CACHE = 14 entries), and
-each block of a kept matrix is eliminated once however many residues are
+built once per (Q, r): `existence_check`, `onshell_correction` and
+`apply_counterterm` take A = Q|_r from `spectral.restrict`, the one bounded
+`functools.lru_cache` table keyed by (Q, r) (RESTRICT_CACHE = 12 entries),
+and A keeps its adjoint A*, its Gram matrix B = A* A, its normality answer
+and the elimination of each block once made, however many residues are
 solved against it.  A record's later residues of one (Q, r) cost a
 substitution per block.
 """
@@ -46,8 +46,8 @@ from .opalg import (
     operator_equal,
 )
 from .spectral import (
+    _blocks_of,
     _counterterm_apply,
-    _kernel,
     _kernel_of,
     _min_norm_solve,
     _split,
@@ -292,10 +292,10 @@ def _casimir_hypotheses(c_op: OperatorExpr, rs, r: int, expression):
 
     kernel_ok = False
     if self_adjoint_ok:
-        # _kernel gives the one basis of a kernel that the reduced row echelon
-        # form fixes, so the two kernels agree exactly when the lists do
+        # _kernel_of gives the one basis of a kernel that the reduced row
+        # echelon form fixes, so the two kernels agree exactly when the lists do
         stacked = tuple(row for rop in rs for row in restrict(rop, r).sparse_rows)
-        joint = _kernel(stacked, mat.ncols, _split(stacked, mat.ncols))
+        joint = _kernel_of(_blocks_of(stacked, _split(stacked, mat.ncols)), mat.ncols)
         kernel_ok = _kernel_of(mat.parts, mat.ncols) == joint
         if not kernel_ok:
             failures.append(f"ker(C|_{r}) differs from the joint kernel of the generators")

@@ -18,11 +18,11 @@ projection polynomial p_r(z) = prod(1 - z/lambda) over the nonzero
 spectrum is the z-free part of the minimal polynomial of (Q|_r)* (Q|_r)
 normalized to value 1 at zero.
 
-Projections run on two routes; `gram_matrices` builds A = Q|_r, its
-adjoint A* (`RestrictionMatrix.gram_adjoint`) and B = A* A.  The least-norm
-solve `_min_norm_solve` gives the on-shell counterterm -A^+ w (and so the
-order-raising and chi level-projection ones) and the pseudoinverse solve;
-its kernel step `_Block.kernel_part` gives the kernel projector.  The projection
+Projections run on two routes, on A = Q|_r, A* (`gram_adjoint`) and
+B = A* A (`gram`).  The least-norm solve `_min_norm_solve` gives the
+on-shell counterterm -A^+ w (and so the order-raising and chi
+level-projection ones) and the pseudoinverse solve; its kernel step
+`_Block.kernel_part` gives the kernel projector.  The projection
 polynomial (`minimal_polynomial`, `projection_polynomial_of_gram`, the block
 Horner) serves `minpoly` and `projpoly`, where p is printed, and the Casimir
 map ((p - 1)/z)(C) w, which p defines: it adds h(0) P_ker w to -C^+ w, for
@@ -40,22 +40,19 @@ one `_Block` per part of `blocks` (`RestrictionMatrix.parts`); a block
 factors itself, reads off its kernel vectors and factors its kernel Gram
 system K* D K on first use, so `_min_norm_solve`, `range_membership`,
 `kernel_basis` and `kernel_projector` share one elimination per block and
-a block no solve reaches is never eliminated.  `restrict` and
-`gram_matrices` are `functools.lru_cache` tables keyed by (Q, r) (an
-`OperatorExpr` hashes by its canonical key, hashed once), bounded at
-RESTRICT_CACHE = 12 and GRAM_CACHE = 14 entries, so the counterterms of one
-(Q, r) build its matrices and factor each block once however many residues
-they are asked for.  The bounds are the longest reuse measured: in the
-benchmark's counterterm workload, whose Casimir and commuting-family queries
-come back to earlier (Q, r), every repeat hits with 12 restriction and 14
-Gram entries, and one CLI command needs at most 7 restriction entries
-(`casimir-check` and `renorm --lorentz` at n = 4) and repeats no Gram
-triple.  Larger tables only keep more unused matrices alive, and on fresh
-operators the kept entries already cost garbage-collector time.  Cached
-matrices are shared: they are frozen, their rows are tuples, and what they
-cache is a function of the matrix alone and never changed once made.
-`restrict.cache_clear()` and `gram_matrices.cache_clear()` empty the
-tables.
+a block no solve reaches is never eliminated.  Likewise a matrix keeps its
+adjoint (whose parts give the witness of a "no"), its Gram matrix and its
+normality answer once made.  `restrict`, the one table, keeps matrices per
+(Q, r), so the counterterms of one (Q, r) build A, A* and B and factor
+each block once however many residues they are asked for.  It is bounded
+at RESTRICT_CACHE = 12 entries, the longest reuse measured: a counterterm
+pass of the benchmark (seeds 1 and 43) repeats 196 of its 234 lookups, the
+longest with 11 other (Q, r) asked in between, and one CLI command needs
+at most 7 (`casimir-check`, `renorm --lorentz` at n = 4).  A larger table
+only keeps unused matrices alive, which costs garbage-collector time on
+fresh operators.  Cached matrices are shared: they are frozen, their rows
+are tuples, and what they cache is a function of the matrix alone, never
+changed once made.  `restrict.cache_clear()` empties the table.
 """
 
 from __future__ import annotations
@@ -79,9 +76,8 @@ from .deltaspace import (
 from .opalg import OperatorExpr
 
 
-# bounds of the per-(Q, r) tables of `restrict` and `gram_matrices`; see above
+# bound of the per-(Q, r) table of `restrict`; see above
 RESTRICT_CACHE = 12
-GRAM_CACHE = 14
 
 
 class NonSquareMatrixError(ValueError):
@@ -277,25 +273,36 @@ class RestrictionMatrix:
 
     def gram_adjoint(self) -> "RestrictionMatrix":
         """Adjoint with respect to the weighted scalar products on both sides:
-        (M* v | w)_(r_dom) = (v | M w)_(r_cod)."""
+        (M* v | w)_(r_dom) = (v | M w)_(r_cod); made once and kept."""
+        return self._adjoint
+
+    @cached_property
+    def _adjoint(self) -> "RestrictionMatrix":
         dom_w = [mi_factorial(alpha) for alpha in self.domain_basis]
         cod_w = [mi_factorial(beta) for beta in self.codomain_basis]
         cols = [[(i, a.conj() * GaussianRational(Fraction(cod_w[j], dom_w[i]))) for i, a in row]
                 for j, row in enumerate(self.sparse_rows)]
-        return RestrictionMatrix(self.n, self.r_codomain, self.r_domain,
-                                 _transpose(cols, self.ncols))
+        adj = RestrictionMatrix(self.n, self.r_codomain, self.r_domain,
+                                _transpose(cols, self.ncols))
+        if "blocks" in vars(self):  # M's parts transposed, in `_split`'s order
+            vars(adj)["blocks"] = tuple(sorted(((cs, rs) for rs, cs in self.blocks),
+                                               key=lambda p: (not p[0], (p[0] or p[1])[0])))
+        return adj
+
+    @cached_property
+    def gram(self) -> "RestrictionMatrix":
+        """The Gram matrix B = M* M, kept with the matrix."""
+        return self.gram_adjoint().matmul(self)
 
     def is_normal(self) -> bool:
-        """M M* = M* M for the weighted scalar products; decided once per
-        matrix, and only the answer is kept, not the adjoint."""
+        """M M* = M* M for the weighted scalar products, decided once."""
         return self._normal
 
     @cached_property
     def _normal(self) -> bool:
         if not self.is_square() or self.r_domain != self.r_codomain:
             return False
-        adj = self.gram_adjoint()
-        return self.matmul(adj) == adj.matmul(self)
+        return self.matmul(self.gram_adjoint()) == self.gram
 
 
 def _from_images(n: int, r_domain: int, r_codomain: int, image) -> RestrictionMatrix:
@@ -564,11 +571,6 @@ def _kernel_of(parts, ncols: int) -> list:
     return out
 
 
-def _kernel(rows, ncols: int, blocks) -> list:
-    """`_kernel_of` the given blocks of the matrix given by sparse rows."""
-    return _kernel_of(_blocks_of(rows, blocks), ncols)
-
-
 def kernel_basis(m: RestrictionMatrix) -> list:
     """Exact kernel basis as delta vectors in the domain space."""
     dom = m.domain_basis
@@ -596,12 +598,6 @@ def _solve(parts, rhs, ncols: int, project: bool = False):
         for j, a in zip(part.cs, y):
             x[j] = a
     return x, bad
-
-
-def _solve_blocks(rows, rhs, ncols: int, blocks):
-    """`_solve` for the matrix given by sparse rows, its blocks factored for
-    this call only."""
-    return _solve(_blocks_of(rows, blocks), rhs, ncols)
 
 
 def _min_norm_solve(m: RestrictionMatrix, rhs: list) -> list:
@@ -641,7 +637,8 @@ def range_membership(m: RestrictionMatrix, w: DeltaVector) -> RangeDecision:
         pre = DeltaVector(m.n, {dom[i]: c for i, c in enumerate(x)})
         return RangeDecision(True, pre, None)
     adj = m.gram_adjoint()
-    for _, col in _kernel(adj.sparse_rows, adj.ncols, [(cs, rs) for rs, cs in bad]):
+    rows = {tuple(rs) for rs, _ in bad}
+    for _, col in _kernel_of([part for part in adj.parts if tuple(part.cs) in rows], adj.ncols):
         y = m.to_vector(col)
         if not inner(m.r_codomain, y, w).is_zero():
             if not all(c.is_zero() for c in _sparse_matvec(adj.sparse_rows, col)):
@@ -741,13 +738,10 @@ def minimal_polynomial(m: RestrictionMatrix) -> ExactPolynomial:
     return result
 
 
-@lru_cache(maxsize=GRAM_CACHE)
 def gram_matrices(q: OperatorExpr, r: int):
-    """(A, A*, B) for A = Q|_r, its adjoint A* and the Gram matrix B = A* A;
-    kept per (Q, r), with the factorizations their solves make."""
+    """(A, A*, B) for the kept A = Q|_r, its kept adjoint and Gram matrix."""
     a = restrict(q, r)
-    astar = a.gram_adjoint()
-    return a, astar, astar.matmul(a)
+    return a, a.gram_adjoint(), a.gram
 
 
 def projection_polynomial_of_gram(b: RestrictionMatrix) -> ExactPolynomial:
@@ -777,7 +771,7 @@ def projection_polynomial(q: OperatorExpr, r: int) -> ExactPolynomial:
     B = (Q|_r)*(Q|_r), normalized so p_r(0) = 1.  p_r(B) is then the
     orthogonal projection onto ker B = ker(Q|_r).
     """
-    return projection_polynomial_of_gram(gram_matrices(q, r)[2])
+    return projection_polynomial_of_gram(restrict(q, r).gram)
 
 
 def kernel_projector(m: RestrictionMatrix) -> RestrictionMatrix:
@@ -799,7 +793,7 @@ def kernel_projector(m: RestrictionMatrix) -> RestrictionMatrix:
 
 def projector_onto_kernel(q: OperatorExpr, r: int) -> RestrictionMatrix:
     """p_r(B): the orthogonal projection onto ker(Q|_r) inside degree <= r."""
-    return kernel_projector(gram_matrices(q, r)[2])
+    return kernel_projector(restrict(q, r).gram)
 
 
 def pseudoinverse_correction(m: RestrictionMatrix, w: DeltaVector) -> DeltaVector:

@@ -188,9 +188,9 @@ class TestEliminationMatchesDense:
             assert _dense_solve(entries, rhs) is None
             self._check_range(m, _delta(m, rhs))
         # no rows at all: every column is free and the zero system is solved by 0
-        assert [v for _, v in spectral._kernel((), 3, spectral._split((), 3))] == \
-            _dense_kernel_columns([], 3)
-        assert spectral._solve_blocks((), [], 3, spectral._split((), 3)) == ([ZERO] * 3, [])
+        empty = spectral._blocks_of((), spectral._split((), 3))
+        assert [v for _, v in spectral._kernel_of(empty, 3)] == _dense_kernel_columns([], 3)
+        assert spectral._solve(empty, [], 3) == ([ZERO] * 3, [])
 
     def test_operator_restrictions(self):
         rng = random.Random(62)
@@ -217,13 +217,15 @@ class TestEliminationMatchesDense:
             assert dec.witness is None and m.from_vector(dec.preimage) == x
         else:
             assert dec.preimage is None and dec.witness == m.to_vector(y)
+        # an adjoint made after M's parts takes theirs, transposed, for its own
+        adj = m.gram_adjoint()
+        assert adj.blocks == spectral._split(adj.sparse_rows, adj.ncols)
 
     def test_elimination_sees_blocks_only(self, monkeypatch):
         # restrict(box(1), 3) at n = 4 is 126 x 35 in 16 parts, the largest
         # with 15 rows; the dense route reduced all 126 (and A*'s 35) rows.
         # Kept matrices keep their factorizations: start from empty tables
         restrict.cache_clear()
-        gram_matrices.cache_clear()
         heights = []
         original = spectral._rref
 
@@ -246,7 +248,7 @@ class TestWitnessSelfCheck:
         w = DeltaVector.basis(1, (1,))
         assert range_membership(m, w).witness == w
         # (1, 1) has (y|w) != 0 but A* y = (1, 0)
-        monkeypatch.setattr(spectral, "_kernel", lambda rows, ncols, blocks: [(0, [ONE, ONE])])
+        monkeypatch.setattr(spectral, "_kernel_of", lambda parts, ncols: [(0, [ONE, ONE])])
         with pytest.raises(AssertionError, match="witness is not in the kernel of the adjoint"):
             range_membership(m, w)
 

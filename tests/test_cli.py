@@ -451,6 +451,9 @@ class TestCommands:
           "--residue", '{"terms":[]}'), "order raising requires k >= 0, got -1"),
         (("homog-unique", "--dim", "4", "--a", "-6", "--degree", "-3"),
          "maximal order must be >= 0"),
+        # --pseudo without a residue printed the kernel basis alone
+        (("kernel", "--dim", "2", "--op", "L(0,1)", "--degree", "2", "--pseudo"),
+         "exactly one --residue is required"),
     ])
     def test_missing_or_invalid_inputs_exit_code(self, capsys, argv, message):
         code = main(list(argv))

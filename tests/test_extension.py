@@ -127,7 +127,6 @@ class TestOnshellCorrection:
         # the counterterm is a least-norm solve: no minimal polynomial at all.
         # Kept matrices keep what they cached: start from empty tables
         restrict.cache_clear()
-        spectral.gram_matrices.cache_clear()
         calls = []
         original = spectral.minimal_polynomial
 
@@ -149,8 +148,7 @@ class TestOnshellCorrection:
         rec = ExtensionRecord(2, 2, {q: random_delta_vector(random.Random(3), 2, 2)})
         onshell_correction(rec, q)
         monkeypatch.setattr("onshell.extension._min_norm_solve",
-                            lambda m, rhs: spectral._solve_blocks(m.sparse_rows, rhs, m.ncols,
-                                                                  m.blocks)[0])
+                            lambda m, rhs: spectral._solve(m.parts, rhs, m.ncols)[0])
         with pytest.raises(AssertionError, match="projection contract"):
             onshell_correction(rec, q)
         # a zero counterterm is orthogonal to everything; A* w != 0 fails

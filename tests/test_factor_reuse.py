@@ -4,9 +4,12 @@
 `_Factor.substitute` replays them on a right-hand side.  The replay must
 give, entry for entry, what the augmented elimination of [rows | rhs]
 gives: the solution with free variables 0, and the same verdict on
-consistency.  The matrices of one (Q, r) are kept by `restrict` and
-`gram_matrices`, so the counterterms of several residues factor each block
-of A, A* and B (and each kernel Gram system) once.
+consistency.  `restrict` is the one table keyed by (Q, r) (12 entries:
+the longest reuse distance measured on the counterterm workload is 11);
+A = Q|_r keeps its adjoint A*, its Gram matrix B = A* A and its normality
+answer, so the counterterms of several residues factor each block of A,
+A* and B (and each kernel Gram system) once, and a repeated "no" answer
+factors nothing.
 """
 
 import random
@@ -17,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 import onshell.spectral as spectral
 from onshell.scalar import GaussianRational, ZERO
-from onshell.opalg import dalembert, euler, lorentz_generator
+from onshell.deltaspace import Polynomial
+from onshell.opalg import OperatorExpr, dalembert, euler, lorentz_generator
 from onshell.extension import (ExtensionRecord, apply_counterterm, onshell_correction,
                                order_raising_correction)
 
@@ -97,7 +101,6 @@ CASES = ((dalembert(4, 1), 4, 3), (euler(3, Fraction(-2)) ** 2, 3, 2))
 
 def _clear():
     spectral.restrict.cache_clear()
-    spectral.gram_matrices.cache_clear()
 
 
 def _four_counterterms(q, n, r):
@@ -123,7 +126,8 @@ class TestReuse:
         monkeypatch.setattr(spectral, "_rref", recording)
         first = _four_counterterms(q, n, r)
         kept = spectral.gram_matrices(q, r)
-        assert kept[0] is spectral.restrict(q, r)
+        a = spectral.restrict(q, r)
+        assert kept[0] is a and kept[1] is a.gram_adjoint() and kept[2] is a.gram
         assert all(a is b for a, b in zip(kept, spectral.gram_matrices(q, r)))
         # every elimination made is one kept block factor or kernel Gram system
         factored = sum("factor" in vars(part) for m in kept for part in m.parts)
@@ -160,5 +164,47 @@ class TestReuse:
         del products[:]
         assert order_raising_correction(rec, q, 1) == v
         assert products == []
-        # only the answer is kept, not the adjoint
-        assert not any(isinstance(x, spectral.RestrictionMatrix) for x in vars(m).values())
+        # what is kept beside the answer is the adjoint that gram_adjoint()
+        # returns and the Gram matrix
+        kept = [x for x in vars(m).values() if isinstance(x, spectral.RestrictionMatrix)]
+        assert sorted(map(id, kept)) == sorted(map(id, (m.gram_adjoint(), m.gram)))
+
+    @pytest.mark.parametrize("q, r, normal", (
+        (lorentz_generator(2, 0, 1, (1, -1)), 2, True),
+        (euler(3, Fraction(-2)) ** 2, 2, True),
+        (OperatorExpr.multiplication(Polynomial.coordinate(2, 1))
+         @ OperatorExpr.derivative(2, (1, 0)), 1, False),
+    ), ids=("L(0,1) n=2 r=2", "euler(-2)^2 n=3 r=2", "x2*d1 n=2 r=1"))
+    def test_normality_after_the_gram_matrix_forms_one_product(self, monkeypatch, q, r,
+                                                               normal):
+        # B = A* A is kept with A, so is_normal forms M M* alone
+        _clear()
+        spectral.gram_matrices(q, r)
+        products = []
+        original = spectral.RestrictionMatrix.matmul
+
+        def recording(self, other):
+            products.append(self.nrows)
+            return original(self, other)
+        monkeypatch.setattr(spectral.RestrictionMatrix, "matmul", recording)
+        assert spectral.restrict(q, r).is_normal() is normal
+        assert len(products) == 1
+
+    def test_repeated_no_answer_factors_nothing(self, monkeypatch):
+        # the witness is read off the kept adjoint's parts: the second
+        # out-of-range question on a kept A eliminates no block again
+        _clear()
+        a = spectral.restrict(dalembert(4, 1), 3)
+        w = a.to_vector([GaussianRational(Fraction(k % 5 - 2), Fraction(k % 3))
+                         for k in range(a.nrows)])
+        first = spectral.range_membership(a, w)
+        assert not first.member
+        calls = []
+        original = spectral._rref
+
+        def recording(rows):
+            calls.append(len(rows))
+            return original(rows)
+        monkeypatch.setattr(spectral, "_rref", recording)
+        assert spectral.range_membership(spectral.restrict(dalembert(4, 1), 3), w) == first
+        assert calls == []

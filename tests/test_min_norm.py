@@ -153,7 +153,7 @@ def test_casimir_correction_adds_the_kernel_part(n, r):
 
 def _skip_kernel_step(m, rhs):
     """A corrupted solve: free variables 0, no kernel projection."""
-    return spectral._solve_blocks(m.sparse_rows, rhs, m.ncols, m.blocks)[0]
+    return spectral._solve(m.parts, rhs, m.ncols)[0]
 
 
 class TestCertificates:
