@@ -13,12 +13,24 @@ as in `onshell essord --dim 2 --op "L(0,1)"`.
 `--metric` is resolved once, before the subcommand runs, and each
 subcommand takes exactly the residues it uses.
 
+Coefficients travel as JSON objects {"re": "p/q", "im": "p/q"} of rational
+strings.  A residue is a JSON object, either {"n": n, "terms": [...]} or a
+single {"alpha": [...], "coeff": ...}; any other JSON value (a list, a
+number, a string holding JSON again) is refused.  A coefficient part that
+is plain ASCII [-]digits[/digits] is read with `int`; any other text is
+read by `Fraction`, so the accepted forms ("3/6", "0.5", "1e3") and the
+error messages ("Fraction(1, 0)") are `Fraction`'s.  Each part is written
+from the scalar's integer triple (a, b, d) with one gcd, as str(Fraction)
+would write it.
+
 Exit codes: 0 success, 1 usage or syntax errors, 2 mathematical "no"
 (non-existence, hypothesis failure, route mismatch) with a machine-readable
 certificate, 3 contract violated: one of the engine's exact self-checks
 failed (an `AssertionError`), reported as one line
 `onshell: contract violated: ...` on stderr, with no traceback and no
-output on stdout.
+output on stdout.  A stdout closed by its reader before the output is
+written (`onshell kernel ... | head -1`) also ends with exit 1, silently
+and without a traceback; the rest of the output is discarded.
 """
 
 from __future__ import annotations
@@ -26,10 +38,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
+from math import gcd
 
-from .scalar import GaussianRational, ONE, I
+from .scalar import GaussianRational, ONE, I, _reduced
 from .deltaspace import DeltaVector, Polynomial
 from .opalg import (
     OperatorExpr,
@@ -416,15 +430,39 @@ def operator_to_text(q: OperatorExpr) -> str:
 # JSON encoding (byte-stable for fixed input)
 # ---------------------------------------------------------------------------
 
+def _part_to_json(x: int, d: int) -> str:
+    """str(Fraction(x, d)) for d > 0."""
+    g = gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
+
+
 def scalar_to_json(c: GaussianRational) -> dict:
-    return {"re": str(c.re), "im": str(c.im)}
+    return {"re": _part_to_json(c.a, c.d), "im": _part_to_json(c.b, c.d)}
+
+
+def _part_from_json(text: str) -> tuple:
+    """(numerator, denominator > 0) of Fraction(text): a plain ASCII
+    [-]digits[/digits] is read with int, any other text by Fraction itself,
+    so the accepted forms and the error messages are Fraction's."""
+    num, slash, den = text.partition("/")
+    negative = num[:1] == "-"
+    digits = num[1:] if negative else num
+    if text.isascii() and digits.isdigit() and (den.isdigit() or not slash):
+        x = int(digits)
+        d = int(den) if slash else 1
+        if d:
+            return (-x if negative else x), d
+    f = Fraction(text)
+    return f.numerator, f.denominator
 
 
 def scalar_from_json(obj) -> GaussianRational:
     parts = [obj] if isinstance(obj, str) else [obj["re"], obj.get("im", "0")]
     if not all(isinstance(p, str) for p in parts):  # a JSON number is a binary double
         raise TypeError("a coefficient is not a rational string")
-    return GaussianRational(*map(Fraction, parts))
+    a, p = _part_from_json(parts[0])
+    b, q = _part_from_json(parts[1]) if len(parts) == 2 else (0, 1)
+    return _reduced(a * q, b * p, p * q)
 
 
 def delta_to_json(v: DeltaVector) -> dict:
@@ -436,9 +474,9 @@ def delta_to_json(v: DeltaVector) -> dict:
 
 
 def delta_from_json(obj, n: int) -> DeltaVector:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    if isinstance(obj, dict) and "alpha" in obj:
+    if not isinstance(obj, dict):
+        raise TypeError("a delta vector is a JSON object")
+    if "alpha" in obj:
         terms = [obj]
         dim = n
     else:
@@ -450,7 +488,7 @@ def delta_from_json(obj, n: int) -> DeltaVector:
         if not all(type(a) is int and a >= 0 for a in alpha):
             raise TypeError(f"multi-index {t['alpha']} is not a list of non-negative integers")
         c = scalar_from_json(t["coeff"])
-        coeffs[alpha] = coeffs.get(alpha, GaussianRational.of(0)) + c
+        coeffs[alpha] = coeffs[alpha] + c if alpha in coeffs else c
     return DeltaVector(dim, coeffs)
 
 
@@ -993,7 +1031,14 @@ def main(argv=None) -> int:
         # an exact self-check failed: the engine, not the input, is at fault
         print(f"onshell: contract violated: {' '.join(str(exc).split())}", file=sys.stderr)
         return 3
-    _emit(payload, args.as_text)
+    try:
+        _emit(payload, args.as_text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`| head -1`): what is left of the output
+        # goes to devnull, so the flush at exit cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return _status_exit(payload)
 
 

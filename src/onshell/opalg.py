@@ -8,7 +8,12 @@ read right to left: first the pullback, then the derivative, then
 multiplication by the polynomial coefficient.  The normal form keeps
 coefficients left, derivatives middle and at most one pullback per term;
 composition rewrites products into this shape using the commutation rule
-d_i x_j = x_j d_i + [i == j] and the chain rule for linear pullbacks.
+d_i x_j = x_j d_i + [i == j] and the chain rule for linear pullbacks.  A
+product of terms whose left factor has no pullback and no derivative, or
+whose right coefficient is constant, is the one term (a b) d^(gamma+delta):
+the Leibniz sum is formed only when it has more than one summand or a
+pullback must be moved right, so a monomial such as 2/3*x1*d1*d2 is built
+without differentiating anything.
 
 Pullbacks use the weak convention <P_L u, phi> = |det L|^(-1) <u, phi o L^(-1)>,
 so that the pullback of an ordinary function is plain composition with L;
@@ -19,7 +24,10 @@ per term the derivative, the pullback and the coefficient monomials with
 their sign folded in) and sums every term into one accumulator.  P_L keeps
 the order of a delta derivative, so its action on each order k is computed
 once per (L, k) from x^a o L^(-1), |a| = k, and kept in a bounded cache
-(`_pullback_degree`) shared by every operator with that pullback.
+(`_pullback_degree`) shared by every operator with that pullback.  Each
+operator also keeps its own dict {k: table} per pullback, filled on first
+use, so the matrix L is hashed once per order rather than once per
+coefficient.
 """
 
 from __future__ import annotations
@@ -134,12 +142,17 @@ def _pullback_degree(pb: Matrix, k: int) -> dict:
     return {a: tuple(images) for a, images in out.items()}
 
 
-def _pullback_coeffs(v: DeltaVector, pb: Matrix) -> dict:
+def _pullback_coeffs(v: DeltaVector, pb: Matrix, tables: dict) -> dict:
     """P_L v as a dict alpha -> coefficient, from the `_pullback_degree`
-    tables (a coefficient may cancel to zero)."""
+    tables (a coefficient may cancel to zero).  `tables` maps each order k
+    met so far to its table; a missing order is looked up once and kept."""
     out = {}
     for a, c in v.coeffs.items():
-        for alpha, f in _pullback_degree(pb, mi_order(a)).get(a, ()):
+        k = mi_order(a)
+        table = tables.get(k)
+        if table is None:
+            table = tables[k] = _pullback_degree(pb, k)
+        for alpha, f in table.get(a, ()):
             x = c * f
             out[alpha] = out[alpha] + x if alpha in out else x
     return out
@@ -284,10 +297,16 @@ class OperatorExpr:
     # -- composition ------------------------------------------------------------
 
     def _compose_terms(self, t1, t2):
-        """Primitive-term product t1 o t2 as a list of primitive terms."""
+        """Primitive-term product t1 o t2 as a list of primitive terms.
+
+        With no pullback on t1 and gamma = 0 or b constant, the Leibniz sum
+        below has one nonzero summand, (a b) d^(gamma + delta) P_M, which
+        is returned without forming it."""
         n = self.n
         a, gamma, pbl = t1
         b, delta, pbm = t2
+        if pbl is None and (not any(gamma) or b.degree() == 0):
+            return [(a * b, mi_add(gamma, delta), pbm)]
         dpoly = Polynomial.monomial(n, delta)
         pb = pbm
         if pbl is not None:
@@ -379,10 +398,14 @@ class OperatorExpr:
     @cached_property
     def _delta_action(self) -> tuple:
         """The delta action, compiled once per operator: per term, gamma,
-        the pullback matrix (or None) and the coefficient monomials beta
-        with (-1)^|beta| folded into them."""
-        return tuple((gamma, pb, tuple((beta, -cb if mi_order(beta) % 2 else cb)
-                                       for beta, cb in coeff.coeffs.items()))
+        the pullback matrix (or None), the operator's dict of its
+        `_pullback_degree` tables by order (shared by the terms with that
+        pullback, filled on use) and the coefficient monomials beta with
+        (-1)^|beta| folded into them."""
+        tables = {}
+        return tuple((gamma, pb, None if pb is None else tables.setdefault(pb, {}),
+                      tuple((beta, -cb if mi_order(beta) % 2 else cb)
+                            for beta, cb in coeff.coeffs.items()))
                      for coeff, gamma, pb in self.terms)
 
     def apply_delta(self, v: DeltaVector) -> DeltaVector:
@@ -397,8 +420,8 @@ class OperatorExpr:
         if self.n != v.n:
             raise DimensionMismatch("operator and delta vector dimensions differ")
         acc = {}
-        for gamma, pb, signed in self._delta_action:
-            items = (v.coeffs if pb is None else _pullback_coeffs(v, pb)).items()
+        for gamma, pb, tables, signed in self._delta_action:
+            items = (v.coeffs if pb is None else _pullback_coeffs(v, pb, tables)).items()
             for alpha, c in items:
                 s = tuple(a + g for a, g in zip(alpha, gamma))
                 for beta, cb in signed:

@@ -1,10 +1,15 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from onshell.scalar import GaussianRational, I, ONE, ZERO
 from onshell.chi import ConstCoeffOperator, FeynmanConfig, theta_counterterm
@@ -30,6 +35,7 @@ from onshell.cli import (
     main,
     operator_to_text,
     parse_operator,
+    scalar_from_json,
     scalar_to_json,
 )
 from onshell.spectral import restrict
@@ -199,6 +205,62 @@ class TestJsonEncoding:
         v = DeltaVector(2, {(0, 1): ONE, (2, 0): ONE, (0, 0): ONE})
         alphas = [t["alpha"] for t in delta_to_json(v)["terms"]]
         assert alphas == [[0, 0], [0, 1], [2, 0]]
+
+
+# Coefficient parts at the edges of the plain [-]digits[/digits] form: each
+# must be read exactly as Fraction reads it, or refused with its error.
+CODEC_EDGE_CASES = ("-0", "007", "3/6", "1/0", "+3", " 3", "1_0", "1.5", "1e3", "\u0663",
+                    "\u00b2", "-", "/", "3/", "3/-4", "-5/0", "", "--3", "1/2/3", "-12/18", "0/7")
+
+
+def _outcome(thunk):
+    try:
+        return "value", thunk()
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+class TestCoefficientCodec:
+    """`scalar_from_json` and `scalar_to_json` against the Fraction route
+    they replace."""
+
+    @staticmethod
+    def _check_decode(re, im):
+        assert (_outcome(lambda: scalar_from_json(re))
+                == _outcome(lambda: GaussianRational(Fraction(re))))
+        assert (_outcome(lambda: scalar_from_json({"re": re, "im": im}))
+                == _outcome(lambda: GaussianRational(Fraction(re), Fraction(im))))
+
+    @pytest.mark.parametrize("text", CODEC_EDGE_CASES)
+    def test_edge_cases_decode_as_fraction_does(self, text):
+        self._check_decode(text, text)
+        self._check_decode(text, "2/3")
+        self._check_decode("-4/6", text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123456789-/+_. e\u0663\u00b2", max_size=8),
+           st.text(alphabet="0123456789-/", max_size=6))
+    def test_decode_as_fraction_does(self, re, im):
+        self._check_decode(re, im)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(), st.integers(min_value=0), st.integers(), st.integers(min_value=0))
+    def test_plain_rationals_decode_exactly(self, a, p, b, q):
+        self._check_decode(f"{a}/{p}", f"{b}/{q}")
+        self._check_decode(str(a), str(b))
+
+    def test_encode_as_fraction_writes(self):
+        rng = random.Random(19)
+        values = [ZERO, ONE, -ONE, I, -I, GaussianRational(Fraction(-1, 6), Fraction(5, 6)),
+                  GaussianRational(Fraction(3, 4), Fraction(-1, 4)),
+                  GaussianRational(Fraction(-7, 3), Fraction(0)),
+                  GaussianRational(Fraction(0), Fraction(-2, 9))]
+        for _ in range(500):
+            d = rng.choice((1, 2, 6, 12, 35, 10 ** 12))
+            values.append(GaussianRational(Fraction(rng.randint(-99, 99), d),
+                                           Fraction(rng.randint(-99, 99), rng.choice((1, d)))))
+        for c in values:
+            assert scalar_to_json(c) == {"re": str(c.re), "im": str(c.im)}
 
 
 class TestCommands:
@@ -454,6 +516,12 @@ class TestCommands:
         # --pseudo without a residue printed the kernel basis alone
         (("kernel", "--dim", "2", "--op", "L(0,1)", "--degree", "2", "--pseudo"),
          "exactly one --residue is required"),
+        # a JSON string was decoded a second time: one holding a delta vector
+        # was answered, any other failed with the JSON decoder's message
+        (("kernel", "--dim", "1", "--degree", "0", "--op", "euler(-1/2)",
+          "--residue", json.dumps('{"alpha":[0],"coeff":"1"}')), RESIDUE_SHAPE),
+        (("extend-check", "--dim", "1", "--degree", "0", "--op", "d1",
+          "--residue", '"x"'), RESIDUE_SHAPE),
     ])
     def test_missing_or_invalid_inputs_exit_code(self, capsys, argv, message):
         code = main(list(argv))
@@ -711,3 +779,23 @@ class TestEachOperationRunsOnce:
                 want = theta_counterterm(ConstCoeffOperator.monomial(config, idx), coeff,
                                          config)
                 assert json.loads(out)["counterterm"] == delta_to_json(want)
+
+
+class TestClosedStdout:
+    def test_reader_gone_before_the_output_exits_1_without_traceback(self):
+        # `onshell kernel ... | head -c1`: the read end is closed before the
+        # command writes, so its first write fails with EPIPE
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "onshell.cli", "kernel", "--dim", "2",
+                 "--degree", "2", "--op", "x1*d1"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr.decode()
+        assert proc.stderr == b""
+        assert proc.returncode == 1

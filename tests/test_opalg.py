@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,9 @@ from onshell.deltaspace import (
     DeltaVector,
     Polynomial,
     enumerate_multi_indices,
+    mi_add,
+    mi_binomial,
+    mi_sub,
     pair,
 )
 from onshell.opalg import (
@@ -23,12 +27,17 @@ from onshell.opalg import (
     default_signature,
     euler,
     lorentz_generator,
+    mat_inv_det,
+    mat_mul,
     monomial_derivative,
     operator_equal,
     parity,
     reflection,
     squared_interval,
 )
+
+from onshell.cli import parse_operator
+from onshell.spectral import restrict
 
 from conftest import delta_vectors, random_poly_coeff_operator, structured_operator
 
@@ -288,3 +297,95 @@ class TestPullbackScaling:
                 for beta in enumerate_multi_indices(2, 3):
                     phi = Polynomial.monomial(2, beta)
                     assert pair(q.apply_delta(u), phi) == pair(u, qt.apply_poly(phi))
+
+
+def _leibniz_product(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
+    """a @ b by the general rule alone: every pair of terms through the
+    pullback substitution and the full Leibniz sum, with no shortcut."""
+    n = a.n
+    raw = []
+    for ca, gamma, pbl in a.terms:
+        for cb, delta, pbm in b.terms:
+            dpoly = Polynomial.monomial(n, delta)
+            pb = pbm
+            if pbl is not None:
+                cb = cb.substitute_linear(pbl)
+                dpoly = dpoly.substitute_linear(tuple(zip(*mat_inv_det(pbl)[0])))
+                pb = pbl if pbm is None else mat_mul(pbm, pbl)
+            for kappa in product(*(range(g + 1) for g in gamma)):
+                db = cb.differentiate(kappa)
+                if db.is_zero():
+                    continue
+                coeff = ca * db.scale(mi_binomial(gamma, kappa))
+                rest = mi_sub(gamma, kappa)
+                for eps, d_c in dpoly.coeffs.items():
+                    raw.append((coeff.scale(d_c), mi_add(rest, eps), pb))
+    return OperatorExpr._normalized(n, raw)
+
+
+class TestCompositionShortcut:
+    """`a @ b` returns the one product term without the Leibniz sum when the
+    left term has no pullback and no derivative or the right coefficient is
+    constant; every product must equal the general rule's."""
+
+    # non-diagonal pullbacks with |det L| != 1
+    REFLECT = {2: ((1, 2), (0, 3)), 3: ((2, 1, 0), (0, 1, 1), (1, 0, 1))}
+
+    @staticmethod
+    def _pool(rng, n):
+        pool = [OperatorExpr.from_scalar(n, GaussianRational(Fraction(2, 3), -1)),
+                OperatorExpr.multiplication(Polynomial.monomial(n, (1,) * n, GaussianRational(3))),
+                d(n, *(1,) * n), x(n, 0) @ d(n, *(2,) + (0,) * (n - 1)),
+                parity(n), euler(n, Fraction(-1, 2))]
+        if n in TestCompositionShortcut.REFLECT:
+            refl = reflection(TestCompositionShortcut.REFLECT[n])
+            pool += [refl, refl @ random_poly_coeff_operator(rng, n),
+                     random_poly_coeff_operator(rng, n) @ refl, refl + parity(n) @ d(n, *(1,) * n)]
+        pool += [random_poly_coeff_operator(rng, n, allow_pullback=True) for _ in range(5)]
+        return pool
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_product_equals_the_leibniz_product(self, n):
+        rng = random.Random(19 + n)
+        pool = self._pool(rng, n)
+        vectors = [DeltaVector(n, {alpha: GaussianRational(rng.randint(-3, 3), rng.randint(-1, 1))
+                                   for alpha in enumerate_multi_indices(n, 2)})
+                   for _ in range(2)]
+        for a in pool:
+            for v in vectors:  # each term alone, with pullback tables of its own
+                assert a.apply_delta(v) == sum(
+                    (OperatorExpr(n, (t,)).apply_delta(v) for t in a.terms), DeltaVector(n, {}))
+            for b in pool:
+                got = a @ b
+                want = _leibniz_product(a, b)
+                assert got.key() == want.key()
+                assert str(got) == str(want)
+                for v in vectors:
+                    assert got.apply_delta(v) == a.apply_delta(b.apply_delta(v))
+
+    def test_a_monomial_is_parsed_without_differentiating(self, monkeypatch):
+        calls = []
+        original = Polynomial.differentiate
+        monkeypatch.setattr(Polynomial, "differentiate",
+                            lambda p, gamma: calls.append(gamma) or original(p, gamma))
+        got = parse_operator("2/3*x1*d1*d2", 2)
+        assert calls == []
+        want = OperatorExpr._normalized(2, ((Polynomial.monomial(2, (1, 0), GaussianRational(
+            Fraction(2, 3))), (1, 1), None),))
+        assert got == want
+
+    def test_one_pullback_table_lookup_per_order(self, monkeypatch):
+        from onshell import opalg
+        orders = []
+        original = opalg._pullback_degree
+        monkeypatch.setattr(opalg, "_pullback_degree",
+                            lambda pb, k: orders.append(k) or original(pb, k))
+        restrict.cache_clear()
+        q = parse_operator("parity*(d1 + x1*d1*d2)", 2)
+        assert len({pb for _, _, pb in q.terms}) == 1 and len(q.terms) > 1
+        m = restrict(q, 3)
+        assert sorted(orders) == sorted(set(orders)) and set(orders) <= set(range(4))
+        # the tables give the same matrix as the shared table alone
+        restrict.cache_clear()
+        monkeypatch.setattr(opalg, "_pullback_degree", original)
+        assert restrict(parse_operator("parity*(d1 + x1*d1*d2)", 2), 3).entries == m.entries
