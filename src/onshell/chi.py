@@ -35,13 +35,11 @@ chi delta = S delta + (box + m^2) chi1 delta, else `AssertionError`.  The
 image of S = sum_gamma c_gamma d^gamma is sum_gamma c_gamma (the image of
 d^gamma), and a single monomial with coefficient 1 gets the kept operators
 themselves.  The split of each basis vector delta^(alpha) is kept per
-metric (`_basis_split`, also at most 4096 entries).  The other fixed
-operators of a configuration are built once, in tables keyed by the
-hashable `FeynmanConfig`: `box` and `klein_gordon` (CONFIG_CACHE = 64
-configurations), the powers box^j (POWER_CACHE = 1024 entries, each one
-product from the last) and alpha_j^k (ALPHA_CACHE = 1024 entries, per
-(j, k, configuration)), which only the explicit route reads.  Cached
-operators are shared, so no caller may mutate their `coeffs`.
+metric (`_basis_split`, also at most 4096 entries).  The explicit route
+reads alpha_j^k, kept per (j, k, configuration) in a table keyed by the
+hashable `FeynmanConfig` (`_alpha`, ALPHA_CACHE = 1024 entries); each
+entry forms its polynomial in box by Horner.  Cached operators are
+shared, so no caller may mutate their `coeffs`.
 """
 
 from __future__ import annotations
@@ -57,8 +55,6 @@ from .deltaspace import DeltaVector, DimensionMismatch, SparseMap, mi_add, mi_or
 from .extension import ExtensionRecord, onshell_correction
 from .opalg import check_signature, dalembert, default_signature
 
-CONFIG_CACHE = 64
-POWER_CACHE = 1024
 ALPHA_CACHE = 1024
 BASIS_CACHE = 4096
 
@@ -117,7 +113,6 @@ class ConstCoeffOperator(SparseMap):
         return ConstCoeffOperator(config, {_exponent(config.n, indices): ONE})
 
     @staticmethod
-    @lru_cache(maxsize=CONFIG_CACHE)
     def box(config: FeynmanConfig) -> "ConstCoeffOperator":
         cs = {}
         for mu, s in enumerate(config.signature):
@@ -126,7 +121,6 @@ class ConstCoeffOperator(SparseMap):
         return ConstCoeffOperator(config, cs)
 
     @staticmethod
-    @lru_cache(maxsize=CONFIG_CACHE)
     def klein_gordon(config: FeynmanConfig) -> "ConstCoeffOperator":
         return ConstCoeffOperator.box(config) + ConstCoeffOperator.one(config).scale(config.m2)
 
@@ -170,14 +164,6 @@ def _exponent(n: int, indices) -> tuple:
             raise ValueError(f"index {mu} out of range for dimension {n}")
         gamma[mu] += 1
     return tuple(gamma)
-
-
-@lru_cache(maxsize=POWER_CACHE)
-def _box_power(config: FeynmanConfig, j: int) -> ConstCoeffOperator:
-    """box^j, one product from box^(j-1); shared, so never mutated."""
-    if j == 0:
-        return ConstCoeffOperator.one(config)
-    return _box_power(config, j - 1) * ConstCoeffOperator.box(config)
 
 
 @dataclass(frozen=True)
@@ -362,18 +348,14 @@ def _chi_pair(config: FeynmanConfig, s_op: ConstCoeffOperator) -> tuple:
     return ConstCoeffOperator(config, chi), ConstCoeffOperator(config, chi1)
 
 
-def theta_counterterm(s_op: ConstCoeffOperator, c, config: FeynmanConfig = None, *,
-                      chi1: ConstCoeffOperator = None) -> DeltaVector:
+def theta_counterterm(s_op: ConstCoeffOperator, c, config: FeynmanConfig = None) -> DeltaVector:
     """Delta-supported part of the on-shell replacement of S v.
 
     Returns 0 when s = order(S) + deg_v < 0 (the extension is unique below
     the threshold); otherwise c * chi1(S) delta, so that adding it to S v
     realizes the on-shell counterterm, with theta(S (box+m^2)) = 0 exactly.
-    A `chi1` already in hand (`chi_projection(S, ...).chi1`) is used as
-    chi1(S), so the table is not read again.
     """
-    if chi1 is None:
-        chi1 = _chi_pair(config or s_op.config, s_op)[1]
+    chi1 = _chi_pair(config or s_op.config, s_op)[1]
     return chi1.apply_to_delta().scale(GaussianRational.of(c))
 
 
@@ -452,8 +434,10 @@ def alpha_coefficient(j: int, k: int, n: int, m2, signature=None) -> ConstCoeffO
 
 @lru_cache(maxsize=ALPHA_CACHE)
 def _alpha(j: int, k: int, config: FeynmanConfig) -> ConstCoeffOperator:
-    """alpha_j^k for 1 <= j <= k/2, built once per (j, k, configuration)."""
+    """alpha_j^k for 1 <= j <= k/2, built once per (j, k, configuration):
+    sign * KG * sum_p c_p box^(j-1-p), the sum by Horner in box."""
     n, m2 = config.n, config.m2
+    box = ConstCoeffOperator.box(config)
     total = ConstCoeffOperator.zero(config)
     for p in range(j):
         denom = Fraction(1)
@@ -461,7 +445,7 @@ def _alpha(j: int, k: int, config: FeynmanConfig) -> ConstCoeffOperator:
             # p + q <= 2j - 2 <= k - 2, so the factor is at least n >= 1
             denom *= n + 2 * k - 2 * p - 2 * q - 4
         coeff = Fraction(math.comb(j - 1, p), 1) * (m2 ** p) / denom
-        total = total + _box_power(config, j - 1 - p).scale(coeff)
+        total = total * box + ConstCoeffOperator.one(config).scale(coeff)
     sign = -1 if j % 2 else 1
     return (ConstCoeffOperator.klein_gordon(config) * total).scale(sign)
 

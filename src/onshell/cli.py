@@ -71,7 +71,6 @@ from .extension import (
     CasimirHypothesisError,
     ExtensionRecord,
     NonNormalRestriction,
-    _casimir_hypotheses,
     _casimir_map,
     apply_counterterm,
     existence_check,
@@ -82,15 +81,16 @@ from .extension import (
     multi_commuting_correction,
     order_raising_correction,
     renorm_map,
+    verify_casimir_hypotheses,
 )
 from .spectral import (
     NonNormalMatrixError,
     RestrictionMatrix,
     adjoint_restriction,
     kernel_basis,
-    kernel_projector,
     minimal_polynomial,
-    projection_polynomial_of_gram,
+    projection_polynomial,
+    projector_onto_kernel,
     pseudoinverse_correction,
     range_membership,
     restrict,
@@ -129,7 +129,7 @@ OPERATION_TO_SUBCOMMAND = {
     "multi_commuting_correction": "counterterm",
     "linearity_precondition": "counterterm",
     "order_raising_correction": "order-raise",
-    "casimir_correction": "casimir-check",
+    "casimir_correction": "renorm",
     "verify_casimir_hypotheses": "casimir-check",
     "renorm_map": "renorm",
     "homogeneous_extension_unique": "homog-unique",
@@ -701,11 +701,11 @@ def _cmd_minpoly(args):
 
 def _cmd_projpoly(args):
     q = _single_op(args)
-    b = restrict(q, args.degree).gram
-    p = projection_polynomial_of_gram(b)
+    p = projection_polynomial(q, args.degree)
     out = {"command": "projpoly", "status": "ok", "coefficients": poly_to_json(p)}
     if args.projector:
-        out["projector"] = matrix_to_json(kernel_projector(b), f"proj-ker(r={args.degree})")
+        out["projector"] = matrix_to_json(projector_onto_kernel(q, args.degree),
+                                          f"proj-ker(r={args.degree})")
     return out
 
 
@@ -787,7 +787,7 @@ def _cmd_order_raise(args):
 
 def _cmd_casimir_check(args):
     c_op, gens, expr = lorentz_casimir_setup(args.dim, args.signature)
-    rep, mat = _casimir_hypotheses(c_op, gens, args.degree, expr)
+    rep = verify_casimir_hypotheses(c_op, gens, args.degree, expr)
     out = {"command": "casimir-check",
            "status": "ok" if rep.passed else "no",
            "level": rep.level,
@@ -799,7 +799,7 @@ def _cmd_casimir_check(args):
         ws = _residues(args, 1 + len(gens), f"need 1 + {len(gens)} residues: the Casimir's, "
                        "then one per generator in (mu < nu) order")
         rec = ExtensionRecord(args.dim, args.degree, dict(zip([c_op, *gens], ws)))
-        v = _casimir_map(mat, rec.residue(c_op))
+        v = _casimir_map(restrict(c_op, args.degree), rec.residue(c_op))
         corrected = apply_counterterm(rec, v)
         out["counterterm"] = delta_to_json(v)
         out["corrected_residues"] = [
@@ -854,7 +854,7 @@ def _cmd_chi(args):
     return {"command": "chi", "status": "ok" if agree else "no",
             "chi": str(res.chi), "chi1": str(res.chi1),
             "chi_explicit": str(expl), "routes_agree": agree,
-            "counterterm": delta_to_json(theta_counterterm(s_op, c, config, chi1=res.chi1)),
+            "counterterm": delta_to_json(theta_counterterm(s_op, c, config)),
             "s": res.s}
 
 

@@ -19,7 +19,10 @@ built once per (Q, r): `existence_check`, `onshell_correction` and
 and A keeps its adjoint A*, its Gram matrix B = A* A, its normality answer
 and the elimination of each block once made, however many residues are
 solved against it.  A record's later residues of one (Q, r) cost a
-substitution per block.
+substitution per block.  The Casimir route reads C|_r from the same table:
+`verify_casimir_hypotheses` checks its hypotheses on `restrict(C, r)`, and
+`casimir_correction` (like the CLI's `casimir-check`) checks once and then
+maps the residue through that kept C|_r.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from .spectral import (
     _min_norm_solve,
     _split,
     adjoint_restriction,
-    gram_matrices,
     projection_polynomial_of_gram,
     range_membership,
     restrict,
@@ -150,7 +152,8 @@ def onshell_correction(rec: ExtensionRecord, q: OperatorExpr) -> DeltaVector:
     complement of Ran(Q|_r).  Both statements are asserted exactly.
     """
     w = rec.residue(q)
-    a, astar, b = gram_matrices(q, rec.r)
+    a = restrict(q, rec.r)
+    astar, b = a.gram_adjoint(), a.gram
     v = b.to_vector(_min_norm_solve(b, b.from_vector(astar.matvec(w)))).scale(-1)
     corrected = w + a.matvec(v)
     # exact self-check: A*(w + A v) = 0 and v in Ran A* = (ker B)^perp fix
@@ -251,13 +254,6 @@ def verify_casimir_hypotheses(c_op: OperatorExpr, rs, r: int,
     the generators with no degree-0/1 terms: a list of (coefficient, word)
     pairs, each word a tuple of generator indices of length >= 2.
     """
-    return _casimir_hypotheses(c_op, rs, r, expression)[0]
-
-
-def _casimir_hypotheses(c_op: OperatorExpr, rs, r: int, expression):
-    """(report, C|_r) for `verify_casimir_hypotheses` and `casimir_correction`;
-    C|_r is built once, or not at all (None) when C does not have essential
-    order 0."""
     failures = []
     n = c_op.n
 
@@ -272,7 +268,6 @@ def _casimir_hypotheses(c_op: OperatorExpr, rs, r: int, expression):
         shape_ok = True
 
     self_adjoint_ok = False
-    mat = None
     if c_op.essential_order().q != 0:
         failures.append("operator does not have essential order 0")
     else:
@@ -300,23 +295,22 @@ def _casimir_hypotheses(c_op: OperatorExpr, rs, r: int, expression):
         if not kernel_ok:
             failures.append(f"ker(C|_{r}) differs from the joint kernel of the generators")
 
-    report = CasimirReport(shape_ok, self_adjoint_ok, commute_ok, kernel_ok, r, tuple(failures))
-    return report, mat
+    return CasimirReport(shape_ok, self_adjoint_ok, commute_ok, kernel_ok, r, tuple(failures))
 
 
 def casimir_correction(rec: ExtensionRecord, c_op: OperatorExpr, rs,
                        expression=None) -> DeltaVector:
     """Counterterm b_r(C) u' - u' from the self-adjoint polynomial b_r with
     b_r(C|_r) the orthogonal projection onto ker(C|_r)."""
-    report, mat = _casimir_hypotheses(c_op, rs, rec.r, expression)
+    report = verify_casimir_hypotheses(c_op, rs, rec.r, expression)
     if not report.passed:
         raise CasimirHypothesisError(report)
-    return _casimir_map(mat, rec.residue(c_op))
+    return _casimir_map(restrict(c_op, rec.r), rec.residue(c_op))
 
 
 def _casimir_map(mat, w: DeltaVector) -> DeltaVector:
     """v = ((p - 1)/z)(C|_r) w for the projection polynomial p of C|_r = mat,
-    so w + C v = p(C|_r) w; `_casimir_hypotheses` must have passed."""
+    so w + C v = p(C|_r) w; `verify_casimir_hypotheses` must have passed."""
     return _counterterm_apply(mat, projection_polynomial_of_gram(mat), w)
 
 

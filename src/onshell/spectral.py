@@ -738,12 +738,6 @@ def minimal_polynomial(m: RestrictionMatrix) -> ExactPolynomial:
     return result
 
 
-def gram_matrices(q: OperatorExpr, r: int):
-    """(A, A*, B) for the kept A = Q|_r, its kept adjoint and Gram matrix."""
-    a = restrict(q, r)
-    return a, a.gram_adjoint(), a.gram
-
-
 def projection_polynomial_of_gram(b: RestrictionMatrix) -> ExactPolynomial:
     """p with p(B) the orthogonal projection onto ker B, for a Gram (or any
     normal) matrix B: its minimal polynomial without the root at zero,

