@@ -124,18 +124,7 @@ class ConstCoeffOperator(SparseMap):
     def klein_gordon(config: FeynmanConfig) -> "ConstCoeffOperator":
         return ConstCoeffOperator.box(config) + ConstCoeffOperator.one(config).scale(config.m2)
 
-    @staticmethod
-    def from_delta_vector(config: FeynmanConfig, v: DeltaVector) -> "ConstCoeffOperator":
-        """Read off the operator X with X delta = v."""
-        return ConstCoeffOperator(config, dict(v.coeffs))
-
     # -- arithmetic -----------------------------------------------------------
-
-    def __pow__(self, k: int) -> "ConstCoeffOperator":
-        out = ConstCoeffOperator.one(self.config)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def order(self) -> int:
         """Total derivative order (0 for the zero operator)."""

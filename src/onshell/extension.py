@@ -23,12 +23,25 @@ substitution per block.  The Casimir route reads C|_r from the same table:
 `verify_casimir_hypotheses` checks its hypotheses on `restrict(C, r)`, and
 `casimir_correction` (like the CLI's `casimir-check`) checks once and then
 maps the residue through that kept C|_r.
+
+The operator identities are decided once, in two more bounded tables.
+`opalg.commutator` keeps [A, B] per operator pair (COMMUTATOR_CACHE = 32);
+`multi_commuting_correction` reads [Q_i, Q_j] there and the Casimir check
+reads [C, R_i], which does not depend on r.  `verify_casimir_hypotheses`
+keeps its frozen `CasimirReport` per (C, generators, r, expression)
+(CASIMIR_CACHE = 16), so the self-adjointness test (`restrict` against
+`adjoint_restriction`, the paper's second route) and the joint-kernel test
+run once per key.  The tables keep decisions, not the absence of errors:
+`casimir_correction` raises `CasimirHypothesisError` from a kept failing
+report, and `multi_commuting_correction` raises `NonCommutingOperators` from
+a kept nonzero commutator, on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .scalar import GaussianRational
 from .deltaspace import (
@@ -59,6 +72,13 @@ from .spectral import (
     range_membership,
     restrict,
 )
+
+
+# Casimir reports that `verify_casimir_hypotheses` keeps, one per (C,
+# generators, r, expression); a report is a few booleans and strings.  A
+# counterterm benchmark pass asks 2, a CLI command 1; 16 holds one Casimir
+# at levels 0 to 7 in two dimensions.
+CASIMIR_CACHE = 16
 
 
 class MissingResidue(KeyError):
@@ -242,7 +262,7 @@ def _expand_expression(n: int, rs, expression) -> OperatorExpr:
         term = OperatorExpr.identity(n)
         for idx in word:
             term = term @ rs[idx]
-        total = total + term.scale(GaussianRational.of(coeff))
+        total = total + term.scale(coeff)
     return total
 
 
@@ -252,8 +272,19 @@ def verify_casimir_hypotheses(c_op: OperatorExpr, rs, r: int,
 
     expression is the caller-supplied certificate that C is a polynomial in
     the generators with no degree-0/1 terms: a list of (coefficient, word)
-    pairs, each word a tuple of generator indices of length >= 2.
+    pairs, each word a tuple of generator indices of length >= 2.  The
+    report is kept per (C, generators, r, expression), with the generators
+    and the expression as tuples and each coefficient a GaussianRational, so
+    equal certificates share one entry (CASIMIR_CACHE entries).
     """
+    if expression is not None:
+        expression = tuple((GaussianRational.of(coeff), tuple(word))
+                           for coeff, word in expression)
+    return _casimir_report(c_op, tuple(rs), r, expression)
+
+
+@lru_cache(maxsize=CASIMIR_CACHE)
+def _casimir_report(c_op: OperatorExpr, rs: tuple, r: int, expression) -> CasimirReport:
     failures = []
     n = c_op.n
 
@@ -280,8 +311,7 @@ def verify_casimir_hypotheses(c_op: OperatorExpr, rs, r: int,
 
     commute_ok = True
     for i, rop in enumerate(rs):
-        comm = commutator(c_op, rop)
-        if not comm.is_zero():
+        if not commutator(c_op, rop).is_zero():
             commute_ok = False
             failures.append(f"C does not commute with generator {i}")
 

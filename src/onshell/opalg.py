@@ -28,6 +28,15 @@ once per (L, k) from x^a o L^(-1), |a| = k, and kept in a bounded cache
 operator also keeps its own dict {k: table} per pullback, filled on first
 use, so the matrix L is hashed once per order rather than once per
 coefficient.
+
+`commutator` is the one owner of commutation answers: a bounded
+`functools.lru_cache` table keyed by the ordered operator pair
+(COMMUTATOR_CACHE = 32 entries; operators are frozen and hash by their
+canonical key).  `extension.verify_casimir_hypotheses` and
+`extension.multi_commuting_correction` read [C, R_i] and [Q_i, Q_j] from it,
+so a pair is composed once however many levels and residues ask.  The table
+keeps the operator [Q1, Q2]; each caller decides from it, and raises when it
+is nonzero, on every call.
 """
 
 from __future__ import annotations
@@ -63,6 +72,11 @@ MAX_OPERATOR_SIZE = 4096
 # each under MAX_OPERATOR_SIZE is refused before it runs for minutes.  The
 # largest in use is euler(-3)^5 @ euler(-3), 630.
 MAX_PRODUCT_SIZE = 16 * MAX_OPERATOR_SIZE
+# Operator pairs whose commutator `commutator` keeps; the answer depends on
+# the pair alone.  `renorm --lorentz` at n = 4 asks 6 (one per generator), a
+# counterterm benchmark pass 6, and the Casimir checks of n = 2 to 5 together
+# 20; each entry holds three operators.
+COMMUTATOR_CACHE = 32
 
 
 class SingularMatrixError(ValueError):
@@ -301,28 +315,36 @@ class OperatorExpr:
 
         With no pullback on t1 and gamma = 0 or b constant, the Leibniz sum
         below has one nonzero summand, (a b) d^(gamma + delta) P_M, which
-        is returned without forming it."""
+        is returned without forming it.  Otherwise the sum runs over the
+        kappa <= gamma with kappa_i <= deg_(x_i) b (d^kappa b = 0 for every
+        other kappa); without a pullback on t1 each summand's coefficient is
+        appended as it is, with d^(gamma - kappa + delta)."""
         n = self.n
         a, gamma, pbl = t1
         b, delta, pbm = t2
         if pbl is None and (not any(gamma) or b.degree() == 0):
             return [(a * b, mi_add(gamma, delta), pbm)]
-        dpoly = Polynomial.monomial(n, delta)
         pb = pbm
         if pbl is not None:
             # move the pullback of t1 right, past b and d^delta:
             # P_L o d^delta = (x^delta o L^(-T))(d) o P_L
             b = b.substitute_linear(pbl)
-            dpoly = dpoly.substitute_linear(tuple(zip(*mat_inv_det(pbl)[0])))
+            dpoly = Polynomial.monomial(n, delta).substitute_linear(
+                tuple(zip(*mat_inv_det(pbl)[0])))
             pb = pbl if pbm is None else mat_mul(pbm, pbl)
-        # Leibniz: d^gamma (b .) = sum binom(gamma,kappa) (d^kappa b) d^(gamma-kappa)
+        # Leibniz: d^gamma (b .) = sum binom(gamma,kappa) (d^kappa b) d^(gamma-kappa),
+        # with kappa_i up to b's degree in x_i (d^kappa b = 0 beyond it)
+        top = [max(e) for e in zip(*b.coeffs)] or (0,) * n
         out = []
-        for kappa in product(*(range(g + 1) for g in gamma)):
+        for kappa in product(*(range(min(g, t) + 1) for g, t in zip(gamma, top))):
             db = b.differentiate(kappa)
             if db.is_zero():
                 continue
             coeff = a * db.scale(mi_binomial(gamma, kappa))
             rest = mi_sub(gamma, kappa)
+            if pbl is None:
+                out.append((coeff, mi_add(rest, delta), pb))
+                continue
             for eps, d_c in dpoly.coeffs.items():
                 out.append((coeff.scale(d_c), mi_add(rest, eps), pb))
         return out
@@ -468,7 +490,9 @@ def operator_equal(q1: OperatorExpr, q2: OperatorExpr) -> bool:
     return q1.normal_form() == q2.normal_form()
 
 
+@lru_cache(maxsize=COMMUTATOR_CACHE)
 def commutator(q1: OperatorExpr, q2: OperatorExpr) -> OperatorExpr:
+    """[Q1, Q2] = Q1 Q2 - Q2 Q1, kept per ordered pair."""
     return (q1 @ q2) - (q2 @ q1)
 
 

@@ -340,11 +340,6 @@ def adjoint_restriction(q: OperatorExpr, r: int) -> RestrictionMatrix:
 # elimination, kernels, solving
 # ---------------------------------------------------------------------------
 
-def _sparse(rows) -> tuple:
-    """Per dense row, the (column, entry) pairs of its nonzero entries."""
-    return tuple(tuple((j, a) for j, a in enumerate(row) if not a.is_zero()) for row in rows)
-
-
 def _dense(rows, ncols: int) -> list:
     """The dense rows, as lists, of the matrix given by its sparse rows."""
     out = []

@@ -16,7 +16,7 @@ from onshell.opalg import (
     euler,
     parity,
 )
-from onshell.spectral import RestrictionMatrix, _sparse
+from onshell.spectral import RestrictionMatrix
 
 
 def small_fractions():
@@ -43,10 +43,15 @@ def polynomials(n: int, max_degree: int):
         lambda d: Polynomial(n, d))
 
 
+def sparse_rows(rows) -> tuple:
+    """Per dense row, the (column, entry) pairs of its nonzero entries."""
+    return tuple(tuple((j, a) for j, a in enumerate(row) if not a.is_zero()) for row in rows)
+
+
 def dense_matrix(n: int, r_domain: int, r_codomain: int, rows) -> RestrictionMatrix:
     """The matrix with the given dense rows of GaussianRational, whose width
     must be the domain dimension C(n + r_domain, n)."""
-    m = RestrictionMatrix(n, r_domain, r_codomain, _sparse(rows))
+    m = RestrictionMatrix(n, r_domain, r_codomain, sparse_rows(rows))
     assert all(len(row) == m.ncols for row in rows)
     return m
 

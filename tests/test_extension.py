@@ -8,11 +8,13 @@ from onshell.deltaspace import DeltaVector, DegreeOverflow, enumerate_multi_indi
 from onshell.opalg import (
     OperatorExpr,
     Polynomial,
+    commutator,
     dalembert,
     euler,
     lorentz_generator,
     operator_equal,
 )
+import onshell.extension as extension
 import onshell.spectral as spectral
 from onshell.spectral import kernel_basis, restrict
 from onshell.extension import (
@@ -258,12 +260,18 @@ class TestMultiCommuting:
         assert rec2.residue(e1).is_zero() and rec2.residue(e2).is_zero()
 
     def test_non_commuting_error(self):
+        # raised on every call, the second from the kept commutator
         d1 = OperatorExpr.derivative(1, (1,))
         x1 = OperatorExpr.multiplication(Polynomial.coordinate(1, 0))
         rec = ExtensionRecord(1, 0, {d1: DeltaVector.zero(1), x1: DeltaVector.zero(1)})
-        with pytest.raises(NonCommutingOperators) as exc:
-            multi_commuting_correction(rec, [d1, x1])
-        assert operator_equal(exc.value.commutator, OperatorExpr.identity(1))
+        for _ in range(2):
+            with pytest.raises(NonCommutingOperators) as exc:
+                multi_commuting_correction(rec, [d1, x1])
+            assert exc.value.pair == (0, 1)
+            assert operator_equal(exc.value.commutator, OperatorExpr.identity(1))
+        kept = commutator(d1, x1)
+        commutator.cache_clear()
+        assert commutator(d1, x1) == kept
 
 
 class TestCasimir:
@@ -307,6 +315,36 @@ class TestCasimir:
         rec = ExtensionRecord(2, 1, {q: DeltaVector.zero(2) for q in [c_op] + gens})
         with pytest.raises(CasimirHypothesisError):
             casimir_correction(rec, c_op, gens, expression=None)
+
+
+class TestKeptDecisions:
+    """The Casimir report table keeps decisions, not the absence of an
+    error: a failed hypothesis raises on every call, and a report made again
+    after the table is emptied equals the kept one (the commutator table's
+    counterpart is `TestMultiCommuting.test_non_commuting_error`)."""
+
+    def test_a_failing_expression_raises_on_every_call(self):
+        c_op, gens, _ = lorentz_casimir_setup(2, (1, -1))
+        rec = ExtensionRecord(2, 1, {q: DeltaVector.zero(2) for q in [c_op] + gens})
+        wrong = [(Fraction(1), (0, 0))]  # C is -2 M^2 at signature (+, -)
+        reports = []
+        for _ in range(2):
+            with pytest.raises(CasimirHypothesisError) as exc:
+                casimir_correction(rec, c_op, gens, wrong)
+            reports.append(exc.value.report)
+        assert reports[0] == reports[1]
+        assert reports[0].failures == ("expression does not expand to the given operator",)
+        extension._casimir_report.cache_clear()
+        assert verify_casimir_hypotheses(c_op, gens, 1, wrong) == reports[0]
+
+    def test_equal_certificates_share_one_report(self):
+        c_op, gens, expr = lorentz_casimir_setup(2, (1, -1))
+        kept = verify_casimir_hypotheses(c_op, gens, 1, expr)
+        assert kept.passed
+        assert verify_casimir_hypotheses(c_op, tuple(gens), 1,
+                                         [(-2, [0, 0])]) is kept
+        extension._casimir_report.cache_clear()
+        assert verify_casimir_hypotheses(c_op, gens, 1, expr) == kept
 
 
 class TestRenormMap:

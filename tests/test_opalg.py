@@ -342,6 +342,11 @@ class TestCompositionShortcut:
             pool += [refl, refl @ random_poly_coeff_operator(rng, n),
                      random_poly_coeff_operator(rng, n) @ refl, refl + parity(n) @ d(n, *(1,) * n)]
         pool += [random_poly_coeff_operator(rng, n, allow_pullback=True) for _ in range(5)]
+        # gamma = (3, ..., 3) past the degrees (2, 1, 0, ...) of x1^2 + x2
+        # (x1^2 + 1 at n = 1): the Leibniz sum stops at the coefficient degree
+        pool += [d(n, *(3,) * n), OperatorExpr.multiplication(
+            Polynomial.monomial(n, (2,) + (0,) * (n - 1))
+            + (Polynomial.coordinate(n, 1) if n > 1 else Polynomial.constant(n, ONE)))]
         return pool
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -373,6 +378,20 @@ class TestCompositionShortcut:
         want = OperatorExpr._normalized(2, ((Polynomial.monomial(2, (1, 0), GaussianRational(
             Fraction(2, 3))), (1, 1), None),))
         assert got == want
+
+    def test_the_leibniz_sum_stops_at_the_coefficient_degree(self, monkeypatch):
+        # gamma = (3, 2) against b = x1 + x2^3 of degrees (1, 3): one d^kappa b
+        # per kappa <= (min(3, 1), min(2, 3)), 2 * 3 in all, not 4 * 3
+        a = d(2, 3, 2)
+        b = OperatorExpr.multiplication(Polynomial(2, {(1, 0): ONE, (0, 3): ONE}))
+        calls = []
+        original = Polynomial.differentiate
+        monkeypatch.setattr(Polynomial, "differentiate",
+                            lambda p, gamma: calls.append(tuple(gamma)) or original(p, gamma))
+        got = a @ b
+        assert sorted(calls) == list(product(range(2), range(3)))
+        monkeypatch.undo()
+        assert got.key() == _leibniz_product(a, b).key()
 
     def test_one_pullback_table_lookup_per_order(self, monkeypatch):
         from onshell import opalg
