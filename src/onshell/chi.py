@@ -34,12 +34,12 @@ each checked once when it is made, by the same shifts:
 chi delta = S delta + (box + m^2) chi1 delta, else `AssertionError`.  The
 image of S = sum_gamma c_gamma d^gamma is sum_gamma c_gamma (the image of
 d^gamma), and a single monomial with coefficient 1 gets the kept operators
-themselves.  The split of each basis vector delta^(alpha) is kept per
-metric (`_basis_split`, also at most 4096 entries).  The explicit route
-reads alpha_j^k, kept per (j, k, configuration) in a table keyed by the
-hashable `FeynmanConfig` (`_alpha`, ALPHA_CACHE = 1024 entries); each
-entry forms its polynomial in box by Horner.  Cached operators are
-shared, so no caller may mutate their `coeffs`.
+themselves.  The trace split keeps nothing: it runs once per homogeneous
+degree of its input, and a monomial is a degree part with one entry.  The
+explicit route reads alpha_j^k, kept per (j, k, configuration) in a table
+keyed by the hashable `FeynmanConfig` (`_alpha`, ALPHA_CACHE = 1024
+entries); each entry forms its polynomial in box by Horner.  Cached
+operators are shared, so no caller may mutate their `coeffs`.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .scalar import GaussianRational, ZERO, ONE, rational
+from .scalar import GaussianRational, ZERO, ONE, _reduced, rational
 from .deltaspace import DeltaVector, DimensionMismatch, SparseMap, mi_add, mi_order
 from .extension import ExtensionRecord, onshell_correction
 from .opalg import check_signature, dalembert, default_signature
@@ -198,22 +198,15 @@ def _interval_delta(signature: tuple, v: dict) -> dict:
     return out
 
 
-@lru_cache(maxsize=BASIS_CACHE)
-def _basis_split(signature: tuple, alpha: tuple) -> tuple:
-    """The split of one basis vector delta^(alpha): ((j, ((beta, h_j[beta]), ...)), ...).
-
-    It depends on the metric and alpha only, never on m^2, so one entry
-    serves every mass and every coefficient.  Integer coefficients are kept
-    until the end: the Lagrange numerators and the descent by (x.x)^j are
-    exact integer maps, and the common denominator is divided out once, into
-    scalar factors.  M = (x.x) o box runs once per Krylov vector
-    M^p delta^(alpha), p <= k/2, and each Lagrange numerator
-    prod_(i != j) (M - lam_i) delta^(alpha) is an integer combination of them.
-    """
+def _split_degree(signature: tuple, k: int, part: dict) -> list:
+    """The split of a nonzero integer vector {alpha: int} of degree k, as
+    [(j, {beta: int}, denominator > 0), ...].  M = (x.x) o box runs once per
+    Krylov vector M^p part, p <= k/2; each Lagrange numerator
+    prod_(i != j) (M - lam_i) part is an integer combination of them, and
+    the descent by (x.x)^j stays integral."""
     n = len(signature)
-    k = sum(alpha)
     lams = [_trace_eigenvalue(n, k, j) for j in range(k // 2 + 1)]
-    krylov = [{alpha: 1}]
+    krylov = [part]
     for _ in lams[1:]:
         krylov.append(_interval_delta(signature, _box_delta(signature, krylov[-1])))
     out = []
@@ -228,14 +221,13 @@ def _basis_split(signature: tuple, alpha: tuple) -> tuple:
         for coef, vec in zip(poly, krylov):
             for beta, c in vec.items():
                 comp[beta] = comp.get(beta, 0) + coef * c
-        comp = {beta: c for beta, c in comp.items() if c}
         for i in range(j, 0, -1):
             comp = _interval_delta(signature, comp)
             denom *= _descend_factor(n, k - 2 * j, i)
-        h = tuple((beta, rational(c, denom)) for beta, c in comp.items() if c)
-        if h:
-            out.append((j, h))
-    return tuple(out)
+        comp = {beta: c if denom > 0 else -c for beta, c in comp.items() if c}
+        if comp:
+            out.append((j, comp, abs(denom)))
+    return out
 
 
 def harmonic_components(config: FeynmanConfig, w: DeltaVector) -> dict:
@@ -245,25 +237,30 @@ def harmonic_components(config: FeynmanConfig, w: DeltaVector) -> dict:
     decomposition of (x.x) o box, whose eigenvalues are the distinct
     positive integers 2(j+1)(2k-2j+n); the projectors are Lagrange
     interpolation polynomials.  box and x.x act on delta vectors by direct
-    exponent-shift rules, and the split of each basis vector is cached
-    (`_basis_split`), so w's split is a linear combination of cached ones.
+    exponent-shift rules.  The degree-k part of w, over one common
+    denominator d, is split once per nonzero real or imaginary integer
+    part (`_split_degree`), and each coefficient of h_j divided once.
     Returns a map j -> h_j (the h_j collect all homogeneous degrees).
     """
     if w.n != config.n:
         raise DimensionMismatch("delta vector dimension does not match the configuration")
-    acc: dict = {}
+    parts: dict = {}
     for alpha, c in w.coeffs.items():
-        for j, terms in _basis_split(config.signature, alpha):
-            hj = acc.setdefault(j, {})
-            for beta, f in terms:
-                x = c * f
-                hj[beta] = hj[beta] + x if beta in hj else x
-    out = {}
-    for j in sorted(acc):
-        h = DeltaVector(config.n, acc[j])
-        if not h.is_zero():
-            out[j] = h
-    return out
+        parts.setdefault(sum(alpha), {})[alpha] = c
+    num: dict = {}  # (j, beta) -> [re, im, denominator]; two degrees never share one
+    for k, part in parts.items():
+        d = math.lcm(*(c.d for c in part.values()))
+        re = {alpha: c.a * (d // c.d) for alpha, c in part.items() if c.a}
+        im = {alpha: c.b * (d // c.d) for alpha, c in part.items() if c.b}
+        for slot, ints in ((0, re), (1, im)):
+            if ints:
+                for j, comp, denom in _split_degree(config.signature, k, ints):
+                    for beta, x in comp.items():
+                        num.setdefault((j, beta), [0, 0, d * denom])[slot] = x
+    acc: dict = {}
+    for (j, beta), (a, b, q) in num.items():
+        acc.setdefault(j, {})[beta] = _reduced(a, b, q)
+    return {j: DeltaVector(config.n, acc[j]) for j in sorted(acc)}
 
 
 def _add_scaled(acc: dict, coeffs: dict, c) -> None:

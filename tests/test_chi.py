@@ -294,16 +294,40 @@ class TestHarmonicTwoRoutes:
                                                     Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
         return DeltaVector(n, coeffs)
 
+    @staticmethod
+    def _dense_vector(rng, n, r, imaginary=False):
+        """Every basis index of degree <= r, with seeded nonzero real (unless
+        `imaginary`) and imaginary parts over assorted denominators."""
+        def part():
+            return Fraction(rng.choice((-5, -3, -2, -1, 1, 2, 4)), rng.randint(1, 6))
+        return DeltaVector(n, {alpha: GaussianRational(0 if imaginary else part(), part())
+                               for alpha in product(range(r + 1), repeat=n) if sum(alpha) <= r})
+
+    @classmethod
+    def _dense_inputs(cls, rng, n):
+        """A dense vector up to the largest r <= 8 with C(n + r, n) <= 500; at
+        n = 3 also a purely imaginary one and a degree-4 part whose
+        coefficients all have different denominators."""
+        r = max(r for r in range(9) if math.comb(n + r, n) <= 500)
+        out = [cls._dense_vector(rng, n, r)]
+        if n == 3:
+            out.append(cls._dense_vector(rng, n, 6, imaginary=True))
+            quartic = [a for a in product(range(5), repeat=n) if sum(a) == 4]
+            out.append(DeltaVector(n, {a: GaussianRational(Fraction(1, i + 1), Fraction(-1, i + 2))
+                                       for i, a in enumerate(quartic)}))
+        return out
+
     def test_direct_rules_match_generic_operator_action(self):
         rng = random.Random(4417)
-        for n in range(1, 5):
+        dense_rng = random.Random(2017)
+        for n in range(1, 6):
             base = default_signature(n)
             for sig in (base, tuple(-s for s in base)):
                 config = FeynmanConfig(n, sig, Fraction(rng.randint(0, 3), rng.randint(1, 2)))
                 box = dalembert(config.n, 0, config.signature)
                 interval = squared_interval(config.n, config.signature)
-                for _ in range(6):
-                    w = self._seeded_vector(rng, n)
+                sparse = [self._seeded_vector(rng, n) for _ in range(6)]
+                for w in sparse + (self._dense_inputs(dense_rng, n) if n >= 2 else []):
                     got = harmonic_components(config, w)
                     assert got == _generic_harmonic_components(config, w), (n, sig, str(w))
                     total = DeltaVector.zero(n)
@@ -314,6 +338,22 @@ class TestHarmonicTwoRoutes:
                             h = box.apply_delta(h)
                         total = total + h
                     assert total == w
+
+    def test_one_krylov_chain_per_degree_part(self, monkeypatch):
+        # a dense complex vector at n = 3 of degree <= 6: each degree k runs
+        # floor(k/2) box steps on its real part and as many on its imaginary
+        # part, however often the vector is split
+        calls = []
+        original = chi_mod._box_delta
+        monkeypatch.setattr(chi_mod, "_box_delta",
+                            lambda sig, v: calls.append(1) or original(sig, v))
+        config = FeynmanConfig(3, (1, -1, -1), Fraction(3, 2))
+        w = self._dense_vector(random.Random(63), 3, 6)
+        want = _generic_harmonic_components(config, w)
+        for _ in range(2):
+            calls.clear()
+            assert harmonic_components(config, w) == want
+            assert len(calls) == 2 * sum(k // 2 for k in range(7)) == 18
 
     def test_no_generic_operator_action(self, monkeypatch):
         def refuse(self, v):

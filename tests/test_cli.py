@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from onshell.scalar import GaussianRational, I, ONE, ZERO
-from onshell.chi import ConstCoeffOperator, FeynmanConfig, theta_counterterm
+from onshell.chi import ConstCoeffOperator, CrosscheckReport, FeynmanConfig, theta_counterterm
 from onshell.deltaspace import DeltaVector, Polynomial
 from onshell.opalg import (
     OperatorExpr,
@@ -638,6 +638,36 @@ class TestCommands:
                             "--m2", "0,1")
         payload = json.loads(out)
         assert code == 0 and payload["mismatches"] == []
+
+    @pytest.mark.parametrize("k_max, message", [
+        # 2 * 2 * (4^13 - 1)/3 comparisons: the sweep never finished
+        ("12", "--k-max 12 at --dim 4 exceeds the maximum of 100000 comparisons"),
+        # nothing to compare: an "ok" that checked nothing
+        ("-1", "--k-max -1 is negative"),
+    ], ids=["too-many", "negative"])
+    def test_chi_verify_refused_before_any_work(self, capsys, monkeypatch, k_max, message):
+        import onshell.cli as cli
+        calls = []
+        monkeypatch.setattr(cli, "chi_crosscheck",
+                            lambda *args: calls.append(args) or CrosscheckReport(0, ()))
+        code = main(["chi-verify", "--dim", "4", "--k-max", k_max, "--m2", "0,1"])
+        captured = capsys.readouterr()
+        assert code == 1 and calls == []
+        assert captured.out == ""
+        assert captured.err == f"onshell: error: {message}\n"
+        assert "Traceback" not in captured.err
+
+    def test_chi_verify_bound_admits_k_max_7_at_dim_4(self, capsys, monkeypatch):
+        # 2 metrics * 2 masses * (1 + 4 + ... + 4^7) = 87,380 comparisons run;
+        # one order more, 349,524, does not
+        import onshell.cli as cli
+        calls = []
+        monkeypatch.setattr(cli, "chi_crosscheck",
+                            lambda *args: calls.append(args[0]) or CrosscheckReport(0, ()))
+        assert main(["chi-verify", "--dim", "4", "--k-max", "7", "--m2", "0,1"]) == 0
+        assert main(["chi-verify", "--dim", "4", "--k-max", "8", "--m2", "0,1"]) == 1
+        assert calls == [7]
+        assert "exceeds the maximum" in capsys.readouterr().err
 
 
 class TestSchema:
