@@ -33,19 +33,18 @@ def main():
     ap.add_argument("--metric", default=None)
     args = ap.parse_args()
 
-    sig = (tuple(1 if ch == "+" else -1 for ch in args.metric)
-           if args.metric else (1,) + (-1,) * (args.dim - 1))
+    sig = tuple(1 if ch == "+" else -1 for ch in args.metric) if args.metric else None
     config = FeynmanConfig(args.dim, sig, Fraction(args.m2))
     c = GaussianRational(0, -1)
 
-    print(f"# n = {args.dim}, metric = {sig}, m^2 = {args.m2}, c = -i")
+    print(f"# n = {args.dim}, metric = {config.signature}, m^2 = {args.m2}, c = -i")
     print(f"# {'S':24} {'chi(S)':58} counterterm")
     mismatches = 0
     for k in range(args.k_max + 1):
         for idx in combinations_with_replacement(range(args.dim), k):
             s_op = ConstCoeffOperator.monomial(config, idx)
             res = chi_projection(s_op, c, config)
-            expl = chi_explicit(idx, args.dim, Fraction(args.m2), sig)
+            expl = chi_explicit(idx, args.dim, config.m2, config.signature)
             if res.chi.coeffs != expl.coeffs:
                 mismatches += 1
             ct = res.chi1.apply_to_delta().scale(c)

@@ -57,7 +57,7 @@ def inverse_modulus_model():
 def casimir_pipeline():
     print("== Lorentz invariance via the quadratic Casimir, n = 2, metric (+,-) ==")
     rng = random.Random(0)
-    c_op, gens, expr = lorentz_casimir_setup(2, (1, -1))
+    c_op, gens, expr = lorentz_casimir_setup(2)  # the default metric, (+,-)
     boost = gens[0]
     for r in (1, 2):
         rep = verify_casimir_hypotheses(c_op, gens, r, expr)

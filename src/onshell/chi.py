@@ -63,13 +63,14 @@ BASIS_CACHE = 4096
 class FeynmanConfig:
     """Ambient data for the counterterm algebra.
 
-    deg_v is the degree of divergence of the fundamental solution
-    (-2 for the Feynman propagator); it fixes the threshold below which
-    no counterterm exists.
+    signature None is the default metric of size n, diag(+1, -1, ..., -1)
+    (`opalg.check_signature`).  deg_v is the degree of divergence of the
+    fundamental solution (-2 for the Feynman propagator); it fixes the
+    threshold below which no counterterm exists.
     """
 
     n: int = 4
-    signature: tuple = (1, -1, -1, -1)
+    signature: tuple | None = None
     m2: Fraction = Fraction(0)
     deg_v: int = -2
 
@@ -410,7 +411,7 @@ def alpha_coefficient(j: int, k: int, n: int, m2, signature=None) -> ConstCoeffO
     and the divisibility property, so the bare monomial is kept; the
     crosscheck against the independent route validates this choice.
     """
-    config = FeynmanConfig(n, signature if signature is not None else default_signature(n), m2)
+    config = FeynmanConfig(n, signature, m2)
     if j == 0:
         return ConstCoeffOperator.one(config)
     if not 1 <= j <= k // 2:
@@ -449,7 +450,7 @@ def chi_explicit(indices, n: int, m2, signature=None) -> ConstCoeffOperator:
     exponent dict, and alpha_j^k times the level-j weights / j! is added into
     it by exponent shifts.
     """
-    config = FeynmanConfig(n, signature if signature is not None else default_signature(n), m2)
+    config = FeynmanConfig(n, signature, m2)
     sig = config.signature
     idx = tuple(indices)
     k = len(idx)
@@ -510,7 +511,10 @@ def chi_crosscheck(k_max: int, n: int, m2_list, signatures=None) -> CrosscheckRe
 
     The explicit route runs on every ordered monomial; the projection route,
     which sees only the exponent, runs once per index multiset and each
-    ordering is compared against that result."""
+    ordering is compared against that result.  A negative k_max checks
+    nothing, so it is refused (ValueError) rather than passed."""
+    if k_max < 0:
+        raise ValueError(f"k_max {k_max} is negative")
     if signatures is None:
         base = default_signature(n)
         signatures = (base, tuple(-s for s in base))

@@ -52,7 +52,6 @@ from .opalg import (
     check_signature,
     compose_checked,
     dalembert,
-    default_signature,
     euler,
     lorentz_generator,
     parity,
@@ -382,8 +381,7 @@ class _OperatorParser:
 
 
 def parse_operator(text: str, n: int, signature=None) -> OperatorExpr:
-    sig = tuple(signature) if signature is not None else default_signature(n)
-    parser = _OperatorParser(text, n, sig)
+    parser = _OperatorParser(text, n, check_signature(n, signature))
     try:
         return parser.parse()
     except RecursionError:
@@ -597,11 +595,10 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _parse_metric(text: str, n: int):
     if text is None:
-        return default_signature(n)
-    sig = tuple(1 if ch == "+" else -1 for ch in text)
+        return check_signature(n)
     if len(text) != n or any(ch not in "+-" for ch in text):
         raise ValueError(f"metric {text!r} does not match dimension {n}")
-    return check_signature(n, sig)
+    return check_signature(n, tuple(1 if ch == "+" else -1 for ch in text))
 
 
 def _metric_text(sig) -> str:
@@ -667,6 +664,16 @@ def _residues(args, count: int, message: str) -> list:
     return out
 
 
+def _record(args, ops: list, residues: list) -> ExtensionRecord:
+    """The record that gives residues[i] to ops[i]; an operator given twice
+    would keep only its last residue, so it is refused (ValueError)."""
+    for i, q in enumerate(ops):
+        if q in ops[:i]:
+            raise ValueError(f"operator {operator_to_text(q)!r} is given twice; "
+                             "each operator takes one residue")
+    return ExtensionRecord(args.dim, args.degree, dict(zip(ops, residues)))
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -674,41 +681,35 @@ def _residues(args, count: int, message: str) -> list:
 def _cmd_restrict(args):
     q = _single_op(args)
     m = restrict(q, args.degree)
-    return {"command": "restrict", "status": "ok", "matrix": matrix_to_json(m, args.op[0]),
+    return {"status": "ok", "matrix": matrix_to_json(m, args.op[0]),
             "essential_order": q.essential_order().q}
 
 
 def _cmd_adjoint(args):
     q = _single_op(args)
     m = adjoint_restriction(q, args.degree)
-    return {"command": "adjoint", "status": "ok", "matrix": matrix_to_json(m, args.op[0])}
+    return {"status": "ok", "matrix": matrix_to_json(m, args.op[0])}
 
 
 def _cmd_essord(args):
     q = _single_op(args)
     e = q.essential_order()
-    return {"command": "essord", "status": "ok", "q": e.q, "exact": e.exact,
+    return {"status": "ok", "q": e.q, "exact": e.exact,
             "normal_form": operator_to_text(q.normal_form())}
 
 
 def _cmd_minpoly(args):
-    q = _single_op(args)
-    # Q|_r is square exactly when Q has essential order 0
-    if args.gram or q.essential_order().q != 0:
-        m = restrict(q, args.degree).gram
-        which = "gram"
-    else:
-        m = restrict(q, args.degree)
-        which = "restriction"
-    p = minimal_polynomial(m)
-    return {"command": "minpoly", "status": "ok", "matrix": which,
+    m = restrict(_single_op(args), args.degree)
+    gram = args.gram or not m.is_square()
+    p = minimal_polynomial(m.gram if gram else m)
+    return {"status": "ok", "matrix": "gram" if gram else "restriction",
             "coefficients": poly_to_json(p)}
 
 
 def _cmd_projpoly(args):
     q = _single_op(args)
     p = projection_polynomial(q, args.degree)
-    out = {"command": "projpoly", "status": "ok", "coefficients": poly_to_json(p)}
+    out = {"status": "ok", "coefficients": poly_to_json(p)}
     if args.projector:
         out["projector"] = matrix_to_json(projector_onto_kernel(q, args.degree),
                                           f"proj-ker(r={args.degree})")
@@ -718,8 +719,7 @@ def _cmd_projpoly(args):
 def _cmd_kernel(args):
     q = _single_op(args)
     m = restrict(q, args.degree)
-    out = {"command": "kernel", "status": "ok",
-           "kernel_basis": [delta_to_json(v) for v in kernel_basis(m)]}
+    out = {"status": "ok", "kernel_basis": [delta_to_json(v) for v in kernel_basis(m)]}
     if args.residue or args.pseudo:
         [w] = _residues(args, 1, "exactly one --residue is required")
         if args.pseudo:
@@ -742,12 +742,10 @@ def _cmd_kernel(args):
 
 def _cmd_extend_check(args):
     q = _single_op(args)
-    [w] = _residues(args, 1, "exactly one --residue is required")
-    rec = ExtensionRecord(args.dim, args.degree, {q: w})
-    rep = existence_check(rec, q)
-    return {"command": "extend-check", "status": "ok" if rep.exists else "no",
-            "exists": rep.exists, "criterion": rep.criterion,
-            "certificate": delta_to_json(rep.certificate)}
+    ws = _residues(args, 1, "exactly one --residue is required")
+    rep = existence_check(_record(args, [q], ws), q)
+    return {"status": "ok" if rep.exists else "no", "exists": rep.exists,
+            "criterion": rep.criterion, "certificate": delta_to_json(rep.certificate)}
 
 
 def _cmd_counterterm(args):
@@ -755,7 +753,7 @@ def _cmd_counterterm(args):
     if not ops:
         raise ValueError("at least one --op is required")
     ws = _residues(args, len(ops), "need exactly one --residue per --op")
-    rec = ExtensionRecord(args.dim, args.degree, dict(zip(ops, ws)))
+    rec = _record(args, ops, ws)
     v = multi_commuting_correction(rec, ops)
     corrected = apply_counterterm(rec, v)
     residue_report = []
@@ -765,7 +763,7 @@ def _cmd_counterterm(args):
         all_zero = all_zero and res.is_zero()
         residue_report.append({"op": args.op[i], "corrected_residue": delta_to_json(res),
                                "onshell": res.is_zero()})
-    return {"command": "counterterm", "status": "ok" if all_zero else "no",
+    return {"status": "ok" if all_zero else "no",
             "counterterm": delta_to_json(v), "residues": residue_report,
             "linearity_precondition": [
                 {"op": args.op[i], "holds": linearity_precondition(q, args.degree)}
@@ -776,27 +774,23 @@ def _cmd_order_raise(args):
     if args.k > MAX_POWER:
         raise ValueError(f"--k {args.k} exceeds the maximum {MAX_POWER}")
     q = _single_op(args)
-    [w] = _residues(args, 1, "exactly one --residue is required")
+    ws = _residues(args, 1, "exactly one --residue is required")
     rk = q ** args.k if args.k >= 1 else q
-    rec = ExtensionRecord(args.dim, args.degree, {rk: w})
+    rec = _record(args, [rk], ws)
     try:
         v = order_raising_correction(rec, q, args.k, rk)
     except NonNormalRestriction as exc:
-        return {"command": "order-raise", "status": "no", "error": str(exc)}
+        return {"status": "no", "error": str(exc)}
     corrected = apply_counterterm(rec, v)
     res = q.apply_delta(corrected.residue(rk))
-    return {"command": "order-raise", "status": "ok",
-            "counterterm": delta_to_json(v),
-            "raised_residue": delta_to_json(res),
-            "raised_onshell": res.is_zero()}
+    return {"status": "ok", "counterterm": delta_to_json(v),
+            "raised_residue": delta_to_json(res), "raised_onshell": res.is_zero()}
 
 
 def _cmd_casimir_check(args):
     c_op, gens, expr = lorentz_casimir_setup(args.dim, args.signature)
     rep = verify_casimir_hypotheses(c_op, gens, args.degree, expr)
-    out = {"command": "casimir-check",
-           "status": "ok" if rep.passed else "no",
-           "level": rep.level,
+    out = {"status": "ok" if rep.passed else "no", "level": rep.level,
            "shape_ok": rep.shape_ok, "self_adjoint_ok": rep.self_adjoint_ok,
            "commute_ok": rep.commute_ok, "kernel_ok": rep.kernel_ok,
            "failures": list(rep.failures),
@@ -804,7 +798,7 @@ def _cmd_casimir_check(args):
     if rep.passed and args.residue:
         ws = _residues(args, 1 + len(gens), f"need 1 + {len(gens)} residues: the Casimir's, "
                        "then one per generator in (mu < nu) order")
-        rec = ExtensionRecord(args.dim, args.degree, dict(zip([c_op, *gens], ws)))
+        rec = _record(args, [c_op, *gens], ws)
         v = _casimir_map(restrict(c_op, args.degree), rec.residue(c_op))
         corrected = apply_counterterm(rec, v)
         out["counterterm"] = delta_to_json(v)
@@ -834,19 +828,18 @@ def _cmd_renorm(args):
         ops.append(t_op)
     ws = _residues(args, len(ops), f"need {len(ops)} residues "
                    "(Casimir first when --lorentz, then the degree product)")
-    rec = ExtensionRecord(args.dim, args.degree, dict(zip(ops, ws)))
+    rec = _record(args, ops, ws)
     try:
         v = renorm_map(rec, degrees, lorentz=args.lorentz, signature=args.signature)
     except CasimirHypothesisError as exc:
-        return {"command": "renorm", "status": "no",
-                "failures": list(exc.report.failures)}
-    return {"command": "renorm", "status": "ok", "counterterm": delta_to_json(v)}
+        return {"status": "no", "failures": list(exc.report.failures)}
+    return {"status": "ok", "counterterm": delta_to_json(v)}
 
 
 def _cmd_homog_unique(args):
     rep = homogeneous_extension_unique(args.dim, Fraction(args.a), args.degree)
-    return {"command": "homog-unique", "status": "ok" if rep.unique else "no",
-            "exists": rep.unique, "kernel_levels": list(rep.kernel_levels)}
+    return {"status": "ok" if rep.unique else "no", "exists": rep.unique,
+            "kernel_levels": list(rep.kernel_levels)}
 
 
 def _cmd_chi(args):
@@ -857,7 +850,7 @@ def _cmd_chi(args):
     res = chi_projection(s_op, c, config)
     expl = chi_explicit(indices, args.dim, Fraction(args.m2), args.signature)
     agree = res.chi.coeffs == expl.coeffs
-    return {"command": "chi", "status": "ok" if agree else "no",
+    return {"status": "ok" if agree else "no",
             "chi": str(res.chi), "chi1": str(res.chi1),
             "chi_explicit": str(expl), "routes_agree": agree,
             "counterterm": delta_to_json(theta_counterterm(s_op, c, config)),
@@ -880,7 +873,7 @@ def _cmd_chi_verify(args):
                              f"of {MAX_CHI_COMPARISONS} comparisons")
         level *= args.dim
     rep = chi_crosscheck(args.k_max, args.dim, m2_list, sigs)
-    return {"command": "chi-verify", "status": "ok" if rep.ok else "no",
+    return {"status": "ok" if rep.ok else "no",
             "metric": [_metric_text(s) for s in sigs], "checked": rep.checked,
             "mismatches": [{"signature": list(m.signature), "m2": str(m.m2),
                             "indices": list(m.indices),
@@ -920,8 +913,7 @@ def _cmd_degree(args):
         else:  # "operator"; argparse admits no other rule
             b = degree_mod.bound_operator(d, _single_op(args))
     value = "-inf" if b.value == degree_mod.NEG_INF else b.value
-    return {"command": "degree", "status": "ok", "value": value,
-            "exactness": b.exactness}
+    return {"status": "ok", "value": value, "exactness": b.exactness}
 
 
 # ---------------------------------------------------------------------------
@@ -1005,7 +997,7 @@ def build_parser() -> _ArgumentParser:
     p.set_defaults(func=_cmd_chi_verify)
 
     p = sub.add_parser("degree", help="degree-of-divergence bookkeeping")
-    _add_common(p, residue=True)
+    _add_common(p, op=True, metric=True, residue=True)
     p.add_argument("--rule", required=True,
                    choices=["delta", "derivative", "monomial", "vanishing", "tensor", "operator"])
     p.add_argument("--value", default=None, help="input degree value")
@@ -1015,8 +1007,6 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--k", type=int, default=0, help="vanishing order")
     p.add_argument("--n1", type=int, default=0)
     p.add_argument("--n2", type=int, default=0)
-    p.add_argument("--op", action="append", default=[], help="operator (operator rule)")
-    p.add_argument("--metric", default=None)
     p.set_defaults(func=_cmd_degree)
 
     return root
@@ -1038,7 +1028,7 @@ def main(argv=None) -> int:
         # and recorded in every output of a subcommand that takes one
         if hasattr(args, "metric"):
             args.signature = _parse_metric(args.metric, args.dim)
-        payload = args.func(args)
+        payload = {"command": args.command, **args.func(args)}
         if hasattr(args, "metric"):
             payload.setdefault("metric", _metric_text(args.signature))
     except (OperatorSyntaxError, ValueError, KeyError, ZeroDivisionError) as exc:

@@ -56,7 +56,6 @@ from .opalg import (
     casimir,
     check_signature,
     commutator,
-    default_signature,
     euler,
     lorentz_generator,
     operator_equal,
@@ -351,7 +350,7 @@ def lorentz_casimir_setup(n: int, signature=None):
     generators M_(mu nu), mu < nu; the expression certificate lists each
     square with multiplicity two.
     """
-    sig = check_signature(n, signature if signature is not None else default_signature(n))
+    sig = check_signature(n, signature)
     gens = []
     expr = []
     pos = {}

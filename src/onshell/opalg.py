@@ -500,8 +500,9 @@ def commutator(q1: OperatorExpr, q2: OperatorExpr) -> OperatorExpr:
 # named constructors
 # ---------------------------------------------------------------------------
 
-def check_signature(n: int, signature) -> tuple:
-    sig = tuple(signature)
+def check_signature(n: int, signature=None) -> tuple:
+    """The metric as a tuple of +-1 of length n; None is the default metric."""
+    sig = default_signature(n) if signature is None else tuple(signature)
     if len(sig) != n or any(s not in (1, -1) for s in sig):
         raise InvalidSignature(f"signature {signature!r} is not a diagonal +-1 metric of size {n}")
     return sig
@@ -524,7 +525,7 @@ def euler(n: int, a) -> OperatorExpr:
 
 def dalembert(n: int, m2, signature=None) -> OperatorExpr:
     """Wave operator plus mass: sum_mu g^(mu mu) d_mu^2 + m^2."""
-    sig = check_signature(n, signature if signature is not None else default_signature(n))
+    sig = check_signature(n, signature)
     op = OperatorExpr.from_scalar(n, GaussianRational.of(Fraction(m2)))
     for mu in range(n):
         e2 = tuple(2 if j == mu else 0 for j in range(n))
@@ -534,7 +535,7 @@ def dalembert(n: int, m2, signature=None) -> OperatorExpr:
 
 def lorentz_generator(n: int, mu: int, nu: int, signature=None) -> OperatorExpr:
     """x_mu d_nu - x_nu d_mu with the first index lowered by the metric."""
-    sig = check_signature(n, signature if signature is not None else default_signature(n))
+    sig = check_signature(n, signature)
     if not (0 <= mu < n and 0 <= nu < n):
         raise ValueError("generator indices out of range")
     xmu = Polynomial.coordinate(n, mu).scale(sig[mu])
@@ -547,7 +548,7 @@ def lorentz_generator(n: int, mu: int, nu: int, signature=None) -> OperatorExpr:
 def casimir(n: int, signature=None) -> OperatorExpr:
     """Quadratic Casimir (x_mu d_nu - x_nu d_mu)(x^mu d^nu - x^nu d^mu),
     implicit sum over both indices raised by the metric."""
-    sig = check_signature(n, signature if signature is not None else default_signature(n))
+    sig = check_signature(n, signature)
     total = OperatorExpr.zero(n)
     for mu in range(n):
         for nu in range(n):
@@ -572,7 +573,7 @@ def monomial_derivative(n: int, gamma) -> OperatorExpr:
 
 def squared_interval(n: int, signature=None) -> OperatorExpr:
     """Multiplication by x_mu x^mu = sum_mu g_(mu mu) x_mu^2."""
-    sig = check_signature(n, signature if signature is not None else default_signature(n))
+    sig = check_signature(n, signature)
     p = Polynomial.zero(n)
     for mu in range(n):
         e2 = tuple(2 if j == mu else 0 for j in range(n))

@@ -533,6 +533,13 @@ class TestFeynmanConfig:
         assert chi_explicit((0, 0), 2, 1, [1, -1]).coeffs == \
             chi_explicit((0, 0), 2, Fraction(1), (1, -1)).coeffs
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_default_signature_follows_the_dimension(self, n):
+        config = FeynmanConfig(n)
+        assert config.signature == default_signature(n)
+        explicit = FeynmanConfig(n, default_signature(n))
+        assert config == explicit and hash(config) == hash(explicit)
+
     def test_fixed_operators_are_built_once_per_config(self):
         assert alpha_coefficient(2, 5, 4, 1) is alpha_coefficient(2, 5, 4, Fraction(1), [1, -1, -1, -1])
 
@@ -541,6 +548,11 @@ class TestCrosscheck:
     def test_vacuous(self):
         rep = chi_crosscheck(0, 4, [Fraction(0)])
         assert rep.ok and rep.checked == 2
+
+    def test_negative_order_is_refused(self):
+        # no monomial has a negative order: a pass would have checked nothing
+        with pytest.raises(ValueError, match="k_max -1 is negative"):
+            chi_crosscheck(-1, 4, [Fraction(0)])
 
     def test_small(self):
         rep = chi_crosscheck(2, 4, [Fraction(0), Fraction(1)],

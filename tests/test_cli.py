@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ from onshell.scalar import GaussianRational, I, ONE, ZERO
 from onshell.chi import ConstCoeffOperator, CrosscheckReport, FeynmanConfig, theta_counterterm
 from onshell.deltaspace import DeltaVector, Polynomial
 from onshell.opalg import (
+    InvalidSignature,
     OperatorExpr,
     OperatorTooLarge,
     casimir,
@@ -60,6 +62,10 @@ class TestParser:
     def test_wave_expression(self):
         got = parse_operator("d1^2 - d2^2 + 1", 2)
         assert operator_equal(got, dalembert(2, 1, (1, -1)))
+
+    def test_invalid_signature_refused_even_when_unused(self):
+        with pytest.raises(InvalidSignature):
+            parse_operator("x1", 2, (5, 5))
 
     def test_juxtaposition_rejected(self):
         with pytest.raises(OperatorSyntaxError):
@@ -471,6 +477,21 @@ class TestCommands:
         assert code == 0
         assert all(entry["onshell"] for entry in payload["residues"])
 
+    @pytest.mark.parametrize("second", ["d1", "d1*1"])
+    def test_counterterm_refuses_an_operator_given_twice(self, capsys, monkeypatch, second):
+        # one dict entry per operator: the first residue would be lost
+        import onshell.cli as cli
+        calls = []
+        monkeypatch.setattr(cli, "multi_commuting_correction", lambda *args: calls.append(args))
+        code = main(["counterterm", "--dim", "1", "--degree", "0", "--op", "d1", "--op", second,
+                     "--residue", '{"alpha":[1],"coeff":{"re":"1","im":"0"}}',
+                     "--residue", '{"alpha":[0],"coeff":{"re":"5","im":"0"}}'])
+        captured = capsys.readouterr()
+        assert code == 1 and calls == []
+        assert captured.out == ""
+        assert captured.err == ("onshell: error: operator 'd1' is given twice; "
+                                "each operator takes one residue\n")
+
     def test_degree_rules(self, capsys):
         code, out = run_cli(capsys, "degree", "--dim", "4", "--rule", "derivative",
                             "--value", "-2", "--index", "2,0,0,0")
@@ -671,6 +692,12 @@ class TestCommands:
 
 
 class TestSchema:
+    def test_doc_embeds_the_same_schema(self):
+        text = (Path(__file__).resolve().parent.parent / "docs" / "json-schema.md").read_text()
+        blocks = re.findall(r"^```json\n(.*?)^```", text, re.S | re.M)
+        assert len(blocks) == 1
+        assert json.loads(blocks[0]) == JSON_SCHEMA
+
     @pytest.mark.parametrize("argv", [
         ("homog-unique", "--dim", "2", "--a", "-3", "--degree", "1"),
         ("restrict", "--dim", "1", "--op", "euler(-2)", "--degree", "1"),
