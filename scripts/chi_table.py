@@ -23,6 +23,7 @@ from onshell.chi import (
     chi_explicit,
     chi_projection,
 )
+from onshell.cli import _parse_metric
 
 
 def main():
@@ -33,8 +34,10 @@ def main():
     ap.add_argument("--metric", default=None)
     args = ap.parse_args()
 
-    sig = tuple(1 if ch == "+" else -1 for ch in args.metric) if args.metric else None
-    config = FeynmanConfig(args.dim, sig, Fraction(args.m2))
+    try:
+        config = FeynmanConfig(args.dim, _parse_metric(args.metric, args.dim), Fraction(args.m2))
+    except ValueError as exc:
+        ap.error(str(exc))
     c = GaussianRational(0, -1)
 
     print(f"# n = {args.dim}, metric = {config.signature}, m^2 = {args.m2}, c = -i")

@@ -1,9 +1,9 @@
 """The on-shell/off-shell map for derivatives of the Feynman propagator.
 
-Given the fundamental-solution normalization (box + m^2) v = c*delta with
-deg v = -2, every constant-coefficient monomial S gets a counterterm that
-moves S v to its on-shell compatible version.  Two independent routes are
-provided and cross-validated:
+Given the fundamental-solution normalization (box + m^2) v = c*delta, which
+fixes deg v = DEG_V = -2, every constant-coefficient monomial S of order at
+least 2 gets a counterterm that moves S v to its on-shell compatible
+version.  Two independent routes are provided and cross-validated:
 
 * the projection route: the exact trace (Fischer) split
   S delta = sum_j box^j H_j delta, with H_j delta annihilated by
@@ -57,6 +57,10 @@ from .opalg import check_signature, dalembert, default_signature
 
 ALPHA_CACHE = 1024
 BASIS_CACHE = 4096
+# deg v of the fundamental solution: box + m^2 has order 2 and deg delta = 0,
+# so (box + m^2) v = c delta fixes deg v = -2 in every dimension and for
+# every mass; S gets a counterterm when order(S) + DEG_V >= 0.
+DEG_V = -2
 
 
 @dataclass(frozen=True)
@@ -64,15 +68,12 @@ class FeynmanConfig:
     """Ambient data for the counterterm algebra.
 
     signature None is the default metric of size n, diag(+1, -1, ..., -1)
-    (`opalg.check_signature`).  deg_v is the degree of divergence of the
-    fundamental solution (-2 for the Feynman propagator); it fixes the
-    threshold below which no counterterm exists.
+    (`opalg.check_signature`).
     """
 
     n: int = 4
     signature: tuple | None = None
     m2: Fraction = Fraction(0)
-    deg_v: int = -2
 
     def __post_init__(self):
         if self.n < 1:
@@ -160,20 +161,16 @@ def _exponent(n: int, indices) -> tuple:
 class ChiResult:
     chi: ConstCoeffOperator
     chi1: ConstCoeffOperator
-    s: int  # counterterm degree used (order(S) + deg_v)
+    s: int  # counterterm degree used (order(S) + DEG_V)
 
 
 # ---------------------------------------------------------------------------
 # trace (harmonic) decomposition of delta vectors
 # ---------------------------------------------------------------------------
 
-def _trace_eigenvalue(n: int, k: int, j: int) -> int:
-    """Eigenvalue of (x.x) o box on box^j h with h of degree k - 2j."""
-    return 2 * (j + 1) * (2 * k - 2 * j + n)
-
-
 def _descend_factor(n: int, d: int, i: int) -> int:
-    """(x.x) box^i h = a_i box^(i-1) h with h of degree d: a_i below."""
+    """(x.x) box^i h = a_i box^(i-1) h with h of degree d: a_i below.  So
+    box^j h is an eigenvector of (x.x) o box with eigenvalue a_(j+1)."""
     return 2 * i * (2 * d + 2 * (i - 1) + n)
 
 
@@ -188,14 +185,16 @@ def _box_delta(signature: tuple, v: dict) -> dict:
 
 
 def _interval_delta(signature: tuple, v: dict) -> dict:
-    """(x.x) delta^(a) = sum_mu g_(mu mu) a_mu (a_mu - 1) delta^(a - 2 e_mu), on {a: int}."""
+    """(x.x) delta^(a) = sum_mu g_(mu mu) a_mu (a_mu - 1) delta^(a - 2 e_mu),
+    on {a: int} or {a: scalar}."""
     out: dict = {}
     for alpha, c in v.items():
         for mu, g in enumerate(signature):
             a = alpha[mu]
             if a >= 2:
                 beta = alpha[:mu] + (a - 2,) + alpha[mu + 1:]
-                out[beta] = out.get(beta, 0) + g * a * (a - 1) * c
+                x = g * a * (a - 1) * c
+                out[beta] = out[beta] + x if beta in out else x
     return out
 
 
@@ -206,7 +205,7 @@ def _split_degree(signature: tuple, k: int, part: dict) -> list:
     prod_(i != j) (M - lam_i) part is an integer combination of them, and
     the descent by (x.x)^j stays integral."""
     n = len(signature)
-    lams = [_trace_eigenvalue(n, k, j) for j in range(k // 2 + 1)]
+    lams = [_descend_factor(n, k - 2 * j, j + 1) for j in range(k // 2 + 1)]
     krylov = [part]
     for _ in lams[1:]:
         krylov.append(_interval_delta(signature, _box_delta(signature, krylov[-1])))
@@ -276,7 +275,7 @@ def _add_scaled(acc: dict, coeffs: dict, c) -> None:
 def _basis_chi(config: FeynmanConfig, gamma: tuple) -> tuple:
     """(chi, chi1) of the monomial S = d^gamma from its trace split
     S delta = sum_j box^j H_j delta (H_j delta trace free), before the
-    order(S) + deg_v threshold, which callers apply to the whole of S.
+    order(S) + DEG_V threshold, which callers apply to the whole of S.
 
     chi = sum_j (-m^2)^j H_j is the split evaluated at box -> -m^2, and
     chi1 = -sum_i box^i K_i with K_i = H_(i+1) + (-m^2) K_(i+1), so that
@@ -317,10 +316,10 @@ def _basis_chi(config: FeynmanConfig, gamma: tuple) -> tuple:
 
 def _chi_pair(config: FeynmanConfig, s_op: ConstCoeffOperator) -> tuple:
     """(chi, chi1) of S = sum_gamma c_gamma d^gamma: (S, 0) when
-    order(S) + deg_v < 0, else sum_gamma c_gamma (the images of d^gamma), one
-    dict per result.  A single term with coefficient 1 returns the kept
-    images themselves."""
-    if s_op.order() + config.deg_v < 0:
+    order(S) + DEG_V < 0, that is order(S) < 2, else sum_gamma c_gamma (the
+    images of d^gamma), one dict per result.  A single term with coefficient
+    1 returns the kept images themselves."""
+    if s_op.order() + DEG_V < 0:
         return s_op, ConstCoeffOperator.zero(config)
     if len(s_op.coeffs) == 1:
         (gamma, c), = s_op.coeffs.items()
@@ -335,14 +334,21 @@ def _chi_pair(config: FeynmanConfig, s_op: ConstCoeffOperator) -> tuple:
     return ConstCoeffOperator(config, chi), ConstCoeffOperator(config, chi1)
 
 
+def _own_config(s_op: ConstCoeffOperator, config) -> FeynmanConfig:
+    """The operator's configuration; a config given with it must equal it."""
+    if config is not None and config != s_op.config:
+        raise DimensionMismatch("the operator's configuration does not match the given one")
+    return s_op.config
+
+
 def theta_counterterm(s_op: ConstCoeffOperator, c, config: FeynmanConfig = None) -> DeltaVector:
     """Delta-supported part of the on-shell replacement of S v.
 
-    Returns 0 when s = order(S) + deg_v < 0 (the extension is unique below
+    Returns 0 when s = order(S) + DEG_V < 0 (the extension is unique below
     the threshold); otherwise c * chi1(S) delta, so that adding it to S v
     realizes the on-shell counterterm, with theta(S (box+m^2)) = 0 exactly.
     """
-    chi1 = _chi_pair(config or s_op.config, s_op)[1]
+    chi1 = _chi_pair(_own_config(s_op, config), s_op)[1]
     return chi1.apply_to_delta().scale(GaussianRational.of(c))
 
 
@@ -351,16 +357,14 @@ def chi_projection(s_op: ConstCoeffOperator, c=ONE, config: FeynmanConfig = None
     and chi1(S) the operator X with X delta = c^(-1) * theta_counterterm(S, c)
     for any c != 0 (checked exactly in the tests).
     """
-    config = config or s_op.config
     if GaussianRational.of(c).is_zero():
         raise ValueError("the normalization constant c must be nonzero")
-    if s_op.space() != config:
-        raise DimensionMismatch("the operator's configuration does not match the given one")
+    config = _own_config(s_op, config)
     chi, chi1 = _chi_pair(config, s_op)
     order = s_op.order()
     if chi.order() > order:
         raise AssertionError("order bound violated by the spectral route")
-    return ChiResult(chi, chi1, order + config.deg_v)
+    return ChiResult(chi, chi1, order + DEG_V)
 
 
 def counterterm_level_projection(s_op: ConstCoeffOperator, c, level: int,
@@ -374,7 +378,7 @@ def counterterm_level_projection(s_op: ConstCoeffOperator, c, level: int,
     (asserted in the tests); kept as the massless dual route and as the
     documented point of departure for m != 0.
     """
-    config = config or s_op.config
+    config = _own_config(s_op, config)
     q = dalembert(config.n, config.m2, config.signature)
     w = s_op.apply_to_delta().scale(GaussianRational.of(c))
     return onshell_correction(ExtensionRecord(config.n, level, {q: w}), q)
@@ -446,9 +450,11 @@ def chi_explicit(indices, n: int, m2, signature=None) -> ConstCoeffOperator:
     pair contractions, gathered into fewer terms.  The first level contracts
     the indices in the order given (`lambda_contraction`); a later level
     contracts by index counts, as a monomial depends only on them: exponent
-    c goes to c - 2 e_mu with weight g_(mu mu) C(c_mu, 2).  The total is one
-    exponent dict, and alpha_j^k times the level-j weights / j! is added into
-    it by exponent shifts.
+    c goes to c - 2 e_mu with weight g_(mu mu) C(c_mu, 2), which is half of
+    the (x.x) exponent shift `_interval_delta`, so j - 1 such shifts of
+    level 1 give 2^(j-1) times the level-j weights.  The total is one
+    exponent dict, and alpha_j^k times the shifted weights / (2^(j-1) j!) is
+    added into it by exponent shifts.
     """
     config = FeynmanConfig(n, signature, m2)
     sig = config.signature
@@ -463,21 +469,14 @@ def chi_explicit(indices, n: int, m2, signature=None) -> ConstCoeffOperator:
     j = 1
     while level:
         alpha = alpha_coefficient(j, k, n, config.m2, sig).coeffs
-        inv = rational(1, math.factorial(j))
+        inv = rational(1, 2 ** (j - 1) * math.factorial(j))
         for rest, w in level.items():
             f = w * inv
             for a, x in alpha.items():
                 key = mi_add(a, rest)
                 y = x * f
                 total[key] = total[key] + y if key in total else y
-        nxt: dict = {}
-        for rest, w in level.items():
-            for mu, c in enumerate(rest):
-                if c >= 2:
-                    key = rest[:mu] + (c - 2,) + rest[mu + 1:]
-                    x = w * (sig[mu] * c * (c - 1) // 2)
-                    nxt[key] = nxt[key] + x if key in nxt else x
-        level = nxt
+        level = _interval_delta(sig, level)
         j += 1
     return ConstCoeffOperator(config, total)
 

@@ -43,7 +43,7 @@ import sys
 from fractions import Fraction
 from math import gcd
 
-from .scalar import GaussianRational, ONE, I, _reduced
+from .scalar import GaussianRational, I, _reduced
 from .deltaspace import DeltaVector, Polynomial
 from .opalg import (
     OperatorExpr,
@@ -389,45 +389,8 @@ def parse_operator(text: str, n: int, signature=None) -> OperatorExpr:
         raise OperatorSyntaxError("expression nested too deeply", tok[2], tok[3]) from None
 
 
-# ---------------------------------------------------------------------------
-# printing operators back into the expression language
-# ---------------------------------------------------------------------------
-
-def _is_negative(c: GaussianRational) -> bool:
-    if c.im == 0:
-        return c.re < 0
-    if c.re == 0:
-        return c.im < 0
-    return False
-
-
-def operator_to_text(q: OperatorExpr) -> str:
-    if q.is_zero():
-        return "0"
-    pieces = []
-    for coeff, gamma, pb in q.terms:
-        for beta, c in coeff.items_sorted():
-            neg = _is_negative(c)
-            if neg:
-                c = -c
-            factors = [] if c == ONE else [str(c)]
-            for idx, e in enumerate(beta):
-                if e:
-                    factors.append(f"x{idx + 1}" + (f"^{e}" if e > 1 else ""))
-            for idx, e in enumerate(gamma):
-                if e:
-                    factors.append(f"d{idx + 1}" + (f"^{e}" if e > 1 else ""))
-            if pb is not None:
-                rows = ",".join("[" + ",".join(str(x) for x in row) + "]" for row in pb)
-                factors.append(f"reflect([{rows}])")
-            if not factors:
-                factors.append("1")
-            pieces.append(("-" if neg else "+", "*".join(factors)))
-    sign0, body0 = pieces[0]
-    out = ("-" if sign0 == "-" else "") + body0
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+# the printer into the expression language is the operator's own `__str__`
+operator_to_text = OperatorExpr.__str__
 
 
 # ---------------------------------------------------------------------------
@@ -909,7 +872,7 @@ def _cmd_degree(args):
             if args.value2 is None:
                 raise ValueError("--value2 is required for rule 'tensor'")
             d2 = degree_mod.DegreeBound(int(args.value2), degree_mod.UPPER_BOUND)
-            b = degree_mod.bound_tensor(d, args.n1, d2, args.n2)
+            b = degree_mod.bound_tensor(d, d2)
         else:  # "operator"; argparse admits no other rule
             b = degree_mod.bound_operator(d, _single_op(args))
     value = "-inf" if b.value == degree_mod.NEG_INF else b.value
@@ -1005,8 +968,6 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--exact", action="store_true", help="input degree is exact")
     p.add_argument("--index", default="", help="multi-index, e.g. 2,0")
     p.add_argument("--k", type=int, default=0, help="vanishing order")
-    p.add_argument("--n1", type=int, default=0)
-    p.add_argument("--n2", type=int, default=0)
     p.set_defaults(func=_cmd_degree)
 
     return root

@@ -62,11 +62,13 @@ def bound_vanishing_factor(d: DegreeBound, k: int) -> DegreeBound:
     return d._shift(-k)
 
 
-def bound_tensor(d1: DegreeBound, n1: int, d2: DegreeBound, n2: int) -> DegreeBound:
-    """sd(u (x) v) <= sd u + sd v, expressed for degrees of divergence."""
+def bound_tensor(d1: DegreeBound, d2: DegreeBound) -> DegreeBound:
+    """deg(u (x) v) <= deg u + deg v.  Scaling degrees add, sd = deg + n, and
+    the dimensions n1 and n2 of the two factors cancel against the
+    dimension n1 + n2 of the product."""
     if d1.value == NEG_INF or d2.value == NEG_INF:
         return DegreeBound(NEG_INF, UPPER_BOUND)
-    return DegreeBound((d1.value + n1) + (d2.value + n2) - (n1 + n2), UPPER_BOUND)
+    return DegreeBound(d1.value + d2.value, UPPER_BOUND)
 
 
 def bound_operator(d: DegreeBound, q: OperatorExpr) -> DegreeBound:

@@ -471,20 +471,50 @@ class OperatorExpr:
         return total
 
     def __str__(self) -> str:
-        if not self.terms:
+        """The operator in the expression language that `cli.parse_operator`
+        reads, one product per coefficient monomial, in term order:
+        [-]c*x1^e*...*d1^e*...*reflect([[...],...]) joined by " + " or " - ",
+        with c left out when it is 1 and "1" for a bare constant."""
+        if self.is_zero():
             return "0"
-        bits = []
+        pieces = []
         for coeff, gamma, pb in self.terms:
-            s = f"[{coeff}]*d^{gamma}"
-            if pb is not None:
-                s += f"*pullback{pb}"
-            bits.append(s)
-        return " + ".join(bits)
+            for beta, c in coeff.items_sorted():
+                neg = _is_negative(c)
+                if neg:
+                    c = -c
+                factors = [] if c == ONE else [str(c)]
+                for idx, e in enumerate(beta):
+                    if e:
+                        factors.append(f"x{idx + 1}" + (f"^{e}" if e > 1 else ""))
+                for idx, e in enumerate(gamma):
+                    if e:
+                        factors.append(f"d{idx + 1}" + (f"^{e}" if e > 1 else ""))
+                if pb is not None:
+                    rows = ",".join("[" + ",".join(str(x) for x in row) + "]" for row in pb)
+                    factors.append(f"reflect([{rows}])")
+                if not factors:
+                    factors.append("1")
+                pieces.append(("-" if neg else "+", "*".join(factors)))
+        sign0, body0 = pieces[0]
+        out = ("-" if sign0 == "-" else "") + body0
+        for sign, body in pieces[1:]:
+            out += f" {sign} {body}"
+        return out
 
 
 # ---------------------------------------------------------------------------
 # free functions on operators
 # ---------------------------------------------------------------------------
+
+def _is_negative(c: GaussianRational) -> bool:
+    """A negative real or a negative multiple of i, printed as "-" and -c."""
+    if c.im == 0:
+        return c.re < 0
+    if c.re == 0:
+        return c.im < 0
+    return False
+
 
 def operator_equal(q1: OperatorExpr, q2: OperatorExpr) -> bool:
     return q1.normal_form() == q2.normal_form()

@@ -149,7 +149,7 @@ def _product_chi1(config, s_op):
     """chi1(S) = -sum_j H_j g_j with g_j = sum_(i<j) (-m^2)^(j-1-i) box^i,
     built from operator products and box powers, as the oracle."""
     chi1 = ConstCoeffOperator.zero(config)
-    if s_op.order() + config.deg_v < 0:
+    if s_op.order() < 2:
         return chi1
     mm = GaussianRational.of(-config.m2)
     box = ConstCoeffOperator.box(config)
@@ -218,17 +218,18 @@ class TestSpectralRouteOracle:
         with pytest.raises(DimensionMismatch):
             chi_projection(s, ONE, CFG1)
 
-
-class TestFundamentalSolutionDegree:
-    def test_deg_v_moves_the_threshold(self):
-        # a (hypothetical) fundamental solution of degree -4 leaves order-3
-        # monomials below the counterterm threshold
-        cfg = FeynmanConfig(4, (1, -1, -1, -1), Fraction(1), deg_v=-4)
-        s = ConstCoeffOperator.monomial(cfg, (0, 1, 2))
-        assert theta_counterterm(s, ONE, cfg).is_zero()
-        cfg2 = FeynmanConfig(4, (1, -1, -1, -1), Fraction(1))
-        s2 = ConstCoeffOperator.monomial(cfg2, (0, 0, 1))
-        assert not theta_counterterm(s2, ONE, cfg2).is_zero()
+    @pytest.mark.parametrize("route", [
+        lambda s, cfg: chi_projection(s, ONE, cfg),
+        lambda s, cfg: theta_counterterm(s, ONE, cfg),
+        lambda s, cfg: counterterm_level_projection(s, ONE, s.order() - 2, cfg),
+    ], ids=["chi_projection", "theta_counterterm", "counterterm_level_projection"])
+    def test_every_route_refuses_a_foreign_configuration(self, route):
+        # d0^2 d1^2 over (+---, m^2 = 0) computed with (-+++, m^2 = 5) would
+        # give another operator's counterterm
+        s = ConstCoeffOperator.monomial(CFG0, (0, 0, 1, 1))
+        with pytest.raises(DimensionMismatch):
+            route(s, FeynmanConfig(4, (-1, 1, 1, 1), Fraction(5)))
+        assert route(s, FeynmanConfig(4, (1, -1, -1, -1), Fraction(0))) == route(s, None)
 
 
 class TestHarmonicDecomposition:

@@ -166,6 +166,23 @@ class TestPrinterRoundTrip:
         assert operator_to_text(OperatorExpr.zero(2)) == "0"
         assert parse_operator("0", 2).is_zero()
 
+    def test_str_is_the_expression_language(self):
+        # polynomial and complex coefficients, parity and a non-diagonal
+        # reflect: the operator's own str reads back as the same operator
+        rng = random.Random(7)
+        shear = reflection(((1, Fraction(1, 2)), (0, -1)))
+        for trial in range(60):
+            n = rng.choice([1, 2, 3]) if trial % 4 else 2
+            q = random_poly_coeff_operator(rng, n, allow_pullback=True)
+            if trial % 3 == 0:
+                q = q.scale(I) + OperatorExpr.from_scalar(n, GaussianRational(Fraction(-2, 3), 1))
+            if trial % 5 == 0:
+                q = q @ parity(n)
+            if trial % 4 == 0:
+                q = q + q @ shear
+            assert parse_operator(str(q), n) == q, str(q)
+            assert operator_to_text(q) == str(q)
+
 
 class TestCoverageTable:
     OPERATIONS = [
@@ -498,7 +515,7 @@ class TestCommands:
         payload = json.loads(out)
         assert code == 0 and payload["value"] == 0
         code, out = run_cli(capsys, "degree", "--dim", "2", "--rule", "tensor",
-                            "--value", "-2", "--n1", "2", "--value2", "-3", "--n2", "3")
+                            "--value", "-2", "--value2", "-3")
         assert json.loads(out)["value"] == -5
 
     @pytest.mark.parametrize("extra, message", [

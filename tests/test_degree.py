@@ -30,7 +30,7 @@ def test_bound_rules():
     assert bound_derivative(DegreeBound(-2, EXACT), (2, 0, 0, 0)).value == 0
     assert bound_monomial(DegreeBound(0, EXACT), (1, 0)).value == -1
     assert bound_vanishing_factor(DegreeBound(3, EXACT), 2).value == 1
-    assert bound_tensor(DegreeBound(-2, EXACT), 2, DegreeBound(-3, EXACT), 3).value == -5
+    assert bound_tensor(DegreeBound(-2, EXACT), DegreeBound(-3, EXACT)).value == -5
     for b in (bound_derivative(DegreeBound(0, EXACT), (1,)),
               bound_monomial(DegreeBound(0, EXACT), (1,))):
         assert b.exactness == UPPER_BOUND
@@ -45,7 +45,7 @@ def test_bound_operator_examples():
 def test_minus_infinity_propagates():
     bottom = DegreeBound(NEG_INF, EXACT)
     assert bound_derivative(bottom, (3,)).value == NEG_INF
-    assert bound_tensor(bottom, 1, DegreeBound(5, EXACT), 2).value == NEG_INF
+    assert bound_tensor(bottom, DegreeBound(5, EXACT)).value == NEG_INF
 
 
 def test_invalid_values_rejected():

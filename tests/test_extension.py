@@ -13,6 +13,7 @@ from onshell.opalg import (
     euler,
     lorentz_generator,
     operator_equal,
+    reflection,
 )
 import onshell.extension as extension
 import onshell.spectral as spectral
@@ -71,6 +72,12 @@ class TestExistence:
         rec = ExtensionRecord(1, 0, {})
         with pytest.raises(MissingResidue):
             existence_check(rec, euler(1, Fraction(-1)))
+
+    def test_missing_residue_names_the_operator_in_the_grammar(self):
+        q = reflection(((0, 1), (1, 0))).scale(GaussianRational(Fraction(2, 3), -1))
+        with pytest.raises(MissingResidue) as exc:
+            ExtensionRecord(2, 0, {}).residue(q)
+        assert exc.value.args == ("no residue registered for (2/3 - i)*reflect([[0,1],[1,0]])",)
 
     def test_residue_degree_validated(self):
         with pytest.raises(DegreeOverflow):

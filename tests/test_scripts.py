@@ -41,3 +41,19 @@ def test_extension_demo_output_is_unchanged():
     assert run.stderr == b""
     assert hashlib.sha256(run.stdout).hexdigest() == (
         "0dc94854d2958c9f76b51812a54ba8d938507515f9fe462eb9305934c6ffe19e")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--metric", "+x--"], "metric '+x--' does not match dimension 4"),
+    (["--metric", "+--"], "metric '+--' does not match dimension 4"),
+    (["--m2", "abc"], "Invalid literal for Fraction: 'abc'"),
+])
+def test_chi_table_refuses_a_bad_configuration(args, message):
+    # the metric text is read by the CLI's one reader; a bad metric or mass
+    # is a usage error (exit 2) with no traceback and no table
+    run = subprocess.run([sys.executable, "scripts/chi_table.py", "--k-max", "0", *args],
+                         cwd=ROOT, capture_output=True, timeout=300)
+    assert run.returncode == 2 and run.stdout == b""
+    err = run.stderr.decode()
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == f"chi_table.py: error: {message}"
