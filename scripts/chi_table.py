@@ -33,6 +33,8 @@ def main():
     ap.add_argument("--m2", default="0")
     ap.add_argument("--metric", default=None)
     args = ap.parse_args()
+    if args.k_max < 0:  # no line to compare: refused, not passed
+        ap.error(f"--k-max {args.k_max} is negative")
 
     try:
         config = FeynmanConfig(args.dim, _parse_metric(args.metric, args.dim), Fraction(args.m2))

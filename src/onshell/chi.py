@@ -53,7 +53,7 @@ from itertools import product
 from .scalar import GaussianRational, ZERO, ONE, _reduced, rational
 from .deltaspace import DeltaVector, DimensionMismatch, SparseMap, mi_add, mi_order
 from .extension import ExtensionRecord, onshell_correction
-from .opalg import check_signature, dalembert, default_signature
+from .opalg import check_signature, dalembert
 
 ALPHA_CACHE = 1024
 BASIS_CACHE = 4096
@@ -61,6 +61,11 @@ BASIS_CACHE = 4096
 # so (box + m^2) v = c delta fixes deg v = -2 in every dimension and for
 # every mass; S gets a counterterm when order(S) + DEG_V >= 0.
 DEG_V = -2
+# Largest number of ordered monomials on which `chi_crosscheck` compares the
+# two routes, summed over the masses and metrics.  k <= 7 at n = 4 with two
+# masses and both metrics is 87,380 comparisons and takes about 21 s; each
+# further order multiplies the count by n, so k = 12 would run for hours.
+MAX_CHI_COMPARISONS = 100_000
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,7 @@ class FeynmanConfig:
     """Ambient data for the counterterm algebra.
 
     signature None is the default metric of size n, diag(+1, -1, ..., -1)
-    (`opalg.check_signature`).
+    (`opalg.check_signature`, which also refuses n < 1).
     """
 
     n: int = 4
@@ -76,8 +81,6 @@ class FeynmanConfig:
     m2: Fraction = Fraction(0)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("dimension must be >= 1")
         object.__setattr__(self, "signature", check_signature(self.n, self.signature))
         if self.m2.__class__ is not Fraction:
             object.__setattr__(self, "m2", Fraction(self.m2))
@@ -116,11 +119,7 @@ class ConstCoeffOperator(SparseMap):
 
     @staticmethod
     def box(config: FeynmanConfig) -> "ConstCoeffOperator":
-        cs = {}
-        for mu, s in enumerate(config.signature):
-            e2 = tuple(2 if j == mu else 0 for j in range(config.n))
-            cs[e2] = GaussianRational.of(s)
-        return ConstCoeffOperator(config, cs)
+        return ConstCoeffOperator(config, _box_delta(config.signature, {(0,) * config.n: ONE}))
 
     @staticmethod
     def klein_gordon(config: FeynmanConfig) -> "ConstCoeffOperator":
@@ -496,6 +495,7 @@ class CrosscheckEntry:
 
 @dataclass(frozen=True)
 class CrosscheckReport:
+    signatures: tuple  # the metrics swept
     checked: int
     mismatches: tuple
 
@@ -511,12 +511,22 @@ def chi_crosscheck(k_max: int, n: int, m2_list, signatures=None) -> CrosscheckRe
     The explicit route runs on every ordered monomial; the projection route,
     which sees only the exponent, runs once per index multiset and each
     ordering is compared against that result.  A negative k_max checks
-    nothing, so it is refused (ValueError) rather than passed."""
+    nothing, and a sweep of more than MAX_CHI_COMPARISONS comparisons would
+    run for hours, so both are refused (ValueError) before any route runs."""
     if k_max < 0:
         raise ValueError(f"k_max {k_max} is negative")
     if signatures is None:
-        base = default_signature(n)
+        base = check_signature(n)
         signatures = (base, tuple(-s for s in base))
+    # len(signatures) * len(m2_list) * sum_(k <= k_max) n^k comparisons,
+    # counted until the bound is passed, so a huge k_max costs no more than that
+    count, level = 0, len(signatures) * len(m2_list)
+    for _ in range(k_max + 1):
+        count += level
+        if count > MAX_CHI_COMPARISONS:
+            raise ValueError(f"k_max {k_max} at n = {n} exceeds the maximum "
+                             f"of {MAX_CHI_COMPARISONS} comparisons")
+        level *= n
     mismatches = []
     checked = 0
     for sig in signatures:
@@ -535,4 +545,4 @@ def chi_crosscheck(k_max: int, n: int, m2_list, signatures=None) -> CrosscheckRe
                     if proj.coeffs != expl.coeffs:
                         mismatches.append(CrosscheckEntry(
                             config.signature, config.m2, idx, str(proj), str(expl)))
-    return CrosscheckReport(checked, tuple(mismatches))
+    return CrosscheckReport(tuple(signatures), checked, tuple(mismatches))

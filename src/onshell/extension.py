@@ -7,9 +7,10 @@ existence theory needs depends on u' only through these data.
 
 Existence of an on-shell extension is equivalent to the residue lying in
 Ran(Q|_r).  The counterterm ((p - 1)/z)(B) A* w of the projection
-polynomial p of B = A* A is -A^+ w, computed as the least-norm solve of
-B v = -A* w; the corrected residue is exactly the projection of the residue
-onto the complement of the range (asserted at runtime, never assumed).
+polynomial p of B = A* A is -A^+ w, the negated `spectral._pseudoinverse`
+(the least-norm solve of B v = A* w).  Its exact certificate, which lives
+there, asserts that the corrected residue is exactly the projection of the
+residue onto the complement of the range.
 The Casimir counterterm stays on p, which defines it (see `spectral`).
 
 The counterterm is one linear map of the residue, so its matrices are
@@ -64,7 +65,7 @@ from .spectral import (
     _blocks_of,
     _counterterm_apply,
     _kernel_of,
-    _min_norm_solve,
+    _pseudoinverse,
     _split,
     adjoint_restriction,
     projection_polynomial_of_gram,
@@ -171,15 +172,7 @@ def onshell_correction(rec: ExtensionRecord, q: OperatorExpr) -> DeltaVector:
     complement of Ran(Q|_r).  Both statements are asserted exactly.
     """
     w = rec.residue(q)
-    a = restrict(q, rec.r)
-    astar, b = a.gram_adjoint(), a.gram
-    v = b.to_vector(_min_norm_solve(b, b.from_vector(astar.matvec(w)))).scale(-1)
-    corrected = w + a.matvec(v)
-    # exact self-check: A*(w + A v) = 0 and v in Ran A* = (ker B)^perp fix
-    # v = -A^+ w, so w + A v is the part of w orthogonal to Ran(Q|_r)
-    if not astar.matvec(corrected).is_zero() or not range_membership(astar, v).member:
-        raise AssertionError("projection contract violated in onshell_correction")
-    return v
+    return _pseudoinverse(restrict(q, rec.r), w).scale(-1)
 
 
 def apply_counterterm(rec: ExtensionRecord, v: DeltaVector) -> ExtensionRecord:

@@ -531,7 +531,10 @@ def commutator(q1: OperatorExpr, q2: OperatorExpr) -> OperatorExpr:
 # ---------------------------------------------------------------------------
 
 def check_signature(n: int, signature=None) -> tuple:
-    """The metric as a tuple of +-1 of length n; None is the default metric."""
+    """The metric as a tuple of +-1 of length n; None is the default metric.
+    A dimension below 1 is refused before the metric is read."""
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
     sig = default_signature(n) if signature is None else tuple(signature)
     if len(sig) != n or any(s not in (1, -1) for s in sig):
         raise InvalidSignature(f"signature {signature!r} is not a diagonal +-1 metric of size {n}")

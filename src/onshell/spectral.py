@@ -19,14 +19,15 @@ spectrum is the z-free part of the minimal polynomial of (Q|_r)* (Q|_r)
 normalized to value 1 at zero.
 
 Projections run on two routes, on A = Q|_r, A* (`gram_adjoint`) and
-B = A* A (`gram`).  The least-norm solve `_min_norm_solve` gives the
-on-shell counterterm -A^+ w (and so the order-raising and chi
-level-projection ones) and the pseudoinverse solve; its kernel step
-`_Block.kernel_part` gives the kernel projector.  The projection
-polynomial (`minimal_polynomial`, `projection_polynomial_of_gram`, the block
-Horner) serves `minpoly` and `projpoly`, where p is printed, and the Casimir
-map ((p - 1)/z)(C) w, which p defines: it adds h(0) P_ker w to -C^+ w, for
-h = (p - 1)/z.
+B = A* A (`gram`).  A^+ w has one route, `_pseudoinverse`: the least-norm
+solve `_min_norm_solve` of B v = A* w and one exact certificate.  It is
+the pseudoinverse solve of a normal restriction and, negated, the on-shell
+counterterm (and so the order-raising and chi level-projection ones).  Its
+kernel step `_Block.kernel_part` gives the kernel projector.  The
+projection polynomial (`minimal_polynomial`, `projection_polynomial_of_gram`,
+the block Horner) serves `minpoly` and `projpoly`, where p is printed, and
+the Casimir map ((p - 1)/z)(C) w, which p defines: it adds h(0) P_ker w to
+-C^+ w, for h = (p - 1)/z.
 `adjoint_restriction` stays as the second, symbolic route to A* and is
 compared against it in the tests.
 
@@ -785,8 +786,20 @@ def projector_onto_kernel(q: OperatorExpr, r: int) -> RestrictionMatrix:
     return kernel_projector(restrict(q, r).gram)
 
 
+def _pseudoinverse(a: RestrictionMatrix, w: DeltaVector) -> DeltaVector:
+    """A^+ w: the least-norm solve of B v = A* w on the kept B = A* A.  Its
+    exact certificate, A*(w - A v) = 0 and v in Ran A* = (ker B)^perp, fixes
+    v, so w - A v is the part of w orthogonal to Ran A."""
+    astar, b = a.gram_adjoint(), a.gram
+    v = b.to_vector(_min_norm_solve(b, b.from_vector(astar.matvec(w))))
+    if not astar.matvec(w - a.matvec(v)).is_zero() or not range_membership(astar, v).member:
+        raise AssertionError("pseudoinverse contract violated")
+    return v
+
+
 def pseudoinverse_correction(m: RestrictionMatrix, w: DeltaVector) -> DeltaVector:
-    """Exact Moore-Penrose style solve for normal M.
+    """Exact Moore-Penrose solve for normal M: `_pseudoinverse`, the one
+    route to M^+ w, which the on-shell counterterm -M^+ w shares.
 
     Returns the v with M v = (orthogonal projection of w onto Ran M) and
     v orthogonal to ker M; equals the vanishing-regulator limit of the
@@ -805,9 +818,4 @@ def pseudoinverse_correction(m: RestrictionMatrix, w: DeltaVector) -> DeltaVecto
         raise NonNormalMatrixError(
             "matrix is not normal for the weighted scalar product; "
             "fall back to range_membership")
-    # least-norm x with M x = M w: w less its kernel part, in Ran M as M is normal
-    v = m.to_vector(_min_norm_solve(m, _min_norm_solve(m, m.from_vector(m.matvec(w)))))
-    # exact self-check: w - M v in ker M and v in Ran M* = (ker M)^perp fix v
-    if not m.matvec(w - m.matvec(v)).is_zero() or not range_membership(m.gram_adjoint(), v).member:
-        raise AssertionError("pseudoinverse contract violated")
-    return v
+    return _pseudoinverse(m, w)

@@ -11,6 +11,7 @@ from onshell.deltaspace import DegreeOverflow, DeltaVector, DimensionMismatch
 from onshell.opalg import OperatorExpr, dalembert, default_signature, squared_interval
 from onshell import chi as chi_mod
 from onshell.chi import (
+    ChiResult,
     ConstCoeffOperator,
     FeynmanConfig,
     alpha_coefficient,
@@ -554,6 +555,20 @@ class TestCrosscheck:
         # no monomial has a negative order: a pass would have checked nothing
         with pytest.raises(ValueError, match="k_max -1 is negative"):
             chi_crosscheck(-1, 4, [Fraction(0)])
+
+    def test_sweep_over_the_budget_is_refused_before_any_route_runs(self, monkeypatch):
+        # 2 metrics * 2 masses * (1 + 4 + ... + 4^8) = 349,524 comparisons,
+        # over MAX_CHI_COMPARISONS; the stubbed routes would finish them fast
+        calls = []
+        one = ConstCoeffOperator.one(FeynmanConfig(4))
+        monkeypatch.setattr(chi_mod, "chi_projection",
+                            lambda *args: calls.append(args) or ChiResult(one, one, 0))
+        monkeypatch.setattr(chi_mod, "chi_explicit", lambda *args: calls.append(args) or one)
+        with pytest.raises(ValueError, match="k_max 8 at n = 4 exceeds the maximum of "
+                                             "100000 comparisons"):
+            chi_crosscheck(8, 4, [Fraction(0), Fraction(1)])
+        assert calls == []
+        assert chi_crosscheck(7, 4, [Fraction(0), Fraction(1)]).checked == 87_380
 
     def test_small(self):
         rep = chi_crosscheck(2, 4, [Fraction(0), Fraction(1)],

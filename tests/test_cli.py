@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from onshell.scalar import GaussianRational, I, ONE, ZERO
-from onshell.chi import ConstCoeffOperator, CrosscheckReport, FeynmanConfig, theta_counterterm
+from onshell.chi import ChiResult, ConstCoeffOperator, FeynmanConfig, theta_counterterm
 from onshell.deltaspace import DeltaVector, Polynomial
 from onshell.opalg import (
     InvalidSignature,
@@ -635,12 +635,12 @@ class TestCommands:
                 '{"alpha":[0,1],"coeff":{"re":"1/2","im":"1"}}]}']
         assert main(argv) == 2  # the residue is generic: not on-shell after the counterterm
         capsys.readouterr()
-        monkeypatch.setattr("onshell.extension._min_norm_solve", lambda m, rhs: [ZERO] * m.ncols)
+        monkeypatch.setattr("onshell.spectral._min_norm_solve", lambda m, rhs: [ZERO] * m.ncols)
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("onshell: contract violated: ")
-        assert "projection contract" in captured.err
+        assert "pseudoinverse contract" in captured.err
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_chi_route_mismatch_exit_code(self, capsys, monkeypatch):
@@ -677,17 +677,25 @@ class TestCommands:
         payload = json.loads(out)
         assert code == 0 and payload["mismatches"] == []
 
+    @staticmethod
+    def _stub_chi_routes(monkeypatch):
+        """Both chi routes replaced by one agreeing constant; the list records
+        the index tuple of every explicit-route call."""
+        import onshell.chi as chi
+        calls = []
+        one = ConstCoeffOperator.one(FeynmanConfig(4))
+        monkeypatch.setattr(chi, "chi_projection", lambda *args: ChiResult(one, one, 0))
+        monkeypatch.setattr(chi, "chi_explicit", lambda idx, *args: calls.append(idx) or one)
+        return calls
+
     @pytest.mark.parametrize("k_max, message", [
         # 2 * 2 * (4^13 - 1)/3 comparisons: the sweep never finished
-        ("12", "--k-max 12 at --dim 4 exceeds the maximum of 100000 comparisons"),
+        ("12", "k_max 12 at n = 4 exceeds the maximum of 100000 comparisons"),
         # nothing to compare: an "ok" that checked nothing
-        ("-1", "--k-max -1 is negative"),
+        ("-1", "k_max -1 is negative"),
     ], ids=["too-many", "negative"])
     def test_chi_verify_refused_before_any_work(self, capsys, monkeypatch, k_max, message):
-        import onshell.cli as cli
-        calls = []
-        monkeypatch.setattr(cli, "chi_crosscheck",
-                            lambda *args: calls.append(args) or CrosscheckReport(0, ()))
+        calls = self._stub_chi_routes(monkeypatch)
         code = main(["chi-verify", "--dim", "4", "--k-max", k_max, "--m2", "0,1"])
         captured = capsys.readouterr()
         assert code == 1 and calls == []
@@ -698,13 +706,11 @@ class TestCommands:
     def test_chi_verify_bound_admits_k_max_7_at_dim_4(self, capsys, monkeypatch):
         # 2 metrics * 2 masses * (1 + 4 + ... + 4^7) = 87,380 comparisons run;
         # one order more, 349,524, does not
-        import onshell.cli as cli
-        calls = []
-        monkeypatch.setattr(cli, "chi_crosscheck",
-                            lambda *args: calls.append(args[0]) or CrosscheckReport(0, ()))
+        calls = self._stub_chi_routes(monkeypatch)
         assert main(["chi-verify", "--dim", "4", "--k-max", "7", "--m2", "0,1"]) == 0
+        assert len(calls) == 87_380
         assert main(["chi-verify", "--dim", "4", "--k-max", "8", "--m2", "0,1"]) == 1
-        assert calls == [7]
+        assert len(calls) == 87_380
         assert "exceeds the maximum" in capsys.readouterr().err
 
 

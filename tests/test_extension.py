@@ -156,13 +156,13 @@ class TestOnshellCorrection:
         q = lorentz_generator(2, 0, 1, (1, -1))
         rec = ExtensionRecord(2, 2, {q: random_delta_vector(random.Random(3), 2, 2)})
         onshell_correction(rec, q)
-        monkeypatch.setattr("onshell.extension._min_norm_solve",
+        monkeypatch.setattr("onshell.spectral._min_norm_solve",
                             lambda m, rhs: spectral._solve(m.parts, rhs, m.ncols)[0])
-        with pytest.raises(AssertionError, match="projection contract"):
+        with pytest.raises(AssertionError, match="pseudoinverse contract"):
             onshell_correction(rec, q)
         # a zero counterterm is orthogonal to everything; A* w != 0 fails
-        monkeypatch.setattr("onshell.extension._min_norm_solve", lambda m, rhs: [ZERO] * m.ncols)
-        with pytest.raises(AssertionError, match="projection contract"):
+        monkeypatch.setattr("onshell.spectral._min_norm_solve", lambda m, rhs: [ZERO] * m.ncols)
+        with pytest.raises(AssertionError, match="pseudoinverse contract"):
             onshell_correction(rec, q)
 
 

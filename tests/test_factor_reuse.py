@@ -192,6 +192,23 @@ class TestReuse:
         assert spectral.restrict(q, r).is_normal() is normal
         assert len(products) == 1
 
+    def test_counterterm_after_the_pseudoinverse_factors_nothing(self, monkeypatch):
+        # A^+ w has one route on the kept B = A* A: after the pseudoinverse of
+        # a normal (Q, r), its counterterm eliminates no block again
+        _clear()
+        q = lorentz_generator(2, 0, 1, (1, 1))
+        w = random_delta_vector(random.Random(5), 2, 2)
+        plus = spectral.pseudoinverse_correction(spectral.restrict(q, 2), w)
+        calls = []
+        original = spectral._rref
+
+        def recording(rows):
+            calls.append(len(rows))
+            return original(rows)
+        monkeypatch.setattr(spectral, "_rref", recording)
+        assert onshell_correction(ExtensionRecord(2, 2, {q: w}), q) == plus.scale(-1)
+        assert calls == []
+
     def test_repeated_no_answer_factors_nothing(self, monkeypatch):
         # the witness is read off the kept adjoint's parts: the second
         # out-of-range question on a kept A eliminates no block again

@@ -1,8 +1,9 @@
 """The least-norm solve route against the projection-polynomial route.
 
-`onshell_correction` and `pseudoinverse_correction` run on
-`spectral._min_norm_solve`, and `kernel_projector` on its kernel step
-`spectral._kernel_part`.  The paper's route builds the same vectors
+`onshell_correction` and `pseudoinverse_correction` run on the one route
+`spectral._pseudoinverse`, the least-norm solve `spectral._min_norm_solve`
+of B v = A* w with one exact certificate, and `kernel_projector` on its
+kernel step `_Block.kernel_part`.  The paper's route builds the same vectors
 from the projection polynomial p of B = A* A: the counterterm
 ((p - 1)/z)(B) A* w, the corrected residue p(A A*) w, the kernel projector
 p(B) and the pseudoinverse -((p - 1)/z)(M) (1 - p(M)) w.  Both routes are
@@ -158,30 +159,25 @@ def _skip_kernel_step(m, rhs):
 
 
 class TestCertificates:
-    @pytest.mark.parametrize("skipped, message", [
-        ((1, 2), "pseudoinverse contract"),
-        ((1,), "inconsistent system"),
-        ((2,), "pseudoinverse contract"),
-    ])
-    def test_pseudoinverse_certificate_catches_a_corrupted_solve(self, monkeypatch, skipped,
-                                                                message):
+    @pytest.mark.parametrize("route", ["pseudoinverse", "counterterm"],
+                             ids=["skipped-kernel-step-pseudoinverse",
+                                  "skipped-kernel-step-counterterm"])
+    def test_pseudoinverse_certificate_catches_a_corrupted_solve(self, monkeypatch, route):
         # the Euclidean rotation generator is normal with a kernel at r = 2
-        # that is not spanned by basis vectors.  Skipping the kernel step in
-        # the first solve leaves a right-hand side outside Ran M; skipping it
-        # only in the second leaves M v right and v off (ker M)^perp
-        m = restrict(lorentz_generator(2, 0, 1, (1, 1)), 2)
+        # that is not spanned by basis vectors.  Skipping the kernel step of
+        # the one solve leaves B v = A* w right and v off (ker B)^perp; both
+        # callers of `_pseudoinverse` meet its one certificate
+        q = lorentz_generator(2, 0, 1, (1, 1))
+        m = restrict(q, 2)
         assert m.is_normal() and spectral.kernel_basis(m)
         w = random_delta_vector(random.Random(5), 2, 2)
-        pseudoinverse_correction(m, w)
-        calls = []
-        original = spectral._min_norm_solve
-
-        def corrupted(m, rhs):
-            calls.append(rhs)
-            return (_skip_kernel_step if len(calls) in skipped else original)(m, rhs)
-        monkeypatch.setattr(spectral, "_min_norm_solve", corrupted)
-        with pytest.raises(AssertionError, match=message):
-            pseudoinverse_correction(m, w)
+        rec = ExtensionRecord(2, 2, {q: w})
+        solve = {"pseudoinverse": lambda: pseudoinverse_correction(m, w),
+                 "counterterm": lambda: onshell_correction(rec, q)}[route]
+        solve()
+        monkeypatch.setattr(spectral, "_min_norm_solve", _skip_kernel_step)
+        with pytest.raises(AssertionError, match="pseudoinverse contract"):
+            solve()
 
     def test_pseudoinverse_certificate_catches_a_zero_solution(self, monkeypatch):
         m = restrict(euler(1, Fraction(-2)), 1)

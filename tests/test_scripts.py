@@ -47,6 +47,10 @@ def test_extension_demo_output_is_unchanged():
     (["--metric", "+x--"], "metric '+x--' does not match dimension 4"),
     (["--metric", "+--"], "metric '+--' does not match dimension 4"),
     (["--m2", "abc"], "Invalid literal for Fraction: 'abc'"),
+    # no line to compare: a pass would have checked nothing
+    (["--k-max", "-3"], "--k-max -3 is negative"),
+    # the dimension is named, not the metric read from it
+    (["--dim", "0"], "dimension must be >= 1"),
 ])
 def test_chi_table_refuses_a_bad_configuration(args, message):
     # the metric text is read by the CLI's one reader; a bad metric or mass
