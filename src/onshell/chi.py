@@ -40,6 +40,14 @@ explicit route reads alpha_j^k, kept per (j, k, configuration) in a table
 keyed by the hashable `FeynmanConfig` (`_alpha`, ALPHA_CACHE = 1024
 entries); each entry forms its polynomial in box by Horner.  Cached
 operators are shared, so no caller may mutate their `coeffs`.
+
+The chi quantities are real rationals (g_(mu mu) = +-1, m^2 = p/q), so
+both routes work on integer numerators over one common denominator, with
+an imaginary part beside the real one only where the input has one: the
+explicit route on its contraction weights and alpha numerators, the table
+entry on the numerators of the trace split, its Horner and its
+self-check.  Each output coefficient is divided once (`scalar._reduced`);
+no `GaussianRational` is added or multiplied on the way.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .scalar import GaussianRational, ZERO, ONE, _reduced, rational
+from .scalar import GaussianRational, ZERO, ONE, _reduced
 from .deltaspace import DeltaVector, DimensionMismatch, SparseMap, mi_add, mi_order
 from .extension import ExtensionRecord, onshell_correction
 from .opalg import check_signature, dalembert
@@ -63,8 +71,9 @@ BASIS_CACHE = 4096
 DEG_V = -2
 # Largest number of ordered monomials on which `chi_crosscheck` compares the
 # two routes, summed over the masses and metrics.  k <= 7 at n = 4 with two
-# masses and both metrics is 87,380 comparisons and takes about 21 s; each
-# further order multiplies the count by n, so k = 12 would run for hours.
+# masses and both metrics is 87,380 comparisons and takes 8-11 s (2-CPU
+# Linux container, Python 3.11); k <= 8 would be 349,524, and each further
+# order multiplies the count by n, so k = 12 would run for hours.
 MAX_CHI_COMPARISONS = 100_000
 
 
@@ -185,7 +194,7 @@ def _box_delta(signature: tuple, v: dict) -> dict:
 
 def _interval_delta(signature: tuple, v: dict) -> dict:
     """(x.x) delta^(a) = sum_mu g_(mu mu) a_mu (a_mu - 1) delta^(a - 2 e_mu),
-    on {a: int} or {a: scalar}."""
+    on {a: int}."""
     out: dict = {}
     for alpha, c in v.items():
         for mu, g in enumerate(signature):
@@ -270,6 +279,54 @@ def _add_scaled(acc: dict, coeffs: dict, c) -> None:
         acc[a] = acc[a] + x if a in acc else x
 
 
+def _over(re: dict, im: dict, d: int) -> dict:
+    """{a: (re[a] + im[a] i)/d} from integer numerators, one `_reduced` per
+    nonzero coefficient."""
+    out = {a: _reduced(x, im.get(a, 0), d) for a, x in re.items() if x or im.get(a)}
+    for a, y in im.items():
+        if y and a not in re:
+            out[a] = _reduced(0, y, d)
+    return out
+
+
+def _chi_numerators(sig: tuple, p: int, q: int, top: int, h: dict, gamma: tuple,
+                    s: int) -> tuple:
+    """(chi, chi1) numerators, both over E = d q^top, of one real or
+    imaginary part of a trace split h = {j: {beta: d H_j}} for m^2 = p/q; s
+    is that part's numerator of S = d^gamma over E.
+
+    chi = sum_j (-p)^j q^(top-j) d H_j.  With N_i = q^(top-i) d H_(i+1)
+    - p N_(i+1), that is E K_i, the Horner G_i = q box G_(i+1) + N_i (one
+    `_box_delta` shift over the metric scaled by q) ends at chi1 = -G_0.
+    Checked exactly: q (chi - S) = q box chi1 + p chi1, else
+    `AssertionError`."""
+    chi: dict = {}
+    for j in range(top + 1):
+        f = (-p) ** j * q ** (top - j)
+        for a, x in h.get(j, {}).items():
+            chi[a] = chi.get(a, 0) + f * x
+    qsig = tuple(q * g for g in sig)
+    k_i: dict = {}
+    horner: dict = {}
+    for i in range(top - 1, -1, -1):
+        k_i = {a: -p * x for a, x in k_i.items()}
+        f = q ** (top - i)
+        for a, x in h.get(i + 1, {}).items():
+            k_i[a] = k_i.get(a, 0) + f * x
+        horner = _box_delta(qsig, horner)
+        for a, x in k_i.items():
+            horner[a] = horner.get(a, 0) + x
+    chi1 = {a: -x for a, x in horner.items() if x}
+    lhs = {a: q * x for a, x in chi.items()}
+    lhs[gamma] = lhs.get(gamma, 0) - q * s
+    rhs = _box_delta(qsig, chi1)
+    for a, x in chi1.items():
+        rhs[a] = rhs.get(a, 0) + p * x
+    if {a: x for a, x in lhs.items() if x} != {a: x for a, x in rhs.items() if x}:
+        raise AssertionError("spectral chi contract violated: chi != S + chi1 (box + m^2)")
+    return chi, chi1
+
+
 @lru_cache(maxsize=BASIS_CACHE)
 def _basis_chi(config: FeynmanConfig, gamma: tuple) -> tuple:
     """(chi, chi1) of the monomial S = d^gamma from its trace split
@@ -278,39 +335,30 @@ def _basis_chi(config: FeynmanConfig, gamma: tuple) -> tuple:
 
     chi = sum_j (-m^2)^j H_j is the split evaluated at box -> -m^2, and
     chi1 = -sum_i box^i K_i with K_i = H_(i+1) + (-m^2) K_(i+1), so that
-    S - chi = sum_j H_j (box^j - (-m^2)^j) = -chi1 (box + m^2).  chi1 delta
-    is formed by Horner in box, each step one `_box_delta` exponent shift,
-    and every entry is checked exactly by the same shifts:
-    chi delta = S delta + (box + m^2) chi1 delta.  The operators are shared,
-    so no caller may mutate their `coeffs`.
+    S - chi = sum_j H_j (box^j - (-m^2)^j) = -chi1 (box + m^2).  With the
+    H_j over one denominator d and m^2 = p/q, both are integer numerators
+    over E = d q^top (`_chi_numerators`, once for the real and, if any,
+    once for the imaginary part of the split): chi1 delta is formed by
+    Horner in box, each step one `_box_delta` exponent shift, and every
+    entry is checked exactly by the same shifts,
+    chi delta = S delta + (box + m^2) chi1 delta.  Each coefficient is
+    divided once.  The operators are shared, so no caller may mutate their
+    `coeffs`.
     """
-    sig = config.signature
     comps = harmonic_components(config, DeltaVector(config.n, {gamma: ONE}))
     top = max(comps, default=0)
-    mm = GaussianRational.of(-config.m2)
-    chi: dict = {}
-    power = ONE
-    for j in range(top + 1):
-        if j in comps:
-            _add_scaled(chi, comps[j].coeffs, power)
-        power = power * mm
-    k_i: dict = {}
-    horner: dict = {}
-    for i in range(top - 1, -1, -1):
-        k_i = {a: x * mm for a, x in k_i.items()}
-        if i + 1 in comps:
-            _add_scaled(k_i, comps[i + 1].coeffs, ONE)
-        horner = _box_delta(sig, horner)
-        _add_scaled(horner, k_i, ONE)
-    chi1 = {a: -x for a, x in horner.items() if x}
-    # exact self-check: chi delta - S delta = (box + m^2) chi1 delta
-    lhs = dict(chi)
-    lhs[gamma] = lhs[gamma] - ONE if gamma in lhs else -ONE
-    rhs = _box_delta(sig, chi1)
-    _add_scaled(rhs, chi1, GaussianRational.of(config.m2))
-    if {a: x for a, x in lhs.items() if x} != {a: x for a, x in rhs.items() if x}:
-        raise AssertionError("spectral chi contract violated: chi != S + chi1 (box + m^2)")
-    return ConstCoeffOperator(config, chi), ConstCoeffOperator(config, chi1)
+    p, q = config.m2.numerator, config.m2.denominator
+    d = math.lcm(*(c.d for h in comps.values() for c in h.coeffs.values()))
+    e = d * q ** top
+    sig = config.signature
+    re = {j: {a: c.a * (d // c.d) for a, c in h.coeffs.items() if c.a} for j, h in comps.items()}
+    im = {j: {a: c.b * (d // c.d) for a, c in h.coeffs.items() if c.b} for j, h in comps.items()}
+    chi, chi1 = _chi_numerators(sig, p, q, top, re, gamma, e)
+    chi_im, chi1_im = {}, {}
+    if any(im.values()):
+        chi_im, chi1_im = _chi_numerators(sig, p, q, top, im, gamma, 0)
+    return (ConstCoeffOperator(config, _over(chi, chi_im, e)),
+            ConstCoeffOperator(config, _over(chi1, chi1_im, e)))
 
 
 def _chi_pair(config: FeynmanConfig, s_op: ConstCoeffOperator) -> tuple:
@@ -440,44 +488,63 @@ def _alpha(j: int, k: int, config: FeynmanConfig) -> ConstCoeffOperator:
     return (ConstCoeffOperator.klein_gordon(config) * total).scale(sign)
 
 
+def _first_level(gamma: tuple, idx: tuple, sig: tuple) -> dict:
+    """Lambda once on d_(mu_1) ... d_(mu_k), with exponent gamma, as
+    {exponent: int}: each position pair i < j with mu_i = mu_j adds
+    g_(mu mu) at gamma - 2 e_mu, the pairs taken in the given index order."""
+    level: dict = {}
+    for i, mu in enumerate(idx):
+        pairs = idx[i + 1:].count(mu)
+        if pairs:
+            key = gamma[:mu] + (gamma[mu] - 2,) + gamma[mu + 1:]
+            level[key] = level.get(key, 0) + pairs * sig[mu]
+    return level
+
+
 def chi_explicit(indices, n: int, m2, signature=None) -> ConstCoeffOperator:
     """chi on a concrete derivative monomial via the closed formula
     sum_j alpha_j^k (1/j!) Lambda^j (d_(mu_1) ... d_(mu_k)).
 
-    Lambda^j is applied level by level, with one weight per reduced
+    Lambda^j is applied level by level, with one integer weight per reduced
     monomial (an exponent): the exact sum over every ordered sequence of j
     pair contractions, gathered into fewer terms.  The first level contracts
-    the indices in the order given (`lambda_contraction`); a later level
+    the position pairs in the order given (`_first_level`); a later level
     contracts by index counts, as a monomial depends only on them: exponent
     c goes to c - 2 e_mu with weight g_(mu mu) C(c_mu, 2), which is half of
     the (x.x) exponent shift `_interval_delta`, so j - 1 such shifts of
-    level 1 give 2^(j-1) times the level-j weights.  The total is one
-    exponent dict, and alpha_j^k times the shifted weights / (2^(j-1) j!) is
-    added into it by exponent shifts.
+    level 1 give 2^(j-1) times the level-j weights.  Each alpha_j^k,
+    j <= k/2, is read once and scaled to integer real and imaginary
+    numerators over the lcm d_j of its denominators; the total is one pair
+    of integer exponent dicts over D = lcm_j d_j 2^(j-1) j!, added into by
+    exponent shifts, and each coefficient is divided once.
     """
     config = FeynmanConfig(n, signature, m2)
     sig = config.signature
     idx = tuple(indices)
     k = len(idx)
-    total = {_exponent(n, idx): ONE}
-    level: dict = {}
-    for w, reduced in lambda_contraction(idx, sig):
-        if w:
-            key = _exponent(n, reduced)
-            level[key] = level[key] + w if key in level else w
-    j = 1
-    while level:
+    gamma = _exponent(n, idx)
+    terms = []  # (level j, alpha_j^k coefficients, d_j, d_j 2^(j-1) j!)
+    level = _first_level(gamma, idx, sig)
+    for j in range(1, k // 2 + 1):
+        if j > 1:
+            level = _interval_delta(sig, level)
+        if not level:
+            break
         alpha = alpha_coefficient(j, k, n, config.m2, sig).coeffs
-        inv = rational(1, 2 ** (j - 1) * math.factorial(j))
+        d = math.lcm(*(c.d for c in alpha.values()))
+        terms.append((level, alpha, d, d * 2 ** (j - 1) * math.factorial(j)))
+    den = math.lcm(*(t[3] for t in terms))
+    re, im = {gamma: den}, {}
+    for level, alpha, d, div in terms:
+        f = den // div
+        weights = [(a, c.a * (d // c.d) * f, c.b * (d // c.d) * f) for a, c in alpha.items()]
         for rest, w in level.items():
-            f = w * inv
-            for a, x in alpha.items():
+            for a, x, y in weights:
                 key = mi_add(a, rest)
-                y = x * f
-                total[key] = total[key] + y if key in total else y
-        level = _interval_delta(sig, level)
-        j += 1
-    return ConstCoeffOperator(config, total)
+                re[key] = re.get(key, 0) + w * x
+                if y:
+                    im[key] = im.get(key, 0) + w * y
+    return ConstCoeffOperator(config, _over(re, im, den))
 
 
 # ---------------------------------------------------------------------------
@@ -510,14 +577,18 @@ def chi_crosscheck(k_max: int, n: int, m2_list, signatures=None) -> CrosscheckRe
 
     The explicit route runs on every ordered monomial; the projection route,
     which sees only the exponent, runs once per index multiset and each
-    ordering is compared against that result.  A negative k_max checks
-    nothing, and a sweep of more than MAX_CHI_COMPARISONS comparisons would
-    run for hours, so both are refused (ValueError) before any route runs."""
+    ordering is compared against that result.  A negative k_max, no mass or
+    no metric checks nothing, and a sweep of more than MAX_CHI_COMPARISONS
+    comparisons would run for hours, so each is refused (ValueError) before
+    any route runs."""
     if k_max < 0:
         raise ValueError(f"k_max {k_max} is negative")
     if signatures is None:
         base = check_signature(n)
         signatures = (base, tuple(-s for s in base))
+    if not m2_list or not signatures:
+        missing = "mass" if not m2_list else "metric"
+        raise ValueError(f"the sweep has no {missing} and would compare nothing")
     # len(signatures) * len(m2_list) * sum_(k <= k_max) n^k comparisons,
     # counted until the bound is passed, so a huge k_max costs no more than that
     count, level = 0, len(signatures) * len(m2_list)

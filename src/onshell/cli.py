@@ -95,59 +95,6 @@ from .spectral import (
     restrict,
 )
 
-SUBCOMMANDS = (
-    "restrict", "adjoint", "essord", "minpoly", "projpoly", "kernel",
-    "extend-check", "counterterm", "order-raise", "casimir-check", "renorm",
-    "homog-unique", "chi", "chi-verify", "degree",
-)
-
-# Every library operation is reachable from exactly one subcommand.
-OPERATION_TO_SUBCOMMAND = {
-    # opalg
-    "constructors": "restrict",
-    "apply_delta": "restrict",
-    "normal_form": "essord",
-    "essential_order": "essord",
-    "transpose": "adjoint",
-    "apply_poly": "adjoint",
-    "operator_equal": "casimir-check",
-    "commutator": "casimir-check",
-    # spectral
-    "restrict": "restrict",
-    "adjoint_restriction": "adjoint",
-    "minimal_polynomial": "minpoly",
-    "projection_polynomial": "projpoly",
-    "projector_onto_kernel": "projpoly",
-    "kernel_basis": "kernel",
-    "range_membership": "kernel",
-    "pseudoinverse_correction": "kernel",
-    # extension
-    "existence_check": "extend-check",
-    "onshell_correction": "counterterm",
-    "apply_counterterm": "counterterm",
-    "multi_commuting_correction": "counterterm",
-    "linearity_precondition": "counterterm",
-    "order_raising_correction": "order-raise",
-    "casimir_correction": "renorm",
-    "verify_casimir_hypotheses": "casimir-check",
-    "renorm_map": "renorm",
-    "homogeneous_extension_unique": "homog-unique",
-    # chi
-    "theta_counterterm": "chi",
-    "chi_projection": "chi",
-    "lambda_contraction": "chi",
-    "alpha_coefficient": "chi",
-    "chi_explicit": "chi",
-    "chi_crosscheck": "chi-verify",
-    # degree
-    "deg_delta": "degree",
-    "bound_derivative": "degree",
-    "bound_monomial": "degree",
-    "bound_vanishing_factor": "degree",
-    "bound_tensor": "degree",
-    "bound_operator": "degree",
-}
-
 
 # ---------------------------------------------------------------------------
 # operator expression language

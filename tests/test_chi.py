@@ -164,7 +164,8 @@ def _product_chi1(config, s_op):
 
 class TestSpectralRouteOracle:
     """The (configuration, exponent) table against the product formula on
-    seeded multi-term operators with complex coefficients, order <= 6."""
+    seeded multi-term operators with complex coefficients, order <= 6, at
+    n = 1, 4 and 5 over both metrics."""
 
     @staticmethod
     def _seeded_operator(rng, config):
@@ -178,11 +179,13 @@ class TestSpectralRouteOracle:
                 Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
         return ConstCoeffOperator(config, coeffs)
 
-    @pytest.mark.parametrize("m2", [Fraction(0), Fraction(1), Fraction(3, 2)])
-    @pytest.mark.parametrize("sig", [(1, -1, -1, -1), (-1, 1, 1, 1)])
+    @pytest.mark.parametrize("m2", [Fraction(0), Fraction(1), Fraction(3, 2),
+                                    Fraction(-7, 3), Fraction(5, 9)])
+    @pytest.mark.parametrize("sig", [(1, -1, -1, -1), (-1, 1, 1, 1), (1,), (-1,),
+                                     (1, -1, -1, -1, -1), (-1, 1, 1, 1, 1)])
     def test_table_matches_product_formula(self, sig, m2):
         rng = random.Random(f"{sig}{m2}")
-        config = FeynmanConfig(4, sig, m2)
+        config = FeynmanConfig(len(sig), sig, m2)
         kg = ConstCoeffOperator.klein_gordon(config)
         for _ in range(8):
             s = self._seeded_operator(rng, config)
@@ -495,7 +498,8 @@ class TestChiExplicit:
 
 def _ordered_chi_explicit(indices, n, m2, sig):
     """The explicit formula summed over every ordered sequence of pair
-    contractions, one term per sequence."""
+    contractions, one term per sequence, in Gaussian-rational operator
+    arithmetic; alpha is read through the module, as `chi_explicit` reads it."""
     config = FeynmanConfig(n, sig, m2)
     k = len(indices)
     total = ConstCoeffOperator.monomial(config, indices)
@@ -506,7 +510,7 @@ def _ordered_chi_explicit(indices, n, m2, sig):
         pj = ConstCoeffOperator.zero(config)
         for w, rest in terms:
             pj = pj + ConstCoeffOperator.monomial(config, rest).scale(w)
-        total = total + alpha_coefficient(j, k, n, m2, sig) * pj.scale(
+        total = total + chi_mod.alpha_coefficient(j, k, n, m2, sig) * pj.scale(
             Fraction(1, math.factorial(j)))
     return total
 
@@ -514,14 +518,61 @@ def _ordered_chi_explicit(indices, n, m2, sig):
 class TestChiExplicitMultisetSum:
     def test_matches_the_ordered_sum(self):
         rng = random.Random(15)
-        for n in (2, 3, 4):
+        for n in (1, 2, 3, 4, 5):
             base = default_signature(n)
             for sig in (base, tuple(-g for g in base)):
-                for m2 in (Fraction(0), Fraction(3, 2)):
+                for m2 in (Fraction(0), Fraction(3, 2), Fraction(-7, 3), Fraction(5, 9)):
                     for k in range(7):
                         idx = tuple(rng.randrange(n) for _ in range(k))
                         got = chi_explicit(idx, n, m2, sig)
                         assert got.coeffs == _ordered_chi_explicit(idx, n, m2, sig).coeffs
+
+
+class TestIntegerNumerators:
+    """Both routes run on integer numerators over one denominator."""
+
+    def test_complex_alpha_matches_the_ordered_sum(self, monkeypatch):
+        # alpha times 1 + 2i: every numerator gets an imaginary part
+        original = chi_mod.alpha_coefficient
+
+        def rotated(j, k, n, m2, signature=None):
+            return original(j, k, n, m2, signature).scale(GaussianRational(1, 2))
+
+        monkeypatch.setattr(chi_mod, "alpha_coefficient", rotated)
+        rng = random.Random(26)
+        complex_seen = 0
+        for n in (2, 3, 4):
+            base = default_signature(n)
+            for sig in (base, tuple(-g for g in base)):
+                for m2 in (Fraction(0), Fraction(5, 9)):
+                    for k in range(7):
+                        idx = tuple(rng.randrange(n) for _ in range(k))
+                        got = chi_explicit(idx, n, m2, sig)
+                        assert got.coeffs == _ordered_chi_explicit(idx, n, m2, sig).coeffs
+                        complex_seen += any(c.b for c in got.coeffs.values())
+        assert complex_seen
+
+    def test_no_gaussian_rational_arithmetic(self, monkeypatch):
+        # with alpha kept, one order-6 explicit call and one new trace-split
+        # image add, subtract and multiply integers only
+        config = FeynmanConfig(4, (-1, 1, 1, 1), Fraction(3, 2))
+        idx = (2, 0, 1, 1, 0, 2)
+        gamma = (2, 2, 2, 0)
+        want = chi_explicit(idx, 4, config.m2, config.signature)
+        chi_mod._basis_chi.cache_clear()
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__"):
+            original = vars(GaussianRational)[name]
+            monkeypatch.setattr(GaussianRational, name,
+                                lambda x, y, f=original, name=name: calls.append(name) or f(x, y))
+        got = chi_explicit(idx, 4, config.m2, config.signature)
+        chi, chi1 = chi_mod._basis_chi(config, gamma)
+        monkeypatch.undo()
+        assert calls == []
+        assert got.coeffs == want.coeffs == chi.coeffs
+        kg = ConstCoeffOperator.klein_gordon(config)
+        s = ConstCoeffOperator.monomial(config, idx)
+        assert chi.coeffs == (s + chi1 * kg).coeffs
 
 
 class TestFeynmanConfig:
@@ -555,6 +606,23 @@ class TestCrosscheck:
         # no monomial has a negative order: a pass would have checked nothing
         with pytest.raises(ValueError, match="k_max -1 is negative"):
             chi_crosscheck(-1, 4, [Fraction(0)])
+
+    @pytest.mark.parametrize("masses, signatures, missing", [
+        ([], None, "mass"),
+        ([Fraction(0)], (), "metric"),
+    ], ids=["no-mass", "no-metric"])
+    def test_sweep_that_compares_nothing_is_refused(self, monkeypatch, masses, signatures,
+                                                    missing):
+        # zero comparisons would report ok with checked = 0
+        calls = []
+        one = ConstCoeffOperator.one(FeynmanConfig(4))
+        monkeypatch.setattr(chi_mod, "chi_projection",
+                            lambda *args: calls.append(args) or ChiResult(one, one, 0))
+        monkeypatch.setattr(chi_mod, "chi_explicit", lambda *args: calls.append(args) or one)
+        with pytest.raises(ValueError, match=f"the sweep has no {missing} and would compare "
+                                             "nothing"):
+            chi_crosscheck(2, 4, masses, signatures=signatures)
+        assert calls == []
 
     def test_sweep_over_the_budget_is_refused_before_any_route_runs(self, monkeypatch):
         # 2 metrics * 2 masses * (1 + 4 + ... + 4^8) = 349,524 comparisons,

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -29,8 +30,6 @@ from onshell.opalg import (
 )
 from onshell.cli import (
     JSON_SCHEMA,
-    OPERATION_TO_SUBCOMMAND,
-    SUBCOMMANDS,
     OperatorSyntaxError,
     delta_from_json,
     delta_to_json,
@@ -46,6 +45,60 @@ from conftest import random_poly_coeff_operator
 
 RESIDUE_SHAPE = ('--residue is not a delta vector {"terms": [{"alpha": [i, ...], '
                  '"coeff": {"re": "p/q", "im": "p/q"}}, ...]}')
+
+# the subcommands of `onshell`, in the order `cli.build_parser` adds them
+SUBCOMMANDS = (
+    "restrict", "adjoint", "essord", "minpoly", "projpoly", "kernel",
+    "extend-check", "counterterm", "order-raise", "casimir-check", "renorm",
+    "homog-unique", "chi", "chi-verify", "degree",
+)
+
+# Every library operation is reachable from exactly one subcommand.
+OPERATION_TO_SUBCOMMAND = {
+    # opalg
+    "constructors": "restrict",
+    "apply_delta": "restrict",
+    "normal_form": "essord",
+    "essential_order": "essord",
+    "transpose": "adjoint",
+    "apply_poly": "adjoint",
+    "operator_equal": "casimir-check",
+    "commutator": "casimir-check",
+    # spectral
+    "restrict": "restrict",
+    "adjoint_restriction": "adjoint",
+    "minimal_polynomial": "minpoly",
+    "projection_polynomial": "projpoly",
+    "projector_onto_kernel": "projpoly",
+    "kernel_basis": "kernel",
+    "range_membership": "kernel",
+    "pseudoinverse_correction": "kernel",
+    # extension
+    "existence_check": "extend-check",
+    "onshell_correction": "counterterm",
+    "apply_counterterm": "counterterm",
+    "multi_commuting_correction": "counterterm",
+    "linearity_precondition": "counterterm",
+    "order_raising_correction": "order-raise",
+    "casimir_correction": "renorm",
+    "verify_casimir_hypotheses": "casimir-check",
+    "renorm_map": "renorm",
+    "homogeneous_extension_unique": "homog-unique",
+    # chi
+    "theta_counterterm": "chi",
+    "chi_projection": "chi",
+    "lambda_contraction": "chi",
+    "alpha_coefficient": "chi",
+    "chi_explicit": "chi",
+    "chi_crosscheck": "chi-verify",
+    # degree
+    "deg_delta": "degree",
+    "bound_derivative": "degree",
+    "bound_monomial": "degree",
+    "bound_vanishing_factor": "degree",
+    "bound_tensor": "degree",
+    "bound_operator": "degree",
+}
 
 
 def run_cli(capsys, *argv):
@@ -212,6 +265,12 @@ class TestCoverageTable:
 
     def test_every_subcommand_reaches_an_operation(self):
         assert set(OPERATION_TO_SUBCOMMAND.values()) == set(SUBCOMMANDS)
+
+    def test_subcommands_are_the_parser_choices(self):
+        import onshell.cli as cli
+        sub, = [a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        assert tuple(sub.choices) == SUBCOMMANDS
 
     # arguments of the mapped subcommand that reach the operation
     SPIED = {
