@@ -38,7 +38,7 @@ def main():
 
     try:
         config = FeynmanConfig(args.dim, _parse_metric(args.metric, args.dim), Fraction(args.m2))
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # a bad metric, dimension or mass
         ap.error(str(exc))
     c = GaussianRational(0, -1)
 

@@ -36,10 +36,13 @@ image of S = sum_gamma c_gamma d^gamma is sum_gamma c_gamma (the image of
 d^gamma), and a single monomial with coefficient 1 gets the kept operators
 themselves.  The trace split keeps nothing: it runs once per homogeneous
 degree of its input, and a monomial is a degree part with one entry.  The
-explicit route reads alpha_j^k, kept per (j, k, configuration) in a table
-keyed by the hashable `FeynmanConfig` (`_alpha`, ALPHA_CACHE = 1024
-entries); each entry forms its polynomial in box by Horner.  Cached
-operators are shared, so no caller may mutate their `coeffs`.
+explicit formula depends on the indices only through their counts, so it
+keeps one image per (configuration, exponent) too (`_explicit_chi`), read
+by every ordering of a multiset, and reads alpha_j^k, kept per (j, k,
+configuration) in a table keyed by the hashable `FeynmanConfig` (`_alpha`,
+ALPHA_CACHE = 1024 entries); each entry forms its polynomial in box by
+Horner.  Cached operators are shared, so no caller may mutate their
+`coeffs`.
 
 The chi quantities are real rationals (g_(mu mu) = +-1, m^2 = p/q), so
 both routes work on integer numerators over one common denominator, with
@@ -58,7 +61,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .scalar import GaussianRational, ZERO, ONE, _reduced
+from .scalar import GaussianRational, ZERO, ONE, _ratio, _reduced
 from .deltaspace import DeltaVector, DimensionMismatch, SparseMap, mi_add, mi_order
 from .extension import ExtensionRecord, onshell_correction
 from .opalg import check_signature, dalembert
@@ -70,10 +73,10 @@ BASIS_CACHE = 4096
 # every mass; S gets a counterterm when order(S) + DEG_V >= 0.
 DEG_V = -2
 # Largest number of ordered monomials on which `chi_crosscheck` compares the
-# two routes, summed over the masses and metrics.  k <= 7 at n = 4 with two
-# masses and both metrics is 87,380 comparisons and takes 8-11 s (2-CPU
-# Linux container, Python 3.11); k <= 8 would be 349,524, and each further
-# order multiplies the count by n, so k = 12 would run for hours.
+# two routes, summed over the masses and metrics.  k <= 7 at n = 4, two
+# masses and both metrics, is 87,380 comparisons in 1.0-1.6 s (2-CPU Linux
+# container, Python 3.11); k <= 8 would be 349,524, and each further order
+# multiplies the count by n, so k = 12 would be 89 million.
 MAX_CHI_COMPARISONS = 100_000
 
 
@@ -82,7 +85,8 @@ class FeynmanConfig:
     """Ambient data for the counterterm algebra.
 
     signature None is the default metric of size n, diag(+1, -1, ..., -1)
-    (`opalg.check_signature`, which also refuses n < 1).
+    (`opalg.check_signature`, which also refuses n < 1).  m2 is an int,
+    `Fraction` or str rational; a float is refused (TypeError).
     """
 
     n: int = 4
@@ -92,7 +96,7 @@ class FeynmanConfig:
     def __post_init__(self):
         object.__setattr__(self, "signature", check_signature(self.n, self.signature))
         if self.m2.__class__ is not Fraction:
-            object.__setattr__(self, "m2", Fraction(self.m2))
+            object.__setattr__(self, "m2", Fraction(*_ratio(self.m2)))
 
 
 @dataclass(frozen=True)
@@ -488,51 +492,46 @@ def _alpha(j: int, k: int, config: FeynmanConfig) -> ConstCoeffOperator:
     return (ConstCoeffOperator.klein_gordon(config) * total).scale(sign)
 
 
-def _first_level(gamma: tuple, idx: tuple, sig: tuple) -> dict:
-    """Lambda once on d_(mu_1) ... d_(mu_k), with exponent gamma, as
-    {exponent: int}: each position pair i < j with mu_i = mu_j adds
-    g_(mu mu) at gamma - 2 e_mu, the pairs taken in the given index order."""
-    level: dict = {}
-    for i, mu in enumerate(idx):
-        pairs = idx[i + 1:].count(mu)
-        if pairs:
-            key = gamma[:mu] + (gamma[mu] - 2,) + gamma[mu + 1:]
-            level[key] = level.get(key, 0) + pairs * sig[mu]
-    return level
-
-
 def chi_explicit(indices, n: int, m2, signature=None) -> ConstCoeffOperator:
     """chi on a concrete derivative monomial via the closed formula
     sum_j alpha_j^k (1/j!) Lambda^j (d_(mu_1) ... d_(mu_k)).
 
-    Lambda^j is applied level by level, with one integer weight per reduced
-    monomial (an exponent): the exact sum over every ordered sequence of j
-    pair contractions, gathered into fewer terms.  The first level contracts
-    the position pairs in the order given (`_first_level`); a later level
-    contracts by index counts, as a monomial depends only on them: exponent
-    c goes to c - 2 e_mu with weight g_(mu mu) C(c_mu, 2), which is half of
-    the (x.x) exponent shift `_interval_delta`, so j - 1 such shifts of
-    level 1 give 2^(j-1) times the level-j weights.  Each alpha_j^k,
-    j <= k/2, is read once and scaled to integer real and imaginary
-    numerators over the lcm d_j of its denominators; the total is one pair
-    of integer exponent dicts over D = lcm_j d_j 2^(j-1) j!, added into by
-    exponent shifts, and each coefficient is divided once.
+    The sum over every ordered sequence of j pair contractions depends on
+    the indices only through their counts, the exponent gamma: contracting
+    exponent c gives c - 2 e_mu with weight g_(mu mu) C(c_mu, 2), so every
+    ordering of one multiset has one value.  The indices and the
+    configuration are checked here, and the value is read from the table
+    `_explicit_chi` per (configuration, exponent).
     """
     config = FeynmanConfig(n, signature, m2)
+    return _explicit_chi(config, _exponent(n, indices))
+
+
+@lru_cache(maxsize=BASIS_CACHE)
+def _explicit_chi(config: FeynmanConfig, gamma: tuple) -> ConstCoeffOperator:
+    """chi_explicit of d^gamma, built once per (configuration, exponent).
+
+    Lambda^j is applied level by level, with one integer weight per
+    reduced exponent.  The contraction weight g_(mu mu) C(c_mu, 2) is half
+    of the (x.x) exponent shift `_interval_delta`, so j shifts of d^gamma
+    give 2^j times the level-j weights.  Each alpha_j^k, j <= k/2, is read
+    once through the module global `alpha_coefficient` and scaled to
+    integer real and imaginary numerators over the lcm d_j of its
+    denominators; the total is one pair of integer exponent dicts over
+    D = lcm_j d_j 2^j j!, and each coefficient is divided once.  The
+    operator is shared, so no caller may mutate its `coeffs`.
+    """
     sig = config.signature
-    idx = tuple(indices)
-    k = len(idx)
-    gamma = _exponent(n, idx)
-    terms = []  # (level j, alpha_j^k coefficients, d_j, d_j 2^(j-1) j!)
-    level = _first_level(gamma, idx, sig)
+    k = sum(gamma)
+    terms = []  # (level j, alpha_j^k coefficients, d_j, d_j 2^j j!)
+    level = {gamma: 1}
     for j in range(1, k // 2 + 1):
-        if j > 1:
-            level = _interval_delta(sig, level)
+        level = _interval_delta(sig, level)
         if not level:
             break
-        alpha = alpha_coefficient(j, k, n, config.m2, sig).coeffs
+        alpha = alpha_coefficient(j, k, config.n, config.m2, sig).coeffs
         d = math.lcm(*(c.d for c in alpha.values()))
-        terms.append((level, alpha, d, d * 2 ** (j - 1) * math.factorial(j)))
+        terms.append((level, alpha, d, d * 2 ** j * math.factorial(j)))
     den = math.lcm(*(t[3] for t in terms))
     re, im = {gamma: den}, {}
     for level, alpha, d, div in terms:
@@ -575,12 +574,12 @@ def chi_crosscheck(k_max: int, n: int, m2_list, signatures=None) -> CrosscheckRe
     """Compare the two routes coefficientwise on every derivative monomial of
     order <= k_max, for every mass value and both metric conventions.
 
-    The explicit route runs on every ordered monomial; the projection route,
-    which sees only the exponent, runs once per index multiset and each
-    ordering is compared against that result.  A negative k_max, no mass or
-    no metric checks nothing, and a sweep of more than MAX_CHI_COMPARISONS
-    comparisons would run for hours, so each is refused (ValueError) before
-    any route runs."""
+    Each route is computed once per (configuration, exponent), the
+    projection route in `_basis_chi` and the explicit route in
+    `_explicit_chi`, and every ordering of a multiset is compared against
+    those images.  A negative k_max, no mass or no metric checks nothing,
+    and a sweep of more than MAX_CHI_COMPARISONS comparisons runs too long
+    (see there), so each is refused (ValueError) before any route runs."""
     if k_max < 0:
         raise ValueError(f"k_max {k_max} is negative")
     if signatures is None:

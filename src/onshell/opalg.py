@@ -559,7 +559,7 @@ def euler(n: int, a) -> OperatorExpr:
 def dalembert(n: int, m2, signature=None) -> OperatorExpr:
     """Wave operator plus mass: sum_mu g^(mu mu) d_mu^2 + m^2."""
     sig = check_signature(n, signature)
-    op = OperatorExpr.from_scalar(n, GaussianRational.of(Fraction(m2)))
+    op = OperatorExpr.from_scalar(n, GaussianRational(m2))
     for mu in range(n):
         e2 = tuple(2 if j == mu else 0 for j in range(n))
         op = op + OperatorExpr.derivative(n, e2).scale(sig[mu])

@@ -2,7 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -515,7 +515,47 @@ def _ordered_chi_explicit(indices, n, m2, sig):
     return total
 
 
+@pytest.fixture
+def fresh_explicit_table():
+    """An empty `_explicit_chi` before and after the test: a test that
+    patches `alpha_coefficient` must not read images made without the
+    patch, nor leave its own for the tests after it."""
+    chi_mod._explicit_chi.cache_clear()
+    yield
+    chi_mod._explicit_chi.cache_clear()
+
+
 class TestChiExplicitMultisetSum:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_ordering_matches_the_ordered_sum(self, n):
+        # the table keeps one image per exponent; the ordered sum is formed
+        # afresh for each ordering
+        base = default_signature(n)
+        for multiset in ((0, 0, 1, 1), (0, 0, 1, 1, 2), (0, 0, 0, 1, 1, 1)):
+            if max(multiset) >= n:
+                continue
+            for sig in (base, tuple(-g for g in base)):
+                for m2 in (Fraction(0), Fraction(3, 2)):
+                    for idx in sorted(set(permutations(multiset))):
+                        got = chi_explicit(idx, n, m2, sig)
+                        assert got.coeffs == _ordered_chi_explicit(idx, n, m2, sig).coeffs
+
+    @pytest.mark.usefixtures("fresh_explicit_table")
+    def test_alpha_read_once_per_multiset(self, monkeypatch):
+        # six orderings of (0, 0, 1, 1) read alpha_1^4 and alpha_2^4 once each
+        original = chi_mod.alpha_coefficient
+        calls = []
+
+        def counted(j, k, n, m2, signature=None):
+            calls.append((j, k))
+            return original(j, k, n, m2, signature)
+
+        monkeypatch.setattr(chi_mod, "alpha_coefficient", counted)
+        images = [chi_explicit(idx, 4, Fraction(1)).coeffs
+                  for idx in set(permutations((0, 0, 1, 1)))]
+        assert len(images) == 6 and all(c == images[0] for c in images)
+        assert sorted(calls) == [(1, 4), (2, 4)]
+
     def test_matches_the_ordered_sum(self):
         rng = random.Random(15)
         for n in (1, 2, 3, 4, 5):
@@ -531,6 +571,7 @@ class TestChiExplicitMultisetSum:
 class TestIntegerNumerators:
     """Both routes run on integer numerators over one denominator."""
 
+    @pytest.mark.usefixtures("fresh_explicit_table")
     def test_complex_alpha_matches_the_ordered_sum(self, monkeypatch):
         # alpha times 1 + 2i: every numerator gets an imaginary part
         original = chi_mod.alpha_coefficient
@@ -560,6 +601,7 @@ class TestIntegerNumerators:
         gamma = (2, 2, 2, 0)
         want = chi_explicit(idx, 4, config.m2, config.signature)
         chi_mod._basis_chi.cache_clear()
+        chi_mod._explicit_chi.cache_clear()
         calls = []
         for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__"):
             original = vars(GaussianRational)[name]
@@ -592,6 +634,15 @@ class TestFeynmanConfig:
         assert config.signature == default_signature(n)
         explicit = FeynmanConfig(n, default_signature(n))
         assert config == explicit and hash(config) == hash(explicit)
+
+    def test_mass_is_read_as_an_exact_rational(self):
+        # a float would be read as its binary value, 0.1 as 3602879701896397/2^55
+        with pytest.raises(TypeError, match="cannot interpret 0.1 as an exact rational"):
+            FeynmanConfig(4, None, 0.1)
+        with pytest.raises(TypeError, match="cannot interpret 0.5 as an exact rational"):
+            chi_explicit((0, 0), 4, 0.5)
+        for m2 in (3, Fraction(3, 2), "3/2", "1.5"):
+            assert FeynmanConfig(4, None, m2).m2 == Fraction(m2)
 
     def test_fixed_operators_are_built_once_per_config(self):
         assert alpha_coefficient(2, 5, 4, 1) is alpha_coefficient(2, 5, 4, Fraction(1), [1, -1, -1, -1])
@@ -644,6 +695,7 @@ class TestCrosscheck:
         assert rep.ok
         assert rep.checked == 2 * (1 + 4 + 16)
 
+    @pytest.mark.usefixtures("fresh_explicit_table")
     def test_mutation_detected(self, monkeypatch):
         # flip the sign of every nontrivial alpha: the detector must fire
         original = chi_mod.alpha_coefficient

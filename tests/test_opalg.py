@@ -226,6 +226,14 @@ class TestConstructors:
         with pytest.raises(InvalidSignature):
             casimir(3, (1, -1))
 
+    def test_mass_is_read_as_an_exact_rational(self):
+        # a float would be read as its binary value, 0.1 as 3602879701896397/2^55
+        with pytest.raises(TypeError, match="cannot interpret 0.1 as an exact rational"):
+            dalembert(4, 0.1)
+        for m2 in (3, Fraction(3, 2), "3/2"):
+            assert operator_equal(dalembert(2, m2, (1, -1)),
+                                  dalembert(2, Fraction(m2), (1, -1)))
+
     def test_monomial_derivative(self):
         assert operator_equal(monomial_derivative(2, (1, 1)), d(2, 1, 1))
 

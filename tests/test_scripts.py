@@ -51,6 +51,7 @@ def test_extension_demo_output_is_unchanged():
     (["--k-max", "-3"], "--k-max -3 is negative"),
     # the dimension is named, not the metric read from it
     (["--dim", "0"], "dimension must be >= 1"),
+    (["--m2", "1/0"], "Fraction(1, 0)"),
 ])
 def test_chi_table_refuses_a_bad_configuration(args, message):
     # the metric text is read by the CLI's one reader; a bad metric or mass
