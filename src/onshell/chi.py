@@ -34,8 +34,16 @@ each checked once when it is made, by the same shifts:
 chi delta = S delta + (box + m^2) chi1 delta, else `AssertionError`.  The
 image of S = sum_gamma c_gamma d^gamma is sum_gamma c_gamma (the image of
 d^gamma), and a single monomial with coefficient 1 gets the kept operators
-themselves.  The trace split keeps nothing: it runs once per homogeneous
-degree of its input, and a monomial is a degree part with one entry.  The
+themselves.  A table miss reads the trace split of d^gamma from a second
+bounded table (`_orbit_split`, BASIS_CACHE entries) that keeps one split
+per orbit of (signature, exponent) under coordinate permutations and
+g -> -g, at a canonical member (`_orbit_key`), with no mass.  The
+relabelling is exact: box and x.x act on delta vectors as sum_mu g_(mu mu)
+times a shift in coordinate mu, so permuting the coordinates of
+(signature, gamma) permutes those of every H_j, and g -> -g turns box^j
+into (-1)^j box^j and keeps H_j trace free, so it multiplies H_j by (-1)^j;
+the split is unique, as the spectral decomposition of (x.x) o box.  The
+image made from a relabelled split is checked as every image is.  The
 explicit formula depends on the indices only through their counts, so it
 keeps one image per (configuration, exponent) too (`_explicit_chi`), read
 by every ordering of a multiset, and reads alpha_j^k, kept per (j, k,
@@ -59,7 +67,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from .scalar import GaussianRational, ZERO, ONE, _ratio, _reduced
 from .deltaspace import DeltaVector, DimensionMismatch, SparseMap, mi_add, mi_order
@@ -74,9 +82,10 @@ BASIS_CACHE = 4096
 DEG_V = -2
 # Largest number of ordered monomials on which `chi_crosscheck` compares the
 # two routes, summed over the masses and metrics.  k <= 7 at n = 4, two
-# masses and both metrics, is 87,380 comparisons in 1.0-1.6 s (2-CPU Linux
-# container, Python 3.11); k <= 8 would be 349,524, and each further order
-# multiplies the count by n, so k = 12 would be 89 million.
+# masses and both metrics, is 87,380 comparisons, 1,320 multisets compared
+# once each, in about 0.35 s (2-CPU Linux container, Python 3.11); k <= 8
+# would be 349,524, and each further order multiplies the count by n, so
+# k = 12 would be 89 million.
 MAX_CHI_COMPARISONS = 100_000
 
 
@@ -331,12 +340,77 @@ def _chi_numerators(sig: tuple, p: int, q: int, top: int, h: dict, gamma: tuple,
     return chi, chi1
 
 
+def _orbit_key(signature: tuple, gamma: tuple) -> tuple:
+    """(signature', gamma', back, flip): the canonical member of the orbit of
+    (signature, gamma) under coordinate permutations and g -> -g.
+
+    The sign is chosen so that + is not the larger class; with equal classes,
+    so that the + class has the larger exponents (descending, compared
+    lexicographically).  The coordinates are ordered + class first, each
+    class by descending exponent, ties by index.  back[mu] is the canonical
+    position of coordinate mu, or None when that is mu itself."""
+    n = len(signature)
+    plus = sorted((a for a, g in zip(gamma, signature) if g > 0), reverse=True)
+    minus = sorted((a for a, g in zip(gamma, signature) if g < 0), reverse=True)
+    flip = len(plus) > n - len(plus) or (2 * len(plus) == n and plus < minus)
+    sig = tuple(-g for g in signature) if flip else signature
+    perm = sorted(range(n), key=lambda mu: (-sig[mu], -gamma[mu], mu))
+    back = None
+    if perm != list(range(n)):
+        back = [0] * n
+        for i, mu in enumerate(perm):
+            back[mu] = i
+    return (tuple(sig[mu] for mu in perm), tuple(gamma[mu] for mu in perm), back, flip)
+
+
+@lru_cache(maxsize=BASIS_CACHE)
+def _orbit_split(signature: tuple, gamma: tuple) -> tuple:
+    """The trace split of d^gamma, mass free, for a canonical key of
+    `_orbit_key`: (d, re, im), the H_j as integer numerators
+    {j: {beta: int}} of their real and imaginary parts over one
+    denominator d, one entry per j that `harmonic_components` returns.
+    The dicts are shared, so no caller may mutate them."""
+    n = len(signature)
+    comps = harmonic_components(FeynmanConfig(n, signature), DeltaVector(n, {gamma: ONE}))
+    d = math.lcm(*(c.d for h in comps.values() for c in h.coeffs.values()))
+    re = {j: {a: c.a * (d // c.d) for a, c in h.coeffs.items() if c.a} for j, h in comps.items()}
+    im = {j: {a: c.b * (d // c.d) for a, c in h.coeffs.items() if c.b} for j, h in comps.items()}
+    return d, re, im
+
+
+def _relabel(h: dict, back, flip: bool) -> dict:
+    """A canonical split {j: {beta: int}} moved back to the caller's
+    coordinates: beta[mu] = beta'[back[mu]], and H_j negated for odd j when
+    the metric was flipped."""
+    out = {}
+    for j, comp in h.items():
+        if back is not None:
+            comp = {tuple(b[i] for i in back): x for b, x in comp.items()}
+        if flip and j % 2:
+            comp = {b: -x for b, x in comp.items()}
+        out[j] = comp
+    return out
+
+
+def _monomial_split(signature: tuple, gamma: tuple) -> tuple:
+    """The trace split of d^gamma as `_orbit_split` gives it, (d, re, im),
+    read at the canonical member of its orbit and moved back to these
+    coordinates.  A relabelled entry is a fresh dict; an entry read as it is
+    stays shared."""
+    key_sig, key_gamma, back, flip = _orbit_key(signature, gamma)
+    d, re, im = _orbit_split(key_sig, key_gamma)
+    if back is not None or flip:
+        re, im = _relabel(re, back, flip), _relabel(im, back, flip)
+    return d, re, im
+
+
 @lru_cache(maxsize=BASIS_CACHE)
 def _basis_chi(config: FeynmanConfig, gamma: tuple) -> tuple:
     """(chi, chi1) of the monomial S = d^gamma from its trace split
     S delta = sum_j box^j H_j delta (H_j delta trace free), before the
     order(S) + DEG_V threshold, which callers apply to the whole of S.
 
+    The split is read through `_monomial_split`, one kept split per orbit.
     chi = sum_j (-m^2)^j H_j is the split evaluated at box -> -m^2, and
     chi1 = -sum_i box^i K_i with K_i = H_(i+1) + (-m^2) K_(i+1), so that
     S - chi = sum_j H_j (box^j - (-m^2)^j) = -chi1 (box + m^2).  With the
@@ -349,14 +423,11 @@ def _basis_chi(config: FeynmanConfig, gamma: tuple) -> tuple:
     divided once.  The operators are shared, so no caller may mutate their
     `coeffs`.
     """
-    comps = harmonic_components(config, DeltaVector(config.n, {gamma: ONE}))
-    top = max(comps, default=0)
-    p, q = config.m2.numerator, config.m2.denominator
-    d = math.lcm(*(c.d for h in comps.values() for c in h.coeffs.values()))
-    e = d * q ** top
     sig = config.signature
-    re = {j: {a: c.a * (d // c.d) for a, c in h.coeffs.items() if c.a} for j, h in comps.items()}
-    im = {j: {a: c.b * (d // c.d) for a, c in h.coeffs.items() if c.b} for j, h in comps.items()}
+    d, re, im = _monomial_split(sig, gamma)
+    top = max(re, default=0)
+    p, q = config.m2.numerator, config.m2.denominator
+    e = d * q ** top
     chi, chi1 = _chi_numerators(sig, p, q, top, re, gamma, e)
     chi_im, chi1_im = {}, {}
     if any(im.values()):
@@ -574,10 +645,10 @@ def chi_crosscheck(k_max: int, n: int, m2_list, signatures=None) -> CrosscheckRe
     """Compare the two routes coefficientwise on every derivative monomial of
     order <= k_max, for every mass value and both metric conventions.
 
-    Each route is computed once per (configuration, exponent), the
-    projection route in `_basis_chi` and the explicit route in
-    `_explicit_chi`, and every ordering of a multiset is compared against
-    those images.  A negative k_max, no mass or no metric checks nothing,
+    Both routes depend on the indices only through the multiset, so each
+    multiset is compared once and `checked` counts its orderings; a
+    mismatch is listed for every ordering, in `itertools.product` order
+    within each k.  A negative k_max, no mass or no metric checks nothing,
     and a sweep of more than MAX_CHI_COMPARISONS comparisons runs too long
     (see there), so each is refused (ValueError) before any route runs."""
     if k_max < 0:
@@ -602,17 +673,21 @@ def chi_crosscheck(k_max: int, n: int, m2_list, signatures=None) -> CrosscheckRe
     for sig in signatures:
         for m2 in m2_list:
             config = FeynmanConfig(n, sig, m2)
-            projected = {}  # sorted index tuple -> chi by the projection route
             for k in range(k_max + 1):
-                for idx in product(range(n), repeat=k):
-                    checked += 1
-                    key = tuple(sorted(idx))
-                    proj = projected.get(key)
-                    if proj is None:
-                        s_op = ConstCoeffOperator.monomial(config, key)
-                        proj = projected[key] = chi_projection(s_op, ONE, config).chi
-                    expl = chi_explicit(idx, n, m2, sig)
+                wrong = {}  # sorted index tuple -> (projection, explicit) as text
+                for key in combinations_with_replacement(range(n), k):
+                    # the orderings of the multiset: k! / prod_mu gamma_mu!
+                    checked += math.factorial(k) // math.prod(
+                        map(math.factorial, _exponent(n, key)))
+                    s_op = ConstCoeffOperator.monomial(config, key)
+                    proj = chi_projection(s_op, ONE, config).chi
+                    expl = chi_explicit(key, n, m2, sig)
                     if proj.coeffs != expl.coeffs:
-                        mismatches.append(CrosscheckEntry(
-                            config.signature, config.m2, idx, str(proj), str(expl)))
+                        wrong[key] = (str(proj), str(expl))
+                if wrong:
+                    for idx in product(range(n), repeat=k):
+                        texts = wrong.get(tuple(sorted(idx)))
+                        if texts:
+                            mismatches.append(CrosscheckEntry(
+                                config.signature, config.m2, idx, *texts))
     return CrosscheckReport(tuple(signatures), checked, tuple(mismatches))

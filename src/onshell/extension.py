@@ -404,12 +404,14 @@ class UniquenessReport:
 
 def homogeneous_extension_unique(n: int, a, r: int) -> UniquenessReport:
     """Unique homogeneous extension iff Euler(n, a)|_r has trivial kernel,
-    i.e. no level |alpha| <= r with |alpha| + n + a = 0."""
+    i.e. no level |alpha| <= r with |alpha| + n + a = 0.  a is read as
+    `opalg.euler` reads it."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if r < 0:
         raise ValueError("maximal order must be >= 0")
-    a = GaussianRational.of(a)
+    if not isinstance(a, GaussianRational):
+        a = GaussianRational(a)
     levels = tuple(k for k in range(r + 1) if (a + (k + n)).is_zero())
     return UniquenessReport(not levels, levels)
 

@@ -547,13 +547,17 @@ def default_signature(n: int) -> tuple:
 
 
 def euler(n: int, a) -> OperatorExpr:
-    """sum_i x_i d_i - a; acts on delta^(alpha) as -(|alpha| + n + a)."""
+    """sum_i x_i d_i - a; acts on delta^(alpha) as -(|alpha| + n + a).  a is a
+    `GaussianRational` or an int, `Fraction` or str rational; a float is
+    refused (TypeError)."""
     terms = []
     for i in range(n):
         e = tuple(1 if j == i else 0 for j in range(n))
         terms.append((Polynomial.monomial(n, e), e, None))
     op = OperatorExpr._normalized(n, terms)
-    return op - OperatorExpr.from_scalar(n, GaussianRational.of(a))
+    if not isinstance(a, GaussianRational):
+        a = GaussianRational(a)
+    return op - OperatorExpr.from_scalar(n, a)
 
 
 def dalembert(n: int, m2, signature=None) -> OperatorExpr:

@@ -1,11 +1,14 @@
-"""Shared strategies and corpus builders for the test suite."""
+"""Shared strategies, corpus builders and fixtures for the test suite."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
+
+from onshell import chi
 
 from onshell.scalar import GaussianRational
 from onshell.deltaspace import DeltaVector, Polynomial, enumerate_multi_indices
@@ -112,3 +115,15 @@ def structured_operator(rng: random.Random, n: int) -> OperatorExpr:
     if rng.random() < 0.3:
         op = op @ choices[rng.randrange(len(choices))]
     return op
+
+
+@pytest.fixture
+def fresh_split_tables():
+    """Empty `chi._basis_chi` and `chi._orbit_split` before and after the
+    test: a test that patches `chi.harmonic_components` must not read splits
+    made without the patch, nor leave its own for the tests after it."""
+    chi._basis_chi.cache_clear()
+    chi._orbit_split.cache_clear()
+    yield
+    chi._basis_chi.cache_clear()
+    chi._orbit_split.cache_clear()

@@ -2,9 +2,10 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from onshell.scalar import GaussianRational, I, ONE, ZERO
 from onshell.deltaspace import DegreeOverflow, DeltaVector, DimensionMismatch
@@ -190,6 +191,7 @@ class TestSpectralRouteOracle:
         for _ in range(8):
             s = self._seeded_operator(rng, config)
             chi_mod._basis_chi.cache_clear()
+            chi_mod._orbit_split.cache_clear()
             cold = chi_projection(s, ONE, config)
             warm = chi_projection(s, ONE, config)
             assert cold.chi.coeffs == warm.chi.coeffs
@@ -204,6 +206,7 @@ class TestSpectralRouteOracle:
         first, second = chi_projection(s, ONE, CFG1), chi_projection(s, ONE, CFG1)
         assert first.chi is second.chi and first.chi1 is second.chi1
 
+    @pytest.mark.usefixtures("fresh_split_tables")
     def test_self_check_fires(self, monkeypatch):
         # a split that drops the box^1 component breaks chi = S + chi1 (box + m^2)
         original = chi_mod.harmonic_components
@@ -211,11 +214,9 @@ class TestSpectralRouteOracle:
         def dropped(config, w):
             return {j: h for j, h in original(config, w).items() if j != 1}
 
-        chi_mod._basis_chi.cache_clear()
         monkeypatch.setattr(chi_mod, "harmonic_components", dropped)
         with pytest.raises(AssertionError, match="spectral chi contract"):
             chi_projection(ConstCoeffOperator.monomial(CFG1, (0, 0, 1, 1)), ONE, CFG1)
-        chi_mod._basis_chi.cache_clear()
 
     def test_configuration_mismatch_rejected(self):
         s = ConstCoeffOperator.monomial(CFG0, (0, 0))
@@ -377,6 +378,62 @@ class TestHarmonicTwoRoutes:
         assert set(got) == {0, 1}
         assert harmonic_components(CFG1, DeltaVector.zero(4)) == {}
         assert harmonic_components(CFG1, w - w) == {}
+
+
+@st.composite
+def _signature_and_exponent(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    sig = tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)))
+    gamma = [0] * n
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        gamma[draw(st.integers(min_value=0, max_value=n - 1))] += 1
+    return sig, tuple(gamma)
+
+
+class TestOrbitSplit:
+    """One kept trace split per orbit of (signature, exponent) under
+    coordinate permutations and g -> -g, moved back by relabelling."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_signature_and_exponent())
+    @example(((1, -1, 1, -1), (0, 2, 1, 1)))  # equal classes, flipped by the tie-break
+    @example(((-1, 1, -1, 1), (0, 2, 1, 1)))  # equal classes, kept by the tie-break
+    @example(((1, -1, 1, -1), (2, 1, 1, 2)))  # equal classes with equal exponents
+    @example(((1, -1, 1, -1, 1), (1, 3, 0, 1, 0)))  # classes not contiguous, flipped
+    @example(((1,), (5,)))
+    @example(((-1,), (4,)))
+    @example(((1, -1, -1, -1), (0, 0, 0, 0)))
+    def test_relabelled_split_equals_the_direct_split(self, case):
+        sig, gamma = case
+        n = len(sig)
+        d, re, im = chi_mod._monomial_split(sig, gamma)
+        got = {j: DeltaVector(n, chi_mod._over(re[j], im.get(j, {}), d)) for j in re}
+        want = harmonic_components(FeynmanConfig(n, sig), DeltaVector(n, {gamma: ONE}))
+        assert got == want
+
+    @pytest.mark.parametrize("signatures, orbits", [
+        # one orbit per exponent of the time coordinate and partition of the
+        # rest into at most three parts
+        (((1, -1, -1, -1), (-1, 1, 1, 1)), 11),
+        # one per unordered pair of partitions into at most two parts, one
+        # per sign class: 14 ordered pairs, 2 of them equal; the flip
+        # tie-break joins the two orders
+        (((1, -1, 1, -1), (-1, 1, -1, 1)), 8),
+    ], ids=["one-three", "two-two"])
+    @pytest.mark.usefixtures("fresh_split_tables")
+    def test_one_split_per_orbit(self, monkeypatch, signatures, orbits):
+        # every exponent of order 4 at n = 4 on two opposite metrics, 2 * 35
+        # monomials; both metrics share each split
+        calls = []
+        original = chi_mod.harmonic_components
+        monkeypatch.setattr(chi_mod, "harmonic_components",
+                            lambda *args: calls.append(args) or original(*args))
+        for sig in signatures:
+            config = FeynmanConfig(4, sig, Fraction(3, 2))
+            for key in combinations_with_replacement(range(4), 4):
+                got = chi_projection(ConstCoeffOperator.monomial(config, key), ONE, config)
+                assert got.chi.coeffs == chi_explicit(key, 4, config.m2, sig).coeffs
+        assert len(calls) == orbits
 
 
 class TestLevelProjectionRoute:
@@ -601,6 +658,7 @@ class TestIntegerNumerators:
         gamma = (2, 2, 2, 0)
         want = chi_explicit(idx, 4, config.m2, config.signature)
         chi_mod._basis_chi.cache_clear()
+        chi_mod._orbit_split.cache_clear()
         chi_mod._explicit_chi.cache_clear()
         calls = []
         for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__"):
@@ -646,6 +704,27 @@ class TestFeynmanConfig:
 
     def test_fixed_operators_are_built_once_per_config(self):
         assert alpha_coefficient(2, 5, 4, 1) is alpha_coefficient(2, 5, 4, Fraction(1), [1, -1, -1, -1])
+
+
+def _ordered_crosscheck(k_max, n, m2_list):
+    """`chi_crosscheck` on both metrics as one comparison per ordered
+    monomial, each ordering through the module's two routes."""
+    base = default_signature(n)
+    signatures = (base, tuple(-g for g in base))
+    mismatches = []
+    checked = 0
+    for sig in signatures:
+        for m2 in m2_list:
+            config = FeynmanConfig(n, sig, m2)
+            for k in range(k_max + 1):
+                for idx in product(range(n), repeat=k):
+                    checked += 1
+                    proj = chi_projection(ConstCoeffOperator.monomial(config, idx), ONE, config).chi
+                    expl = chi_mod.chi_explicit(idx, n, m2, sig)
+                    if proj.coeffs != expl.coeffs:
+                        mismatches.append(chi_mod.CrosscheckEntry(
+                            config.signature, config.m2, idx, str(proj), str(expl)))
+    return chi_mod.CrosscheckReport(signatures, checked, tuple(mismatches))
 
 
 class TestCrosscheck:
@@ -708,6 +787,25 @@ class TestCrosscheck:
         rep = chi_crosscheck(2, 4, [Fraction(0)], signatures=((1, -1, -1, -1),))
         assert not rep.ok
         assert all(m.indices for m in rep.mismatches)  # only k >= 2 can differ
+
+    def test_mismatch_report_lists_every_ordering(self, monkeypatch):
+        # an explicit route wrong on the multisets with two 1s: the report,
+        # comparing each multiset once, equals the one that compares every
+        # ordering, entries in product order
+        original = chi_mod.chi_explicit
+
+        def wrong(indices, n, m2, signature=None):
+            out = original(indices, n, m2, signature)
+            return out.scale(2) if list(indices).count(1) == 2 else out
+
+        monkeypatch.setattr(chi_mod, "chi_explicit", wrong)
+        masses = [Fraction(0), Fraction(3, 2)]
+        rep = chi_crosscheck(4, 3, masses)
+        assert rep == _ordered_crosscheck(4, 3, masses)
+        # 11; 011, 112 (3 orderings each); 0011, 1122 (6), 0112 (12); per configuration
+        assert len(rep.mismatches) == 2 * 2 * (1 + 6 + 24)
+        assert [m.indices for m in rep.mismatches[:4]] == \
+            [(1, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
 
     def test_projection_once_per_multiset(self, monkeypatch):
         original = chi_mod.chi_projection

@@ -718,10 +718,9 @@ class TestCommands:
             {k: v for k, v in json.loads(agreed).items()
              if k not in ("status", "routes_agree", "chi_explicit")}
 
+    @pytest.mark.usefixtures("fresh_split_tables")
     def test_chi_splits_the_monomial_once(self, capsys, monkeypatch):
         import onshell.chi as chi
-        # an earlier test may have filled the (configuration, exponent) table
-        chi._basis_chi.cache_clear()
         calls = []
         original = chi.harmonic_components
         monkeypatch.setattr(chi, "harmonic_components",
@@ -763,13 +762,15 @@ class TestCommands:
         assert "Traceback" not in captured.err
 
     def test_chi_verify_bound_admits_k_max_7_at_dim_4(self, capsys, monkeypatch):
-        # 2 metrics * 2 masses * (1 + 4 + ... + 4^7) = 87,380 comparisons run;
+        # 2 metrics * 2 masses * (1 + 4 + ... + 4^7) = 87,380 comparisons run,
+        # each multiset compared once: 2 * 2 * C(7 + 4, 4) = 1,320 of them;
         # one order more, 349,524, does not
         calls = self._stub_chi_routes(monkeypatch)
         assert main(["chi-verify", "--dim", "4", "--k-max", "7", "--m2", "0,1"]) == 0
-        assert len(calls) == 87_380
+        assert json.loads(capsys.readouterr().out)["checked"] == 87_380
+        assert len(calls) == 1_320
         assert main(["chi-verify", "--dim", "4", "--k-max", "8", "--m2", "0,1"]) == 1
-        assert len(calls) == 87_380
+        assert len(calls) == 1_320
         assert "exceeds the maximum" in capsys.readouterr().err
 
 

@@ -416,6 +416,14 @@ class TestHomogeneousUniqueness:
     def test_complex_degree_never_degenerate(self):
         assert homogeneous_extension_unique(2, GaussianRational(-3, 1), 3).unique
 
+    def test_degree_is_read_as_an_exact_rational(self):
+        # as opalg.euler reads it: a str rational is accepted, a float refused
+        assert homogeneous_extension_unique(4, "-6", 2) == \
+            homogeneous_extension_unique(4, Fraction(-6), 2)
+        assert homogeneous_extension_unique(1, "-3/2", 2).unique
+        with pytest.raises(TypeError, match="cannot interpret -6.0 as an exact rational"):
+            homogeneous_extension_unique(4, -6.0, 2)
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_dimension_below_one_rejected(self, n):
         # as enumerate_multi_indices does; n = 0 with a = 1 has no kernel

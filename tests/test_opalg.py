@@ -234,6 +234,14 @@ class TestConstructors:
             assert operator_equal(dalembert(2, m2, (1, -1)),
                                   dalembert(2, Fraction(m2), (1, -1)))
 
+    def test_euler_degree_is_read_as_an_exact_rational(self):
+        # as dalembert reads its mass: a str rational is accepted, a float refused
+        for a in (3, Fraction(1, 2), "1/2", "-6", GaussianRational(Fraction(1, 2), 1)):
+            want = a if isinstance(a, GaussianRational) else GaussianRational(Fraction(a))
+            assert operator_equal(euler(4, a), euler(4, want))
+        with pytest.raises(TypeError, match="cannot interpret 0.5 as an exact rational"):
+            euler(4, 0.5)
+
     def test_monomial_derivative(self):
         assert operator_equal(monomial_derivative(2, (1, 1)), d(2, 1, 1))
 
