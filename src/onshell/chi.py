@@ -37,8 +37,8 @@ d^gamma), and a single monomial with coefficient 1 gets the kept operators
 themselves.  A table miss reads the trace split of d^gamma from a second
 bounded table (`_orbit_split`, BASIS_CACHE entries) that keeps one split
 per orbit of (signature, exponent) under coordinate permutations and
-g -> -g, at a canonical member (`_orbit_key`), with no mass.  The
-relabelling is exact: box and x.x act on delta vectors as sum_mu g_(mu mu)
+g -> -g, at a canonical member (`_orbit_key`), with no mass: one integer
+`_split_degree` of d^gamma over one denominator.  The relabelling is exact: box and x.x act on delta vectors as sum_mu g_(mu mu)
 times a shift in coordinate mu, so permuting the coordinates of
 (signature, gamma) permutes those of every H_j, and g -> -g turns box^j
 into (-1)^j box^j and keeps H_j trace free, so it multiplies H_j by (-1)^j;
@@ -52,13 +52,13 @@ ALPHA_CACHE = 1024 entries); each entry forms its polynomial in box by
 Horner.  Cached operators are shared, so no caller may mutate their
 `coeffs`.
 
-The chi quantities are real rationals (g_(mu mu) = +-1, m^2 = p/q), so
-both routes work on integer numerators over one common denominator, with
-an imaginary part beside the real one only where the input has one: the
-explicit route on its contraction weights and alpha numerators, the table
-entry on the numerators of the trace split, its Horner and its
-self-check.  Each output coefficient is divided once (`scalar._reduced`);
-no `GaussianRational` is added or multiplied on the way.
+The chi quantities are real rationals (g_(mu mu) = +-1, m^2 = p/q, and
+`FeynmanConfig` refuses an imaginary mass), so both routes work on real
+integer numerators over one common denominator: the explicit route on its
+contraction weights and alpha numerators, the table entry on the
+numerators of the trace split, its Horner and its self-check.  Each output
+coefficient is divided once (`scalar._reduced`); no `GaussianRational` is
+added or multiplied on the way.
 """
 
 from __future__ import annotations
@@ -292,52 +292,10 @@ def _add_scaled(acc: dict, coeffs: dict, c) -> None:
         acc[a] = acc[a] + x if a in acc else x
 
 
-def _over(re: dict, im: dict, d: int) -> dict:
-    """{a: (re[a] + im[a] i)/d} from integer numerators, one `_reduced` per
-    nonzero coefficient."""
-    out = {a: _reduced(x, im.get(a, 0), d) for a, x in re.items() if x or im.get(a)}
-    for a, y in im.items():
-        if y and a not in re:
-            out[a] = _reduced(0, y, d)
-    return out
-
-
-def _chi_numerators(sig: tuple, p: int, q: int, top: int, h: dict, gamma: tuple,
-                    s: int) -> tuple:
-    """(chi, chi1) numerators, both over E = d q^top, of one real or
-    imaginary part of a trace split h = {j: {beta: d H_j}} for m^2 = p/q; s
-    is that part's numerator of S = d^gamma over E.
-
-    chi = sum_j (-p)^j q^(top-j) d H_j.  With N_i = q^(top-i) d H_(i+1)
-    - p N_(i+1), that is E K_i, the Horner G_i = q box G_(i+1) + N_i (one
-    `_box_delta` shift over the metric scaled by q) ends at chi1 = -G_0.
-    Checked exactly: q (chi - S) = q box chi1 + p chi1, else
-    `AssertionError`."""
-    chi: dict = {}
-    for j in range(top + 1):
-        f = (-p) ** j * q ** (top - j)
-        for a, x in h.get(j, {}).items():
-            chi[a] = chi.get(a, 0) + f * x
-    qsig = tuple(q * g for g in sig)
-    k_i: dict = {}
-    horner: dict = {}
-    for i in range(top - 1, -1, -1):
-        k_i = {a: -p * x for a, x in k_i.items()}
-        f = q ** (top - i)
-        for a, x in h.get(i + 1, {}).items():
-            k_i[a] = k_i.get(a, 0) + f * x
-        horner = _box_delta(qsig, horner)
-        for a, x in k_i.items():
-            horner[a] = horner.get(a, 0) + x
-    chi1 = {a: -x for a, x in horner.items() if x}
-    lhs = {a: q * x for a, x in chi.items()}
-    lhs[gamma] = lhs.get(gamma, 0) - q * s
-    rhs = _box_delta(qsig, chi1)
-    for a, x in chi1.items():
-        rhs[a] = rhs.get(a, 0) + p * x
-    if {a: x for a, x in lhs.items() if x} != {a: x for a, x in rhs.items() if x}:
-        raise AssertionError("spectral chi contract violated: chi != S + chi1 (box + m^2)")
-    return chi, chi1
+def _over(num: dict, d: int) -> dict:
+    """{a: num[a]/d} from integer numerators, one `_reduced` per nonzero
+    coefficient."""
+    return {a: _reduced(x, 0, d) for a, x in num.items() if x}
 
 
 def _orbit_key(signature: tuple, gamma: tuple) -> tuple:
@@ -366,16 +324,17 @@ def _orbit_key(signature: tuple, gamma: tuple) -> tuple:
 @lru_cache(maxsize=BASIS_CACHE)
 def _orbit_split(signature: tuple, gamma: tuple) -> tuple:
     """The trace split of d^gamma, mass free, for a canonical key of
-    `_orbit_key`: (d, re, im), the H_j as integer numerators
-    {j: {beta: int}} of their real and imaginary parts over one
-    denominator d, one entry per j that `harmonic_components` returns.
+    `_orbit_key`: one `_split_degree` of {gamma: 1}, as (d, {j: {beta: int}}),
+    the H_j as integer numerators over one denominator d, in lowest terms
+    over all of them (smaller integers for every Horner that reads them).
     The dicts are shared, so no caller may mutate them."""
-    n = len(signature)
-    comps = harmonic_components(FeynmanConfig(n, signature), DeltaVector(n, {gamma: ONE}))
-    d = math.lcm(*(c.d for h in comps.values() for c in h.coeffs.values()))
-    re = {j: {a: c.a * (d // c.d) for a, c in h.coeffs.items() if c.a} for j, h in comps.items()}
-    im = {j: {a: c.b * (d // c.d) for a, c in h.coeffs.items() if c.b} for j, h in comps.items()}
-    return d, re, im
+    parts = _split_degree(signature, sum(gamma), {gamma: 1})
+    d = math.lcm(*(q for _, _, q in parts))
+    h = {j: {b: x * (d // q) for b, x in comp.items()} for j, comp, q in parts}
+    g = math.gcd(d, *(x for comp in h.values() for x in comp.values()))
+    if g > 1:
+        d, h = d // g, {j: {b: x // g for b, x in comp.items()} for j, comp in h.items()}
+    return d, h
 
 
 def _relabel(h: dict, back, flip: bool) -> dict:
@@ -393,15 +352,15 @@ def _relabel(h: dict, back, flip: bool) -> dict:
 
 
 def _monomial_split(signature: tuple, gamma: tuple) -> tuple:
-    """The trace split of d^gamma as `_orbit_split` gives it, (d, re, im),
-    read at the canonical member of its orbit and moved back to these
+    """The trace split of d^gamma as `_orbit_split` gives it, (d, h), read
+    at the canonical member of its orbit and moved back to these
     coordinates.  A relabelled entry is a fresh dict; an entry read as it is
     stays shared."""
     key_sig, key_gamma, back, flip = _orbit_key(signature, gamma)
-    d, re, im = _orbit_split(key_sig, key_gamma)
+    d, h = _orbit_split(key_sig, key_gamma)
     if back is not None or flip:
-        re, im = _relabel(re, back, flip), _relabel(im, back, flip)
-    return d, re, im
+        h = _relabel(h, back, flip)
+    return d, h
 
 
 @lru_cache(maxsize=BASIS_CACHE)
@@ -410,30 +369,50 @@ def _basis_chi(config: FeynmanConfig, gamma: tuple) -> tuple:
     S delta = sum_j box^j H_j delta (H_j delta trace free), before the
     order(S) + DEG_V threshold, which callers apply to the whole of S.
 
-    The split is read through `_monomial_split`, one kept split per orbit.
-    chi = sum_j (-m^2)^j H_j is the split evaluated at box -> -m^2, and
-    chi1 = -sum_i box^i K_i with K_i = H_(i+1) + (-m^2) K_(i+1), so that
-    S - chi = sum_j H_j (box^j - (-m^2)^j) = -chi1 (box + m^2).  With the
-    H_j over one denominator d and m^2 = p/q, both are integer numerators
-    over E = d q^top (`_chi_numerators`, once for the real and, if any,
-    once for the imaginary part of the split): chi1 delta is formed by
-    Horner in box, each step one `_box_delta` exponent shift, and every
-    entry is checked exactly by the same shifts,
-    chi delta = S delta + (box + m^2) chi1 delta.  Each coefficient is
-    divided once.  The operators are shared, so no caller may mutate their
-    `coeffs`.
+    The split is read through `_monomial_split`, one kept split per orbit,
+    as integer numerators d H_j.  chi = sum_j (-m^2)^j H_j is the split
+    evaluated at box -> -m^2, and chi1 = -sum_i box^i K_i with
+    K_i = H_(i+1) + (-m^2) K_(i+1), so that
+    S - chi = sum_j H_j (box^j - (-m^2)^j) = -chi1 (box + m^2).  For
+    m^2 = p/q both are integer numerators over E = d q^top:
+    chi = sum_j (-p)^j q^(top-j) d H_j, and with
+    N_i = q^(top-i) d H_(i+1) - p N_(i+1) = E K_i the Horner
+    G_i = q box G_(i+1) + N_i (one `_box_delta` shift over the metric
+    scaled by q) ends at chi1 = -G_0.  Every entry is checked exactly by
+    the same shifts, q (chi - S) = q box chi1 + p chi1, else
+    `AssertionError`.  Each coefficient is divided once.  The operators are
+    shared, so no caller may mutate their `coeffs`.
     """
     sig = config.signature
-    d, re, im = _monomial_split(sig, gamma)
-    top = max(re, default=0)
+    d, h = _monomial_split(sig, gamma)
+    top = max(h, default=0)
     p, q = config.m2.numerator, config.m2.denominator
     e = d * q ** top
-    chi, chi1 = _chi_numerators(sig, p, q, top, re, gamma, e)
-    chi_im, chi1_im = {}, {}
-    if any(im.values()):
-        chi_im, chi1_im = _chi_numerators(sig, p, q, top, im, gamma, 0)
-    return (ConstCoeffOperator(config, _over(chi, chi_im, e)),
-            ConstCoeffOperator(config, _over(chi1, chi1_im, e)))
+    chi: dict = {}
+    for j, comp in h.items():
+        f = (-p) ** j * q ** (top - j)
+        for a, x in comp.items():
+            chi[a] = chi.get(a, 0) + f * x
+    qsig = tuple(q * g for g in sig)
+    k_i: dict = {}
+    horner: dict = {}
+    for i in range(top - 1, -1, -1):
+        k_i = {a: -p * x for a, x in k_i.items()}
+        f = q ** (top - i)
+        for a, x in h.get(i + 1, {}).items():
+            k_i[a] = k_i.get(a, 0) + f * x
+        horner = _box_delta(qsig, horner)
+        for a, x in k_i.items():
+            horner[a] = horner.get(a, 0) + x
+    chi1 = {a: -x for a, x in horner.items() if x}
+    lhs = {a: q * x for a, x in chi.items()}
+    lhs[gamma] = lhs.get(gamma, 0) - q * e
+    rhs = _box_delta(qsig, chi1)
+    for a, x in chi1.items():
+        rhs[a] = rhs.get(a, 0) + p * x
+    if {a: x for a, x in lhs.items() if x} != {a: x for a, x in rhs.items() if x}:
+        raise AssertionError("spectral chi contract violated: chi != S + chi1 (box + m^2)")
+    return ConstCoeffOperator(config, _over(chi, e)), ConstCoeffOperator(config, _over(chi1, e))
 
 
 def _chi_pair(config: FeynmanConfig, s_op: ConstCoeffOperator) -> tuple:
@@ -514,6 +493,7 @@ def lambda_contraction(indices, signature) -> list:
     """All pair contractions: for each position pair i < j the metric weight
     g_(mu_i mu_j) and the index list with both positions removed."""
     sig = tuple(signature)
+    sig = check_signature(len(sig), sig)
     n = len(sig)
     idx = tuple(indices)
     for mu in idx:
@@ -586,11 +566,11 @@ def _explicit_chi(config: FeynmanConfig, gamma: tuple) -> ConstCoeffOperator:
     reduced exponent.  The contraction weight g_(mu mu) C(c_mu, 2) is half
     of the (x.x) exponent shift `_interval_delta`, so j shifts of d^gamma
     give 2^j times the level-j weights.  Each alpha_j^k, j <= k/2, is read
-    once through the module global `alpha_coefficient` and scaled to
-    integer real and imaginary numerators over the lcm d_j of its
-    denominators; the total is one pair of integer exponent dicts over
-    D = lcm_j d_j 2^j j!, and each coefficient is divided once.  The
-    operator is shared, so no caller may mutate its `coeffs`.
+    once from its table `_alpha` (the configuration is checked already) and
+    scaled to integer numerators over the lcm d_j of its denominators; it
+    is real, as m^2 and the metric are.  The total is one integer exponent
+    dict over D = lcm_j d_j 2^j j!, and each coefficient is divided once.
+    The operator is shared, so no caller may mutate its `coeffs`.
     """
     sig = config.signature
     k = sum(gamma)
@@ -600,21 +580,19 @@ def _explicit_chi(config: FeynmanConfig, gamma: tuple) -> ConstCoeffOperator:
         level = _interval_delta(sig, level)
         if not level:
             break
-        alpha = alpha_coefficient(j, k, config.n, config.m2, sig).coeffs
+        alpha = _alpha(j, k, config).coeffs
         d = math.lcm(*(c.d for c in alpha.values()))
         terms.append((level, alpha, d, d * 2 ** j * math.factorial(j)))
     den = math.lcm(*(t[3] for t in terms))
-    re, im = {gamma: den}, {}
+    num = {gamma: den}
     for level, alpha, d, div in terms:
         f = den // div
-        weights = [(a, c.a * (d // c.d) * f, c.b * (d // c.d) * f) for a, c in alpha.items()]
+        weights = [(a, c.a * (d // c.d) * f) for a, c in alpha.items()]
         for rest, w in level.items():
-            for a, x, y in weights:
+            for a, x in weights:
                 key = mi_add(a, rest)
-                re[key] = re.get(key, 0) + w * x
-                if y:
-                    im[key] = im.get(key, 0) + w * y
-    return ConstCoeffOperator(config, _over(re, im, den))
+                num[key] = num.get(key, 0) + w * x
+    return ConstCoeffOperator(config, _over(num, den))
 
 
 # ---------------------------------------------------------------------------

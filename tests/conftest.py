@@ -120,7 +120,7 @@ def structured_operator(rng: random.Random, n: int) -> OperatorExpr:
 @pytest.fixture
 def fresh_split_tables():
     """Empty `chi._basis_chi` and `chi._orbit_split` before and after the
-    test: a test that patches `chi.harmonic_components` must not read splits
+    test: a test that patches `chi._split_degree` must not read splits
     made without the patch, nor leave its own for the tests after it."""
     chi._basis_chi.cache_clear()
     chi._orbit_split.cache_clear()

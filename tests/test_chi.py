@@ -9,7 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from onshell.scalar import GaussianRational, I, ONE, ZERO
 from onshell.deltaspace import DegreeOverflow, DeltaVector, DimensionMismatch
-from onshell.opalg import OperatorExpr, dalembert, default_signature, squared_interval
+from onshell.opalg import (
+    InvalidSignature,
+    OperatorExpr,
+    dalembert,
+    default_signature,
+    squared_interval,
+)
 from onshell import chi as chi_mod
 from onshell.chi import (
     ChiResult,
@@ -209,12 +215,12 @@ class TestSpectralRouteOracle:
     @pytest.mark.usefixtures("fresh_split_tables")
     def test_self_check_fires(self, monkeypatch):
         # a split that drops the box^1 component breaks chi = S + chi1 (box + m^2)
-        original = chi_mod.harmonic_components
+        original = chi_mod._split_degree
 
-        def dropped(config, w):
-            return {j: h for j, h in original(config, w).items() if j != 1}
+        def dropped(signature, k, part):
+            return [c for c in original(signature, k, part) if c[0] != 1]
 
-        monkeypatch.setattr(chi_mod, "harmonic_components", dropped)
+        monkeypatch.setattr(chi_mod, "_split_degree", dropped)
         with pytest.raises(AssertionError, match="spectral chi contract"):
             chi_projection(ConstCoeffOperator.monomial(CFG1, (0, 0, 1, 1)), ONE, CFG1)
 
@@ -406,8 +412,8 @@ class TestOrbitSplit:
     def test_relabelled_split_equals_the_direct_split(self, case):
         sig, gamma = case
         n = len(sig)
-        d, re, im = chi_mod._monomial_split(sig, gamma)
-        got = {j: DeltaVector(n, chi_mod._over(re[j], im.get(j, {}), d)) for j in re}
+        d, h = chi_mod._monomial_split(sig, gamma)
+        got = {j: DeltaVector(n, chi_mod._over(h[j], d)) for j in h}
         want = harmonic_components(FeynmanConfig(n, sig), DeltaVector(n, {gamma: ONE}))
         assert got == want
 
@@ -425,8 +431,8 @@ class TestOrbitSplit:
         # every exponent of order 4 at n = 4 on two opposite metrics, 2 * 35
         # monomials; both metrics share each split
         calls = []
-        original = chi_mod.harmonic_components
-        monkeypatch.setattr(chi_mod, "harmonic_components",
+        original = chi_mod._split_degree
+        monkeypatch.setattr(chi_mod, "_split_degree",
                             lambda *args: calls.append(args) or original(*args))
         for sig in signatures:
             config = FeynmanConfig(4, sig, Fraction(3, 2))
@@ -483,6 +489,13 @@ class TestLambdaContraction:
     def test_index_range_checked(self):
         with pytest.raises(ValueError):
             lambda_contraction((0, 4), (1, -1, -1, -1))
+
+    def test_metric_is_checked(self):
+        # a weight 2 is no metric entry, and n = 0 has no metric
+        with pytest.raises(InvalidSignature, match="not a diagonal"):
+            lambda_contraction((0, 0), (2, -1))
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            lambda_contraction((), ())
 
 
 class TestAlphaCoefficient:
@@ -556,7 +569,7 @@ class TestChiExplicit:
 def _ordered_chi_explicit(indices, n, m2, sig):
     """The explicit formula summed over every ordered sequence of pair
     contractions, one term per sequence, in Gaussian-rational operator
-    arithmetic; alpha is read through the module, as `chi_explicit` reads it."""
+    arithmetic; alpha is read through `alpha_coefficient`."""
     config = FeynmanConfig(n, sig, m2)
     k = len(indices)
     total = ConstCoeffOperator.monomial(config, indices)
@@ -575,7 +588,7 @@ def _ordered_chi_explicit(indices, n, m2, sig):
 @pytest.fixture
 def fresh_explicit_table():
     """An empty `_explicit_chi` before and after the test: a test that
-    patches `alpha_coefficient` must not read images made without the
+    patches `chi._alpha` must not read images made without the
     patch, nor leave its own for the tests after it."""
     chi_mod._explicit_chi.cache_clear()
     yield
@@ -600,14 +613,14 @@ class TestChiExplicitMultisetSum:
     @pytest.mark.usefixtures("fresh_explicit_table")
     def test_alpha_read_once_per_multiset(self, monkeypatch):
         # six orderings of (0, 0, 1, 1) read alpha_1^4 and alpha_2^4 once each
-        original = chi_mod.alpha_coefficient
+        original = chi_mod._alpha
         calls = []
 
-        def counted(j, k, n, m2, signature=None):
+        def counted(j, k, config):
             calls.append((j, k))
-            return original(j, k, n, m2, signature)
+            return original(j, k, config)
 
-        monkeypatch.setattr(chi_mod, "alpha_coefficient", counted)
+        monkeypatch.setattr(chi_mod, "_alpha", counted)
         images = [chi_explicit(idx, 4, Fraction(1)).coeffs
                   for idx in set(permutations((0, 0, 1, 1)))]
         assert len(images) == 6 and all(c == images[0] for c in images)
@@ -627,28 +640,6 @@ class TestChiExplicitMultisetSum:
 
 class TestIntegerNumerators:
     """Both routes run on integer numerators over one denominator."""
-
-    @pytest.mark.usefixtures("fresh_explicit_table")
-    def test_complex_alpha_matches_the_ordered_sum(self, monkeypatch):
-        # alpha times 1 + 2i: every numerator gets an imaginary part
-        original = chi_mod.alpha_coefficient
-
-        def rotated(j, k, n, m2, signature=None):
-            return original(j, k, n, m2, signature).scale(GaussianRational(1, 2))
-
-        monkeypatch.setattr(chi_mod, "alpha_coefficient", rotated)
-        rng = random.Random(26)
-        complex_seen = 0
-        for n in (2, 3, 4):
-            base = default_signature(n)
-            for sig in (base, tuple(-g for g in base)):
-                for m2 in (Fraction(0), Fraction(5, 9)):
-                    for k in range(7):
-                        idx = tuple(rng.randrange(n) for _ in range(k))
-                        got = chi_explicit(idx, n, m2, sig)
-                        assert got.coeffs == _ordered_chi_explicit(idx, n, m2, sig).coeffs
-                        complex_seen += any(c.b for c in got.coeffs.values())
-        assert complex_seen
 
     def test_no_gaussian_rational_arithmetic(self, monkeypatch):
         # with alpha kept, one order-6 explicit call and one new trace-split
@@ -673,6 +664,23 @@ class TestIntegerNumerators:
         kg = ConstCoeffOperator.klein_gordon(config)
         s = ConstCoeffOperator.monomial(config, idx)
         assert chi.coeffs == (s + chi1 * kg).coeffs
+
+    @pytest.mark.parametrize("sig, m2, gamma", [
+        ((1, -1, -1, -1), Fraction(0), (2, 2, 0, 0)),
+        ((-1, 1, 1, 1), Fraction(3, 2), (0, 1, 3, 2)),
+        ((1, -1, 1, -1), Fraction(5, 9), (2, 1, 1, 3)),
+    ])
+    @pytest.mark.usefixtures("fresh_split_tables")
+    def test_one_division_per_output_coefficient(self, monkeypatch, sig, m2, gamma):
+        # a cold table miss divides each coefficient of chi and chi1 once and
+        # nothing else: the split stays on integer numerators
+        calls = []
+        original = chi_mod._reduced
+        monkeypatch.setattr(chi_mod, "_reduced",
+                            lambda *args: calls.append(args) or original(*args))
+        chi, chi1 = chi_mod._basis_chi(FeynmanConfig(4, sig, m2), gamma)
+        assert chi.coeffs and chi1.coeffs
+        assert len(calls) == len(chi.coeffs) + len(chi1.coeffs)
 
 
 class TestFeynmanConfig:
@@ -699,6 +707,9 @@ class TestFeynmanConfig:
             FeynmanConfig(4, None, 0.1)
         with pytest.raises(TypeError, match="cannot interpret 0.5 as an exact rational"):
             chi_explicit((0, 0), 4, 0.5)
+        # an imaginary mass too: chi's tables hold real numerators only
+        with pytest.raises(TypeError, match="cannot interpret i as an exact rational"):
+            FeynmanConfig(4, None, GaussianRational(0, 1))
         for m2 in (3, Fraction(3, 2), "3/2", "1.5"):
             assert FeynmanConfig(4, None, m2).m2 == Fraction(m2)
 
@@ -777,13 +788,12 @@ class TestCrosscheck:
     @pytest.mark.usefixtures("fresh_explicit_table")
     def test_mutation_detected(self, monkeypatch):
         # flip the sign of every nontrivial alpha: the detector must fire
-        original = chi_mod.alpha_coefficient
+        original = chi_mod._alpha
 
-        def flipped(j, k, n, m2, signature=None):
-            out = original(j, k, n, m2, signature)
-            return out.scale(-1) if j >= 1 else out
+        def flipped(j, k, config):
+            return original(j, k, config).scale(-1)
 
-        monkeypatch.setattr(chi_mod, "alpha_coefficient", flipped)
+        monkeypatch.setattr(chi_mod, "_alpha", flipped)
         rep = chi_crosscheck(2, 4, [Fraction(0)], signatures=((1, -1, -1, -1),))
         assert not rep.ok
         assert all(m.indices for m in rep.mismatches)  # only k >= 2 can differ

@@ -722,8 +722,8 @@ class TestCommands:
     def test_chi_splits_the_monomial_once(self, capsys, monkeypatch):
         import onshell.chi as chi
         calls = []
-        original = chi.harmonic_components
-        monkeypatch.setattr(chi, "harmonic_components",
+        original = chi._split_degree
+        monkeypatch.setattr(chi, "_split_degree",
                             lambda *args: calls.append(args) or original(*args))
         code, out = run_cli(capsys, "chi", "--dim", "4", "--indices", "0,0")
         assert code == 0 and json.loads(out)["counterterm"]["terms"]
