@@ -494,11 +494,8 @@ def lambda_contraction(indices, signature) -> list:
     g_(mu_i mu_j) and the index list with both positions removed."""
     sig = tuple(signature)
     sig = check_signature(len(sig), sig)
-    n = len(sig)
     idx = tuple(indices)
-    for mu in idx:
-        if not 0 <= mu < n:
-            raise ValueError(f"index {mu} out of range for dimension {n}")
+    _exponent(len(sig), idx)  # the index range check
     weight = [GaussianRational.of(g) for g in sig]
     out = []
     k = len(idx)

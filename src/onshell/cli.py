@@ -70,8 +70,8 @@ from .extension import (
     CasimirHypothesisError,
     ExtensionRecord,
     NonNormalRestriction,
-    _casimir_map,
     apply_counterterm,
+    casimir_correction,
     existence_check,
     homogeneity_operator,
     homogeneous_extension_unique,
@@ -511,10 +511,8 @@ def _metric_text(sig) -> str:
 
 def _parse_scalar_pair(text: str) -> GaussianRational:
     parts = text.split(",")
-    if len(parts) == 1:
-        return GaussianRational(Fraction(parts[0]))
-    if len(parts) == 2:
-        return GaussianRational(Fraction(parts[0]), Fraction(parts[1]))
+    if len(parts) <= 2:
+        return GaussianRational(*parts)
     raise ValueError(f"cannot parse scalar {text!r}; expected re,im")
 
 
@@ -703,7 +701,7 @@ def _cmd_casimir_check(args):
         ws = _residues(args, 1 + len(gens), f"need 1 + {len(gens)} residues: the Casimir's, "
                        "then one per generator in (mu < nu) order")
         rec = _record(args, [c_op, *gens], ws)
-        v = _casimir_map(restrict(c_op, args.degree), rec.residue(c_op))
+        v = casimir_correction(rec, c_op, gens, expr)
         corrected = apply_counterterm(rec, v)
         out["counterterm"] = delta_to_json(v)
         out["corrected_residues"] = [
@@ -748,11 +746,11 @@ def _cmd_homog_unique(args):
 
 def _cmd_chi(args):
     indices = tuple(int(t) for t in args.indices.split(",")) if args.indices else ()
-    config = FeynmanConfig(args.dim, args.signature, Fraction(args.m2))
+    config = FeynmanConfig(args.dim, args.signature, args.m2)
     c = _parse_scalar_pair(args.c) if args.c else GaussianRational(0, -1)
     s_op = ConstCoeffOperator.monomial(config, indices)
     res = chi_projection(s_op, c, config)
-    expl = chi_explicit(indices, args.dim, Fraction(args.m2), args.signature)
+    expl = chi_explicit(indices, args.dim, config.m2, args.signature)
     agree = res.chi.coeffs == expl.coeffs
     return {"status": "ok" if agree else "no",
             "chi": str(res.chi), "chi1": str(res.chi1),

@@ -327,13 +327,8 @@ def casimir_correction(rec: ExtensionRecord, c_op: OperatorExpr, rs,
     report = verify_casimir_hypotheses(c_op, rs, rec.r, expression)
     if not report.passed:
         raise CasimirHypothesisError(report)
-    return _casimir_map(restrict(c_op, rec.r), rec.residue(c_op))
-
-
-def _casimir_map(mat, w: DeltaVector) -> DeltaVector:
-    """v = ((p - 1)/z)(C|_r) w for the projection polynomial p of C|_r = mat,
-    so w + C v = p(C|_r) w; `verify_casimir_hypotheses` must have passed."""
-    return _counterterm_apply(mat, projection_polynomial_of_gram(mat), w)
+    mat = restrict(c_op, rec.r)
+    return _counterterm_apply(mat, projection_polynomial_of_gram(mat), rec.residue(c_op))
 
 
 def lorentz_casimir_setup(n: int, signature=None):
@@ -368,7 +363,7 @@ def homogeneity_operator(n: int, degrees):
     for a_j, n_j in degrees:
         if n_j > 0:
             nontrivial = True
-            t_op = t_op @ (euler(n, Fraction(a_j)) ** n_j)
+            t_op = t_op @ (euler(n, a_j) ** n_j)
     return t_op if nontrivial else None
 
 
@@ -377,8 +372,8 @@ def renorm_map(rec: ExtensionRecord, degrees, lorentz: bool = False,
     """Composite counterterm: optional Casimir step, then the projection for
     the squared product of the homogeneity operators.
 
-    degrees is a list of (a_j, N_j) with integer degrees a_j and
-    multiplicities N_j; the almost-homogeneous step uses
+    degrees is a list of (a_j, N_j) with degrees a_j, read as `euler` reads
+    a, and integer multiplicities N_j; the almost-homogeneous step uses
     T = prod_j (Euler(a_j))^(N_j) and requires residues[T]; the Lorentz step
     requires residues[C] for the quadratic Casimir.
     """
@@ -410,8 +405,7 @@ def homogeneous_extension_unique(n: int, a, r: int) -> UniquenessReport:
         raise ValueError("dimension must be >= 1")
     if r < 0:
         raise ValueError("maximal order must be >= 0")
-    if not isinstance(a, GaussianRational):
-        a = GaussianRational(a)
+    a = GaussianRational.of(a)
     levels = tuple(k for k in range(r + 1) if (a + (k + n)).is_zero())
     return UniquenessReport(not levels, levels)
 

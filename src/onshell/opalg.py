@@ -47,7 +47,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 from math import perm
 
-from .scalar import GaussianRational, ONE, ZERO, clear_above, reduce_row
+from .scalar import GaussianRational, ONE, ZERO, _ratio, clear_above, reduce_row
 from .deltaspace import (
     DeltaVector,
     DimensionMismatch,
@@ -96,7 +96,9 @@ class OperatorTooLarge(ValueError):
 # ---------------------------------------------------------------------------
 
 def mat_from(rows) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    """The rows of L as `Fraction`s; each entry is read by `scalar._ratio`."""
+    return tuple(tuple(x if x.__class__ is Fraction else Fraction(*_ratio(x)) for x in row)
+                 for row in rows)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -555,15 +557,14 @@ def euler(n: int, a) -> OperatorExpr:
         e = tuple(1 if j == i else 0 for j in range(n))
         terms.append((Polynomial.monomial(n, e), e, None))
     op = OperatorExpr._normalized(n, terms)
-    if not isinstance(a, GaussianRational):
-        a = GaussianRational(a)
     return op - OperatorExpr.from_scalar(n, a)
 
 
 def dalembert(n: int, m2, signature=None) -> OperatorExpr:
-    """Wave operator plus mass: sum_mu g^(mu mu) d_mu^2 + m^2."""
+    """Wave operator plus mass: sum_mu g^(mu mu) d_mu^2 + m^2; m2 is read as
+    `euler` reads a."""
     sig = check_signature(n, signature)
-    op = OperatorExpr.from_scalar(n, GaussianRational(m2))
+    op = OperatorExpr.from_scalar(n, m2)
     for mu in range(n):
         e2 = tuple(2 if j == mu else 0 for j in range(n))
         op = op + OperatorExpr.derivative(n, e2).scale(sig[mu])

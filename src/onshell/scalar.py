@@ -15,9 +15,19 @@ has one path.  `re` and `im` are derived on read, as reduced `Fraction`s.
 
 `GaussianRational` is an immutable `__slots__` class: assigning or deleting
 an attribute raises `AttributeError`, so values can be shared and used as
-dict keys.  The public constructor coerces int, `Fraction` and str parts;
-arithmetic builds its results with `_reduced` (or `_canonical` when the
-triple is canonical already), which skip that coercion.
+dict keys.  Arithmetic builds its results with `_reduced` (or `_canonical`
+when the triple is canonical already), which read nothing.
+
+Every exact scalar that enters the package is read by one reader, `_ratio`:
+an int, a `Fraction` or a str rational as `Fraction` reads it; anything
+else, a float included, raises `TypeError("cannot interpret ... as an exact
+rational")`.  The constructor reads each part with it, and a Gaussian
+quantity (a coefficient, a scale factor, the a of `euler`, the m^2 of
+`dalembert`) goes through `GaussianRational.of`, which passes a
+`GaussianRational` through and hands anything else to the constructor.
+The real-only quantities call `_ratio` directly: the mass m^2 of
+`chi.FeynmanConfig` and the entries of a pullback matrix
+(`opalg.mat_from`).
 
 `reduce_row` is the one row reduction behind every exact elimination in
 the package (`spectral._rref`, `spectral._krylov_annihilator` and
@@ -94,11 +104,8 @@ class GaussianRational:
 
     @staticmethod
     def of(x) -> "GaussianRational":
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
-        raise TypeError(f"cannot interpret {x!r} as a Gaussian rational")
+        """x itself, or the real x read as the constructor reads it."""
+        return x if x.__class__ is GaussianRational else GaussianRational(x)
 
     # -- predicates ---------------------------------------------------------
 

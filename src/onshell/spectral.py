@@ -407,8 +407,7 @@ class _Factor:
     row operations that produced it, so that a right-hand side is reduced
     by replaying them (`substitute`) instead of eliminating again.  Nothing
     in it is changed once made; it is a slotted class because one is built
-    per block and a frozen dataclass is several times slower to build.  It
-    unpacks as (rows, pivots), fresh lists, like a plain elimination.
+    per block and a frozen dataclass is several times slower to build.
 
     entries: the reduced rows, pivot rows in pivot order, zero rows last
     (named like a matrix's dense rows, which `perfbench/tracing.py` sizes);
@@ -423,9 +422,6 @@ class _Factor:
                  rest: list):
         self.width, self.entries, self.pivots = width, entries, pivots
         self.forward, self.back, self.rest = forward, back, rest
-
-    def __iter__(self):
-        return iter(([list(row) for row in self.entries], list(self.pivots)))
 
     def substitute(self, rhs: list):
         """The x with free variables 0 that solves rows x = rhs, or None when

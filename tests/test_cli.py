@@ -500,20 +500,16 @@ class TestCommands:
         assert all(entry["residue"]["terms"] == []
                    for entry in payload["corrected_residues"])
 
-    def test_casimir_check_checks_the_hypotheses_once(self, capsys, monkeypatch):
+    def test_casimir_check_checks_the_hypotheses_once(self, capsys):
+        # the handler's report is made once; `casimir_correction` reads it kept
         import onshell.extension as extension
-        import onshell.cli as cli
-        calls = []
-        original = extension.verify_casimir_hypotheses
-        monkeypatch.setattr(cli, "verify_casimir_hypotheses",  # the handler's own check
-                            lambda *args: calls.append(args[2]) or original(*args))
-        monkeypatch.setattr(extension, "verify_casimir_hypotheses",
-                            lambda *args: calls.append(args[2]) or original(*args))
+        extension._casimir_report.cache_clear()
         code, _ = run_cli(capsys, "casimir-check", "--dim", "2", "--metric", "+-",
                           "--degree", "1",
                           "--residue", '{"alpha":[0,1],"coeff":{"re":"4","im":"0"}}',
                           "--residue", '{"alpha":[1,0],"coeff":{"re":"2","im":"0"}}')
-        assert code == 0 and calls == [1]
+        info = extension._casimir_report.cache_info()
+        assert code == 0 and (info.misses, info.hits) == (1, 1)
 
     def test_adjoint_matches_the_gram_adjoint(self, capsys):
         text = "x1*d2 + i*x2^2*d1^2"

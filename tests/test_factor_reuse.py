@@ -65,7 +65,8 @@ class TestReplay:
         nc = len(rows[0]) if rows else 0
         got = spectral._rref(rows).substitute(rhs)
         augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
-        rr, pivots = spectral._rref(augmented)
+        factor = spectral._rref(augmented)
+        rr, pivots = factor.entries, factor.pivots
         inconsistent = bool(pivots) and pivots[-1] == nc
         assert (got is None) == inconsistent
         assert _dense_rref(augmented)[1] == pivots
@@ -88,7 +89,8 @@ class TestReplay:
         assert factor.pivots == [0, 1, 2] and len(factor.rest) > 0
         for _ in range(20):
             rhs = [GaussianRational(rng.randint(-3, 3)) for _ in rows]
-            rr, pivots = spectral._rref([row + [b] for row, b in zip(rows, rhs)])
+            augmented = spectral._rref([row + [b] for row, b in zip(rows, rhs)])
+            rr, pivots = augmented.entries, augmented.pivots
             got = factor.substitute(rhs)
             if pivots[-1] == 3:
                 assert got is None

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from onshell.scalar import GaussianRational, I, ONE, ZERO, rational
+from onshell.deltaspace import DeltaVector
+from onshell.extension import homogeneity_operator, homogeneous_extension_unique
+from onshell.opalg import OperatorExpr, dalembert, euler, reflection
 
 from conftest import scalars
 
@@ -19,6 +22,34 @@ def test_construction_and_coercion():
     assert rational(3, 4).re == Fraction(3, 4)
     with pytest.raises(TypeError):
         GaussianRational.of(0.5)
+
+
+# every way an exact scalar enters the engine, and whether it takes a Gaussian
+# value (the constructor's parts are real); each reads its scalar with
+# `scalar._ratio`, directly or through `GaussianRational.of`
+ENTRY_POINTS = {
+    "GaussianRational": (GaussianRational, False),
+    "GaussianRational.of": (GaussianRational.of, True),
+    "OperatorExpr.from_scalar": (lambda x: OperatorExpr.from_scalar(2, x), True),
+    "OperatorExpr.scale": (lambda x: OperatorExpr.identity(2).scale(x), True),
+    "euler": (lambda x: euler(2, x), True),
+    "dalembert": (lambda x: dalembert(2, x), True),
+    "homogeneous_extension_unique": (lambda x: homogeneous_extension_unique(2, x, 3), True),
+    "reflection_entry": (lambda x: reflection([[x, 0], [0, 1]]), False),
+    "homogeneity_operator_degree": (lambda x: homogeneity_operator(2, [(x, 1)]), True),
+    "DeltaVector_coefficient": (lambda x: DeltaVector(2, {(1, 0): x}), True),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_every_entry_point_reads_scalars_alike(name):
+    read, gaussian = ENTRY_POINTS[name]
+    assert read(3) == read(Fraction(3)) == read("3")
+    assert read(Fraction(3, 2)) == read("3/2")
+    if gaussian:
+        assert read(GaussianRational(Fraction(3, 2))) == read("3/2")
+    with pytest.raises(TypeError, match=r"^cannot interpret 0\.1 as an exact rational$"):
+        read(0.1)
 
 
 def test_basic_identities():
