@@ -97,8 +97,7 @@ class OperatorTooLarge(ValueError):
 
 def mat_from(rows) -> Matrix:
     """The rows of L as `Fraction`s; each entry is read by `scalar._ratio`."""
-    return tuple(tuple(x if x.__class__ is Fraction else Fraction(*_ratio(x)) for x in row)
-                 for row in rows)
+    return tuple(tuple(Fraction(*_ratio(x)) for x in row) for row in rows)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -24,10 +24,10 @@ else, a float included, raises `TypeError("cannot interpret ... as an exact
 rational")`.  The constructor reads each part with it, and a Gaussian
 quantity (a coefficient, a scale factor, the a of `euler`, the m^2 of
 `dalembert`) goes through `GaussianRational.of`, which passes a
-`GaussianRational` through and hands anything else to the constructor.
-The real-only quantities call `_ratio` directly: the mass m^2 of
-`chi.FeynmanConfig` and the entries of a pullback matrix
-(`opalg.mat_from`).
+`GaussianRational` through and hands anything else to the constructor;
+arithmetic reads its other operand so too, but refuses a str, as `Fraction`
+does.  The real-only quantities call `_ratio` directly: the mass m^2 of
+`chi.FeynmanConfig` and the entries of a pullback matrix (`opalg.mat_from`).
 
 `reduce_row` is the one row reduction behind every exact elimination in
 the package (`spectral._rref`, `spectral._krylov_annihilator` and
@@ -52,6 +52,13 @@ def _ratio(x) -> tuple:
             raise TypeError(f"cannot interpret {x!r} as an exact rational")
         x = Fraction(x)
     return x.numerator, x.denominator
+
+
+def _operand(x) -> "GaussianRational":
+    """The other operand of an operator; as for `Fraction`, text is no operand."""
+    if isinstance(x, str):
+        raise TypeError(f"unsupported operand {x!r}; read text with GaussianRational")
+    return GaussianRational.of(x)
 
 
 class GaussianRational:
@@ -119,7 +126,7 @@ class GaussianRational:
 
     def __add__(self, other) -> "GaussianRational":
         if other.__class__ is not GaussianRational:
-            other = GaussianRational.of(other)
+            other = _operand(other)
         d, e = self.d, other.d
         if d == e:
             return _reduced(self.a + other.a, self.b + other.b, d)
@@ -132,20 +139,20 @@ class GaussianRational:
 
     def __sub__(self, other) -> "GaussianRational":
         if other.__class__ is not GaussianRational:
-            other = GaussianRational.of(other)
+            other = _operand(other)
         d, e = self.d, other.d
         if d == e:
             return _reduced(self.a - other.a, self.b - other.b, d)
         return _reduced(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other) -> "GaussianRational":
-        return GaussianRational.of(other).__sub__(self)
+        return _operand(other).__sub__(self)
 
     def __mul__(self, other) -> "GaussianRational":
         if other.__class__ is int:
             return _reduced(self.a * other, self.b * other, self.d)
         if other.__class__ is not GaussianRational:
-            other = GaussianRational.of(other)
+            other = _operand(other)
         a, b, c, e = self.a, self.b, other.a, other.b
         return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
 
@@ -161,7 +168,7 @@ class GaussianRational:
 
     def __truediv__(self, other) -> "GaussianRational":
         if other.__class__ is not GaussianRational:
-            other = GaussianRational.of(other)
+            other = _operand(other)
         # (a + b i)/d divided by (c + e i)/f is f (a + b i)(c - e i) / (d (c^2 + e^2))
         a, b, c, e = self.a, self.b, other.a, other.b
         n = c * c + e * e
@@ -171,7 +178,7 @@ class GaussianRational:
         return _reduced(f * (a * c + b * e), f * (b * c - a * e), self.d * n)
 
     def __rtruediv__(self, other) -> "GaussianRational":
-        return GaussianRational.of(other).__truediv__(self)
+        return _operand(other).__truediv__(self)
 
     def __pow__(self, k: int) -> "GaussianRational":
         if k < 0:

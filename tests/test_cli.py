@@ -500,16 +500,21 @@ class TestCommands:
         assert all(entry["residue"]["terms"] == []
                    for entry in payload["corrected_residues"])
 
-    def test_casimir_check_checks_the_hypotheses_once(self, capsys):
-        # the handler's report is made once; `casimir_correction` reads it kept
+    def test_casimir_check_checks_the_hypotheses_once(self, capsys, monkeypatch):
+        # the handler and `casimir_correction` each ask for the report at the
+        # residues' level 1; it is made once and the second ask reads it kept
         import onshell.extension as extension
-        extension._casimir_report.cache_clear()
+        original = extension._casimir_report
+        original.cache_clear()
+        levels = []
+        monkeypatch.setattr(extension, "_casimir_report",
+                            lambda *args: levels.append(args[2]) or original(*args))
         code, _ = run_cli(capsys, "casimir-check", "--dim", "2", "--metric", "+-",
                           "--degree", "1",
                           "--residue", '{"alpha":[0,1],"coeff":{"re":"4","im":"0"}}',
                           "--residue", '{"alpha":[1,0],"coeff":{"re":"2","im":"0"}}')
-        info = extension._casimir_report.cache_info()
-        assert code == 0 and (info.misses, info.hits) == (1, 1)
+        info = original.cache_info()
+        assert code == 0 and levels == [1, 1] and (info.misses, info.hits) == (1, 1)
 
     def test_adjoint_matches_the_gram_adjoint(self, capsys):
         text = "x1*d2 + i*x2^2*d1^2"

@@ -9,7 +9,11 @@ from hypothesis import given, strategies as st
 
 from onshell.scalar import GaussianRational, I, ONE, ZERO, rational
 from onshell.deltaspace import DeltaVector
-from onshell.extension import homogeneity_operator, homogeneous_extension_unique
+from onshell.extension import (
+    UniquenessReport,
+    homogeneity_operator,
+    homogeneous_extension_unique,
+)
 from onshell.opalg import OperatorExpr, dalembert, euler, reflection
 
 from conftest import scalars
@@ -50,6 +54,25 @@ def test_every_entry_point_reads_scalars_alike(name):
         assert read(GaussianRational(Fraction(3, 2))) == read("3/2")
     with pytest.raises(TypeError, match=r"^cannot interpret 0\.1 as an exact rational$"):
         read(0.1)
+
+
+def test_homogeneous_extension_unique_reads_its_scalar():
+    # every a > 0 gives the same report, so the inputs above cannot show a
+    # misread here; at n = 2 the Euler eigenvalue vanishes at level -a - 2
+    for a in (-3, Fraction(-3), "-3", GaussianRational(-3)):
+        assert homogeneous_extension_unique(2, a, 3) == UniquenessReport(False, (1,))
+    for a in (Fraction(-5, 2), "-5/2"):
+        assert homogeneous_extension_unique(2, a, 3) == UniquenessReport(True, ())
+
+
+@pytest.mark.parametrize("op", ["__add__", "__radd__", "__sub__", "__rsub__",
+                                "__mul__", "__rmul__", "__truediv__", "__rtruediv__"])
+def test_arithmetic_refuses_text_operands(op):
+    # text is read at the entry points only; as for `Fraction`, no operator takes it
+    with pytest.raises(TypeError, match=r"^unsupported operand '1/2'"):
+        getattr(GaussianRational(1), op)("1/2")
+    want = getattr(Fraction(1), op)(Fraction(1, 2))
+    assert getattr(GaussianRational(1), op)(Fraction(1, 2)) == GaussianRational(want)
 
 
 def test_basic_identities():
