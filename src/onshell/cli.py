@@ -717,11 +717,19 @@ def _cmd_casimir_check(args):
 def _cmd_renorm(args):
     degrees = []
     for pair_text in args.aj or []:
-        a_text, _, n_text = pair_text.partition(":")
+        parts = pair_text.split(":")
+        if len(parts) != 2:
+            raise ValueError(f"--aj {pair_text!r} is not of the form a:N")
+        a_text, n_text = parts
+        try:  # a as --a reads it, N an integer
+            a = Fraction(a_text)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"--aj {pair_text!r}: a {a_text!r} is not a rational") from None
         try:
-            degrees.append((int(a_text), int(n_text)))
+            n = int(n_text)
         except ValueError:
-            raise ValueError(f"--aj {pair_text!r} is not of the form a:N") from None
+            raise ValueError(f"--aj {pair_text!r}: N {n_text!r} is not an integer") from None
+        degrees.append((a, n))
     ops = []
     if args.lorentz:
         ops.append(lorentz_casimir_setup(args.dim, args.signature)[0])

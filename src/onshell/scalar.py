@@ -35,6 +35,15 @@ the package (`spectral._rref`, `spectral._krylov_annihilator` and
 reduced row echelon form.  Given a `log` list, both record the multipliers
 they apply, so `spectral._rref` can replay an elimination on a right-hand
 side without running it again.
+
+The kernels accumulate over integers and divide once.  `sub_mul(x, f, y)`
+is x - f*y with the product left as an unreduced triple over f.d * y.d, so
+it costs one gcd and builds one object where `x - f * y` costs two of each;
+`reduce_row`'s inner loop and the replay of `spectral._Factor.substitute`
+run on it.  `spectral._sparse_matvec` sums a row's integer cross products
+over one denominator and calls `_reduced` once per output entry.  Neither
+goes through the arithmetic methods, so a count of those methods (as a
+tracer makes) does not include them.
 """
 
 from __future__ import annotations
@@ -246,6 +255,17 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     return z
 
 
+def sub_mul(x: GaussianRational, f: GaussianRational, y: GaussianRational) -> GaussianRational:
+    """x - f*y, equal to `x - f * y` but built with one gcd: the product
+    stays an unreduced triple over f.d * y.d until the difference is made."""
+    fa, fb, ya, yb = f.a, f.b, y.a, y.b
+    p, q, e = fa * ya - fb * yb, fa * yb + fb * ya, f.d * y.d
+    d = x.d
+    if d == e:
+        return _reduced(x.a - p, x.b - q, d)
+    return _reduced(x.a * e - p * d, x.b * e - q * d, d * e)
+
+
 ZERO = GaussianRational()
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
@@ -273,7 +293,7 @@ def reduce_row(echelon: list, row: list, width: int | None = None, log: list | N
         f = row[p]
         if f is not ZERO and not f.is_zero():
             for j in support:
-                row[j] = row[j] - f * prow[j]
+                row[j] = sub_mul(row[j], f, prow[j])
             row[p] = ZERO
             if log is not None:
                 log.append((p, f))

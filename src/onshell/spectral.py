@@ -18,13 +18,21 @@ projection polynomial p_r(z) = prod(1 - z/lambda) over the nonzero
 spectrum is the z-free part of the minimal polynomial of (Q|_r)* (Q|_r)
 normalized to value 1 at zero.
 
+Every matrix-vector product is the one `_sparse_matvec`, which accumulates
+over integers: the nonzero entries of the vector go over their common
+denominator once per call, each row's entries over the row's lcm, and each
+output entry is one integer sum reduced with one gcd.  No integer form is
+kept with a matrix: the row lcm is recomputed per call, and keeping it
+measured no faster on the counterterm benchmark.
+
 Projections run on two routes, on A = Q|_r, A* (`gram_adjoint`) and
 B = A* A (`gram`).  A^+ w has one route, `_pseudoinverse`: the least-norm
-solve `_min_norm_solve` of B v = A* w and one exact certificate.  It is
-the pseudoinverse solve of a normal restriction and, negated, the on-shell
-counterterm (and so the order-raising and chi level-projection ones).  Its
-kernel step `_Block.kernel_part` gives the kernel projector.  The
-projection polynomial (`minimal_polynomial`, `projection_polynomial_of_gram`,
+solve `_min_norm_solve` of B v = A* w and one exact certificate, both on
+coordinate lists, with w read once and one `DeltaVector` built at the end.
+It is the pseudoinverse solve of a normal restriction and, negated, the
+on-shell counterterm (and so the order-raising and chi level-projection
+ones).  Its kernel step `_Block.kernel_part` gives the kernel projector.
+The projection polynomial (`minimal_polynomial`, `projection_polynomial_of_gram`,
 the block Horner) serves `minpoly` and `projpoly`, where p is printed, and
 the Casimir map ((p - 1)/z)(C) w, which p defines: it adds h(0) P_ker w to
 -C^+ w, for h = (p - 1)/z.
@@ -34,14 +42,15 @@ compared against it in the tests.
 Each block is factored once and every right-hand side is substituted.
 `_rref` keeps, beside the reduced row echelon form, the row operations
 that produced it (the logs of `scalar.reduce_row` and `clear_above`);
-`_Factor.substitute` replays them on a right-hand side in O(d^2), which
-decides consistency and gives the solution with free variables 0 exactly
-as the augmented elimination would (the RREF is unique).  A matrix keeps
-one `_Block` per part of `blocks` (`RestrictionMatrix.parts`); a block
-factors itself, reads off its kernel vectors and factors its kernel Gram
-system K* D K on first use, so `_min_norm_solve`, `range_membership`,
-`kernel_basis` and `kernel_projector` share one elimination per block and
-a block no solve reaches is never eliminated.  Likewise a matrix keeps its
+`_Factor.substitute` replays them on a right-hand side in O(d^2), each
+step one fused `scalar.sub_mul`, which decides consistency and gives the
+solution with free variables 0 exactly as the augmented elimination would
+(the RREF is unique).  A matrix keeps one `_Block` per part of `blocks`
+(`RestrictionMatrix.parts`); a block factors itself, reads off its kernel
+vectors and factors its kernel Gram system K* D K on first use, so
+`_min_norm_solve`, `range_membership`, `kernel_basis` and
+`kernel_projector` share one elimination per block and a block no solve
+reaches is never eliminated.  Likewise a matrix keeps its
 adjoint (whose parts give the witness of a "no"), its Gram matrix and its
 normality answer once made.  `restrict`, the one table, keeps matrices per
 (Q, r), so the counterterms of one (Q, r) build A, A* and B and factor
@@ -62,9 +71,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count
-from math import comb
+from math import comb, lcm
 
-from .scalar import GaussianRational, ZERO, ONE, clear_above, reduce_row
+from .scalar import GaussianRational, ZERO, ONE, _reduced, clear_above, reduce_row, sub_mul
 from .deltaspace import (
     DeltaVector,
     DimensionMismatch,
@@ -435,7 +444,7 @@ class _Factor:
                 if q is None:
                     b = b * f
                 elif not vals[q].is_zero():
-                    b = b - f * vals[q]
+                    b = sub_mul(b, f, vals[q])
             if p is not None:
                 vals[p] = b
             elif not b.is_zero():
@@ -444,7 +453,7 @@ class _Factor:
             b = vals[p]
             for q, f in steps:
                 if not vals[q].is_zero():
-                    b = b - f * vals[q]
+                    b = sub_mul(b, f, vals[q])
             vals[p] = b
         x = [ZERO] * self.width
         for p in self.pivots:
@@ -644,15 +653,30 @@ def range_membership(m: RestrictionMatrix, w: DeltaVector) -> RangeDecision:
 # ---------------------------------------------------------------------------
 
 def _sparse_matvec(rows, vec: list) -> list:
-    """M vec for M given by its sparse rows."""
+    """M vec for M given by its sparse rows, accumulated over integers: the
+    nonzero entries of vec go over their common denominator D once, each
+    row's entries over the row's lcm F, and each output entry is the sum
+    of the integer cross products over F * D, reduced with one gcd."""
+    dens = {x.d for x in vec if x.a or x.b}
+    if not dens:
+        return [ZERO] * len(rows)
+    big = lcm(*dens)
+    re = [x.a * (big // x.d) if x.d != big else x.a for x in vec]
+    im = [x.b * (big // x.d) if x.d != big else x.b for x in vec]
     out = []
     for row in rows:
-        s = ZERO
+        sa = sb = 0
+        f = lcm(*[a.d for _, a in row]) if row else 1
         for j, a in row:
-            x = vec[j]
-            if not x.is_zero():
-                s = s + a * x
-        out.append(s)
+            x, y = re[j], im[j]
+            if x or y:
+                c, e, d = a.a, a.b, a.d
+                if d != f:
+                    k = f // d
+                    c, e = c * k, e * k
+                sa += c * x - e * y
+                sb += c * y + e * x
+        out.append(_reduced(sa, sb, f * big) if sa or sb else ZERO)
     return out
 
 
@@ -785,12 +809,17 @@ def projector_onto_kernel(q: OperatorExpr, r: int) -> RestrictionMatrix:
 def _pseudoinverse(a: RestrictionMatrix, w: DeltaVector) -> DeltaVector:
     """A^+ w: the least-norm solve of B v = A* w on the kept B = A* A.  Its
     exact certificate, A*(w - A v) = 0 and v in Ran A* = (ker B)^perp, fixes
-    v, so w - A v is the part of w orthogonal to Ran A."""
+    v, so w - A v is the part of w orthogonal to Ran A.  v in Ran A* is
+    decided as `range_membership` decides it, by A*'s blocks leaving no
+    inconsistent one, without building a preimage.  w is read once, and
+    A* w, v, A v, w - A v and A*(w - A v) stay coordinate lists."""
     astar, b = a.gram_adjoint(), a.gram
-    v = b.to_vector(_min_norm_solve(b, b.from_vector(astar.matvec(w))))
-    if not astar.matvec(w - a.matvec(v)).is_zero() or not range_membership(astar, v).member:
+    y = astar.from_vector(w)
+    x = _min_norm_solve(b, _sparse_matvec(astar.sparse_rows, y))
+    res = [c - d for c, d in zip(y, _sparse_matvec(a.sparse_rows, x))]
+    if any(_sparse_matvec(astar.sparse_rows, res)) or _solve(astar.parts, x, astar.ncols)[1]:
         raise AssertionError("pseudoinverse contract violated")
-    return v
+    return b.to_vector(x)
 
 
 def pseudoinverse_correction(m: RestrictionMatrix, w: DeltaVector) -> DeltaVector:

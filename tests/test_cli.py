@@ -654,6 +654,23 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == f"onshell: error: {message}\n"
 
+    def test_aj_reads_a_as_a_rational(self, capsys):
+        # a is read as --a reads it and N as an integer; a 1/2 was refused
+        from onshell.extension import ExtensionRecord, homogeneity_operator, renorm_map
+        w = '{"alpha":[0],"coeff":{"re":"1","im":"0"}}'
+        argv = ("renorm", "--dim", "1", "--degree", "1", "--residue", w)
+        code, out = run_cli(capsys, *argv, "--aj", "1/2:1")
+        degrees = [(Fraction(1, 2), 1)]
+        rec = ExtensionRecord(1, 1, {homogeneity_operator(1, degrees): DeltaVector.basis(1, (0,))})
+        assert code == 0
+        assert json.loads(out)["counterterm"] == delta_to_json(renorm_map(rec, degrees))
+        for aj, message in (("x:1", "a 'x' is not a rational"),
+                            ("1:1/2", "N '1/2' is not an integer")):
+            assert main([*argv, "--aj", aj]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"onshell: error: --aj {aj!r}: {message}\n"
+
     # the smallest valid arguments of each subcommand, --dim left out
     DIMLESS_ARGV = {
         "restrict": ("--degree", "1", "--op", "1"),
