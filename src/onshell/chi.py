@@ -15,13 +15,16 @@ version.  Two independent routes are provided and cross-validated:
   -sum_i box^i K_i with K_i = H_(i+1) + (-m^2) K_(i+1); chi1(S) delta is
   formed by Horner in box, each step an exponent shift of delta
   derivatives, with no operator product.  For m = 0 this is identically the
-  projection-polynomial construction p_s((box|_s)* box) applied to S v
-  (asserted in the tests); for m != 0 that literal construction breaks its
-  own degree bound and the trace evaluation is the correct continuation
-  (see tests and the ledger).
+  projection-polynomial construction p_s((box|_s)* box) applied to S v; for
+  m != 0 that literal construction breaks its own degree bound and the
+  trace evaluation is the correct continuation.  The literal construction
+  is the solver's, so it is a test oracle (tests/test_chi.py) that asserts
+  both, and this module imports no solver.
 
 * the explicit route: the closed combinatorial formula with pair
-  contractions and the alpha coefficients.
+  contractions and the alpha coefficients.  `lambda_contraction` and
+  `alpha_coefficient` give these pieces as API only; the route reads its
+  contractions through `_interval_delta` and its alphas from `_alpha`.
 
 The j = 0 coefficient of the explicit formula is taken to be 1 (the bare
 monomial); the crosscheck validates this reading.
@@ -71,8 +74,7 @@ from itertools import combinations_with_replacement, product
 
 from .scalar import GaussianRational, ZERO, ONE, _ratio, _reduced
 from .deltaspace import DeltaVector, DimensionMismatch, SparseMap, mi_add, mi_order
-from .extension import ExtensionRecord, onshell_correction
-from .opalg import check_signature, dalembert
+from .opalg import check_signature
 
 ALPHA_CACHE = 1024
 BASIS_CACHE = 4096
@@ -466,23 +468,6 @@ def chi_projection(s_op: ConstCoeffOperator, c=ONE, config: FeynmanConfig = None
     if chi.order() > order:
         raise AssertionError("order bound violated by the spectral route")
     return ChiResult(chi, chi1, order + DEG_V)
-
-
-def counterterm_level_projection(s_op: ConstCoeffOperator, c, level: int,
-                                 config: FeynmanConfig = None) -> DeltaVector:
-    """Literal restriction-level construction: the on-shell counterterm
-    (`extension.onshell_correction`, with its exact self-check) of the
-    record whose one residue is (box + m^2) u' = c * S delta, at the given
-    level.  The level must be at least order(S) - 2.
-
-    Identical to theta_counterterm for m = 0 at every level >= order(S) - 2
-    (asserted in the tests); kept as the massless dual route and as the
-    documented point of departure for m != 0.
-    """
-    config = _own_config(s_op, config)
-    q = dalembert(config.n, config.m2, config.signature)
-    w = s_op.apply_to_delta().scale(GaussianRational.of(c))
-    return onshell_correction(ExtensionRecord(config.n, level, {q: w}), q)
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,12 @@ The operator identities are decided once, in two more bounded tables.
 `multi_commuting_correction` reads [Q_i, Q_j] there and the Casimir check
 reads [C, R_i], which does not depend on r.  `verify_casimir_hypotheses`
 keeps its frozen `CasimirReport` per (C, generators, r, expression)
-(CASIMIR_CACHE = 16), so the self-adjointness test (`restrict` against
-`adjoint_restriction`, the paper's second route) and the joint-kernel test
-run once per key.  The tables keep decisions, not the absence of errors:
-`casimir_correction` raises `CasimirHypothesisError` from a kept failing
-report, and `multi_commuting_correction` raises `NonCommutingOperators` from
-a kept nonzero commutator, on every call.
+(CASIMIR_CACHE = 16), so the self-adjointness test (C|_r against its kept
+adjoint `gram_adjoint()`, which the Casimir counterterm then reuses) and
+the joint-kernel test run once per key.  The tables keep decisions, not
+the absence of errors: `casimir_correction` raises `CasimirHypothesisError`
+from a kept failing report, and `multi_commuting_correction` raises
+`NonCommutingOperators` from a kept nonzero commutator, on every call.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ from .spectral import (
     _kernel_of,
     _pseudoinverse,
     _split,
-    adjoint_restriction,
     projection_polynomial_of_gram,
     range_membership,
     restrict,
@@ -295,8 +294,7 @@ def _casimir_report(c_op: OperatorExpr, rs: tuple, r: int, expression) -> Casimi
         failures.append("operator does not have essential order 0")
     else:
         mat = restrict(c_op, r)
-        adj = adjoint_restriction(c_op, r)
-        if mat == adj:
+        if mat == mat.gram_adjoint():
             self_adjoint_ok = True
         else:
             failures.append(f"(C|_{r})* != C|_{r}")
@@ -357,10 +355,13 @@ def lorentz_casimir_setup(n: int, signature=None):
 
 def homogeneity_operator(n: int, degrees):
     """T = prod_j (Euler(a_j))^(N_j) over the pairs (a_j, N_j) with N_j > 0,
-    or None when there is no such pair."""
+    or None when there is no such pair.  A pair with N_j = 0 is an identity
+    factor; one with N_j < 0 is refused (ValueError naming the pair)."""
     t_op = OperatorExpr.identity(n)
     nontrivial = False
     for a_j, n_j in degrees:
+        if n_j < 0:
+            raise ValueError(f"homogeneity pair a:N = {a_j}:{n_j} has a negative multiplicity")
         if n_j > 0:
             nontrivial = True
             t_op = t_op @ (euler(n, a_j) ** n_j)

@@ -30,14 +30,16 @@ B = A* A (`gram`).  A^+ w has one route, `_pseudoinverse`: the least-norm
 solve `_min_norm_solve` of B v = A* w and one exact certificate, both on
 coordinate lists, with w read once and one `DeltaVector` built at the end.
 It is the pseudoinverse solve of a normal restriction and, negated, the
-on-shell counterterm (and so the order-raising and chi level-projection
-ones).  Its kernel step `_Block.kernel_part` gives the kernel projector.
+on-shell counterterm (and so the order-raising one).  Its kernel step
+`_Block.kernel_part` gives the kernel projector.
 The projection polynomial (`minimal_polynomial`, `projection_polynomial_of_gram`,
 the block Horner) serves `minpoly` and `projpoly`, where p is printed, and
 the Casimir map ((p - 1)/z)(C) w, which p defines: it adds h(0) P_ker w to
 -C^+ w, for h = (p - 1)/z.
-`adjoint_restriction` stays as the second, symbolic route to A* and is
-compared against it in the tests.
+A* is made on one route, `gram_adjoint`, which the Casimir check's
+self-adjointness test reads too; its parts come from `_split` like every
+matrix's.  `adjoint_restriction` stays as the paper's second, symbolic
+route to A*: `onshell adjoint` prints it and the tests compare the two.
 
 Each block is factored once and every right-hand side is substituted.
 `_rref` keeps, beside the reduced row echelon form, the row operations
@@ -292,12 +294,8 @@ class RestrictionMatrix:
         cod_w = [mi_factorial(beta) for beta in self.codomain_basis]
         cols = [[(i, a.conj() * GaussianRational(Fraction(cod_w[j], dom_w[i]))) for i, a in row]
                 for j, row in enumerate(self.sparse_rows)]
-        adj = RestrictionMatrix(self.n, self.r_codomain, self.r_domain,
-                                _transpose(cols, self.ncols))
-        if "blocks" in vars(self):  # M's parts transposed, in `_split`'s order
-            vars(adj)["blocks"] = tuple(sorted(((cs, rs) for rs, cs in self.blocks),
-                                               key=lambda p: (not p[0], (p[0] or p[1])[0])))
-        return adj
+        return RestrictionMatrix(self.n, self.r_codomain, self.r_domain,
+                                 _transpose(cols, self.ncols))
 
     @cached_property
     def gram(self) -> "RestrictionMatrix":

@@ -216,9 +216,12 @@ class TestEliminationMatchesDense:
             assert dec.witness is None and m.from_vector(dec.preimage) == x
         else:
             assert dec.preimage is None and dec.witness == m.to_vector(y)
-        # an adjoint made after M's parts takes theirs, transposed, for its own
+        # the adjoint's parts, from `_split` like every matrix's, are M's
+        # parts transposed: parts with a row by their smallest row, then the
+        # row-less ones by their column
         adj = m.gram_adjoint()
-        assert adj.blocks == spectral._split(adj.sparse_rows, adj.ncols)
+        assert adj.blocks == tuple(sorted(((cs, rs) for rs, cs in m.blocks),
+                                          key=lambda p: (not p[0], (p[0] or p[1])[0])))
 
     def test_elimination_sees_blocks_only(self, monkeypatch):
         # restrict(box(1), 3) at n = 4 is 126 x 35 in 16 parts, the largest

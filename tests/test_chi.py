@@ -17,6 +17,7 @@ from onshell.opalg import (
     squared_interval,
 )
 from onshell import chi as chi_mod
+from onshell.extension import ExtensionRecord, onshell_correction
 from onshell.chi import (
     ChiResult,
     ConstCoeffOperator,
@@ -25,7 +26,6 @@ from onshell.chi import (
     chi_crosscheck,
     chi_explicit,
     chi_projection,
-    counterterm_level_projection,
     harmonic_components,
     lambda_contraction,
     theta_counterterm,
@@ -34,6 +34,19 @@ from onshell.chi import (
 CFG0 = FeynmanConfig(4, (1, -1, -1, -1), Fraction(0))
 CFG1 = FeynmanConfig(4, (1, -1, -1, -1), Fraction(1))
 CFGS = (CFG0, CFG1)
+
+
+def counterterm_level_projection(s_op, c, level, config=None):
+    """Oracle: the literal restriction-level construction, the on-shell
+    counterterm (`extension.onshell_correction`, with its exact self-check)
+    of the record whose one residue is (box + m^2) u' = c * S delta, at a
+    level of at least order(S) - 2.  It equals theta_counterterm for m = 0
+    at every such level and departs from it for m != 0
+    (TestLevelProjectionRoute)."""
+    config = chi_mod._own_config(s_op, config)
+    q = dalembert(config.n, config.m2, config.signature)
+    w = s_op.apply_to_delta().scale(GaussianRational.of(c))
+    return onshell_correction(ExtensionRecord(config.n, level, {q: w}), q)
 
 
 def delta4(scale=ONE):

@@ -53,7 +53,8 @@ SUBCOMMANDS = (
     "homog-unique", "chi", "chi-verify", "degree",
 )
 
-# Every library operation is reachable from exactly one subcommand.
+# Every library operation but those of API_ONLY is reachable from exactly
+# one subcommand.
 OPERATION_TO_SUBCOMMAND = {
     # opalg
     "constructors": "restrict",
@@ -87,8 +88,6 @@ OPERATION_TO_SUBCOMMAND = {
     # chi
     "theta_counterterm": "chi",
     "chi_projection": "chi",
-    "lambda_contraction": "chi",
-    "alpha_coefficient": "chi",
     "chi_explicit": "chi",
     "chi_crosscheck": "chi-verify",
     # degree
@@ -99,6 +98,11 @@ OPERATION_TO_SUBCOMMAND = {
     "bound_tensor": "degree",
     "bound_operator": "degree",
 }
+
+# Library operations no subcommand calls: the paper's pair contractions and
+# alpha coefficients, kept as API; `chi_explicit` reads its contractions
+# through `chi._interval_delta` and its alphas from `chi._alpha`.
+API_ONLY = ("lambda_contraction", "alpha_coefficient")
 
 
 def run_cli(capsys, *argv):
@@ -260,7 +264,7 @@ class TestCoverageTable:
     ]
 
     def test_every_operation_has_exactly_one_subcommand(self):
-        assert sorted(OPERATION_TO_SUBCOMMAND) == sorted(self.OPERATIONS)
+        assert sorted([*OPERATION_TO_SUBCOMMAND, *API_ONLY]) == sorted(self.OPERATIONS)
         assert set(OPERATION_TO_SUBCOMMAND.values()) <= set(SUBCOMMANDS)
 
     def test_every_subcommand_reaches_an_operation(self):
@@ -282,22 +286,45 @@ class TestCoverageTable:
         "projection_polynomial": ("--dim", "1", "--op", "euler(-2)", "--degree", "1"),
         "projector_onto_kernel": ("--dim", "1", "--op", "euler(-2)", "--degree", "1",
                                   "--projector"),
+        "theta_counterterm": ("--dim", "2", "--indices", "0,1"),
+        "chi_projection": ("--dim", "2", "--indices", "0,1"),
+        "chi_explicit": ("--dim", "2", "--indices", "0,1"),
+        "chi_crosscheck": ("--dim", "2", "--k-max", "2"),
     }
 
-    def test_the_mapped_subcommand_calls_the_operation(self, capsys, monkeypatch):
+    @staticmethod
+    def _spy(monkeypatch, name):
+        """The calls of operation name, through every module that holds it."""
+        import onshell.chi as chi
         import onshell.cli as cli
         import onshell.extension as extension
         import onshell.spectral as spectral
 
-        def spy(calls, original):
-            return lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs)
+        calls = []
+        for module in (cli, extension, spectral, chi):
+            if hasattr(module, name):
+                original = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *args, _f=original, **kwargs:
+                                    calls.append(args) or _f(*args, **kwargs))
+        return calls
+
+    def test_the_mapped_subcommand_calls_the_operation(self, capsys, monkeypatch):
         for name, argv in self.SPIED.items():
-            calls = []
-            for module in (cli, extension, spectral):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, spy(calls, getattr(module, name)))
+            calls = self._spy(monkeypatch, name)
             code, _ = run_cli(capsys, OPERATION_TO_SUBCOMMAND[name], *argv)
             assert code == 0 and calls, name
+
+    def test_api_only_operations_are_reached_by_no_subcommand(self, capsys, monkeypatch):
+        import onshell.chi as chi
+
+        # cold tables, so that a call made on a table miss would show
+        chi._explicit_chi.cache_clear()
+        chi._alpha.cache_clear()
+        calls = [self._spy(monkeypatch, name) for name in API_ONLY]
+        for argv in (("chi", "--dim", "4", "--m2", "3/2", "--indices", "0,1,1,2"),
+                     ("chi-verify", "--dim", "2", "--k-max", "4", "--m2", "0,1")):
+            assert run_cli(capsys, *argv)[0] == 0
+        assert calls == [[], []]
 
 
 class TestJsonEncoding:
@@ -670,6 +697,15 @@ class TestCommands:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"onshell: error: --aj {aj!r}: {message}\n"
+
+    def test_aj_refuses_a_negative_multiplicity(self, capsys):
+        # refused with exit 1, not answered as an empty product
+        argv = ("renorm", "--dim", "1", "--degree", "1", "--aj", "-3:-1")
+        assert main(list(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("onshell: error: homogeneity pair a:N = -3:-1 "
+                                "has a negative multiplicity\n")
 
     # the smallest valid arguments of each subcommand, --dim left out
     DIMLESS_ARGV = {

@@ -28,6 +28,7 @@ from onshell.extension import (
     apply_counterterm,
     casimir_correction,
     existence_check,
+    homogeneity_operator,
     homogeneous_extension_unique,
     linearity_precondition,
     lorentz_casimir_setup,
@@ -395,6 +396,19 @@ class TestRenormMap:
         v = renorm_map(rec, [(-2, 2), (-3, 1)])
         assert v == onshell_correction(rec, t_op)
 
+    def test_negative_multiplicity_is_refused(self):
+        # N = 0 is an identity factor; N < 0 is refused, naming its pair,
+        # not dropped as N = 0 is
+        t_op = euler(1, Fraction(-2))
+        assert homogeneity_operator(1, [(-2, 1), (-3, 0)]) == t_op
+        assert homogeneity_operator(1, [(-3, 0)]) is None
+        message = "homogeneity pair a:N = -3:-1 has a negative multiplicity"
+        with pytest.raises(ValueError, match=message):
+            homogeneity_operator(1, [(-2, 1), (Fraction(-3), -1)])
+        rec = ExtensionRecord(1, 1, {t_op: DeltaVector.basis(1, (0,))})
+        with pytest.raises(ValueError, match=message):
+            renorm_map(rec, [(-2, 1), (Fraction(-3), -1)])
+
 
 class TestHomogeneousUniqueness:
     def test_examples(self):
@@ -486,3 +500,24 @@ class TestCasimirKernelCheck:
         g = euler(1, -1)
         rep = verify_casimir_hypotheses(g @ g, [g], 2, [(1, (0, 0))])
         assert rep == CasimirReport(True, True, True, True, 2, ())
+
+
+class TestCasimirFailureBranches:
+    """The report's branches for a C that is not self-adjoint, not of
+    essential order 0 or not commuting with a generator."""
+
+    X1_D2 = (OperatorExpr.multiplication(Polynomial.coordinate(2, 0))
+             @ OperatorExpr.derivative(2, (0, 1)))
+    D1 = OperatorExpr.derivative(2, (1, 0))
+
+    @pytest.mark.parametrize("c_op, second", [
+        (X1_D2, "(C|_1)* != C|_1"),
+        (D1, "operator does not have essential order 0"),
+    ], ids=["x1*d2", "d1"])
+    def test_failing_report(self, c_op, second):
+        g = lorentz_generator(2, 0, 1, (1, -1))
+        rep = verify_casimir_hypotheses(c_op, [g], 1, [(1, (0, 0))])
+        assert rep == CasimirReport(
+            shape_ok=False, self_adjoint_ok=False, commute_ok=False, kernel_ok=False, level=1,
+            failures=("expression does not expand to the given operator", second,
+                      "C does not commute with generator 0"))

@@ -20,6 +20,7 @@ from onshell.opalg import (
     parity,
     squared_interval,
 )
+from onshell.extension import lorentz_casimir_setup
 from onshell.spectral import (
     ExactPolynomial,
     NonNormalMatrixError,
@@ -144,28 +145,36 @@ class TestAdjoint:
                 v = random_delta_vector(rng, n, r + ess)
                 assert inner(r + ess, v, a.matvec(w)) == inner(r, astar.matvec(v), w)
 
-    @pytest.mark.parametrize("family", ["structured", "poly_pullback"])
+    @pytest.mark.parametrize("family", ["structured", "poly_pullback", "lorentz_casimir"])
     def test_symbolic_route_matches_gram_adjoint(self, family):
         # adjoint_restriction is the second route to (Q|_r)*; the spectral
-        # path builds A* from restrict(q, r).gram_adjoint()
-        rng = random.Random(41)
-        kinds = set()
-        for _ in range(30):
-            n = rng.randint(1, 3)
-            r = rng.randint(0, 2 if n < 3 else 1)
-            if family == "structured":
-                q = structured_operator(rng, n)
-            else:
-                q = random_poly_coeff_operator(rng, n, allow_pullback=True)
-            if rng.random() < 0.5:
-                q = q.scale(GaussianRational(Fraction(1, 2), Fraction(-3)))
-            kinds.add(any(pb is not None for _, _, pb in q.terms))
+        # path builds A* from restrict(q, r).gram_adjoint(), and so does the
+        # Casimir check's self-adjointness test on the Lorentz Casimirs
+        if family == "lorentz_casimir":
+            cases = [(lorentz_casimir_setup(n, sig)[0], r)
+                     for n in (2, 3, 4)
+                     for sig in (default_signature(n), tuple(-g for g in default_signature(n)))
+                     for r in range(3)]
+        else:
+            rng = random.Random(41)
+            cases = []
+            for _ in range(30):
+                n = rng.randint(1, 3)
+                r = rng.randint(0, 2 if n < 3 else 1)
+                if family == "structured":
+                    q = structured_operator(rng, n)
+                else:
+                    q = random_poly_coeff_operator(rng, n, allow_pullback=True)
+                if rng.random() < 0.5:
+                    q = q.scale(GaussianRational(Fraction(1, 2), Fraction(-3)))
+                cases.append((q, r))
+            assert {any(pb is not None for _, _, pb in q.terms) for q, _ in cases} == {False, True}
+        for q, r in cases:
             sym = adjoint_restriction(q, r)
             gram = restrict(q, r).gram_adjoint()
             assert (sym.n, sym.r_domain, sym.r_codomain) == \
                 (gram.n, gram.r_domain, gram.r_codomain)
             assert sym.entries == gram.entries
-        assert kinds == {False, True}
 
     def test_level_stability_blocks(self):
         # for Euler operators and the massless wave operator, the adjoint at a
