@@ -15,13 +15,13 @@ subcommand takes exactly the residues it uses.
 
 Coefficients travel as JSON objects {"re": "p/q", "im": "p/q"} of rational
 strings.  A residue is a JSON object, either {"n": n, "terms": [...]} or a
-single {"alpha": [...], "coeff": ...}; any other JSON value (a list, a
-number, a string holding JSON again) is refused.  A coefficient part that
-is plain ASCII [-]digits[/digits] is read with `int`; any other text is
-read by `Fraction`, so the accepted forms ("3/6", "0.5", "1e3") and the
-error messages ("Fraction(1, 0)") are `Fraction`'s.  Each part is written
-from the scalar's integer triple (a, b, d) with one gcd, as str(Fraction)
-would write it.
+single {"alpha": [...], "coeff": ...}; an "n" it gives must be the integer
+--dim, and any other JSON value (a list, a number, a string holding JSON
+again) is refused.  Each coefficient part is read by `scalar._ratio` and
+written by `scalar._text`, the package's one reader and one writer of
+rational text: the accepted forms ("3/6", "0.5", "1e3") and the error
+messages ("Fraction(1, 0)") are `Fraction`'s, and a part is written as
+str(Fraction) writes it.
 
 Exit codes: 0 success, 1 usage or syntax errors, 2 mathematical "no"
 (non-existence, hypothesis failure, route mismatch) with a machine-readable
@@ -41,9 +41,8 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import gcd
 
-from .scalar import GaussianRational, I, _reduced
+from .scalar import GaussianRational, I, _text
 from .deltaspace import DeltaVector, Polynomial
 from .opalg import (
     OperatorExpr,
@@ -338,39 +337,15 @@ operator_to_text = OperatorExpr.__str__
 # JSON encoding (byte-stable for fixed input)
 # ---------------------------------------------------------------------------
 
-def _part_to_json(x: int, d: int) -> str:
-    """str(Fraction(x, d)) for d > 0."""
-    g = gcd(x, d)
-    return str(x // g) if g == d else f"{x // g}/{d // g}"
-
-
 def scalar_to_json(c: GaussianRational) -> dict:
-    return {"re": _part_to_json(c.a, c.d), "im": _part_to_json(c.b, c.d)}
-
-
-def _part_from_json(text: str) -> tuple:
-    """(numerator, denominator > 0) of Fraction(text): a plain ASCII
-    [-]digits[/digits] is read with int, any other text by Fraction itself,
-    so the accepted forms and the error messages are Fraction's."""
-    num, slash, den = text.partition("/")
-    negative = num[:1] == "-"
-    digits = num[1:] if negative else num
-    if text.isascii() and digits.isdigit() and (den.isdigit() or not slash):
-        x = int(digits)
-        d = int(den) if slash else 1
-        if d:
-            return (-x if negative else x), d
-    f = Fraction(text)
-    return f.numerator, f.denominator
+    return {"re": _text(c.a, c.d), "im": _text(c.b, c.d)}
 
 
 def scalar_from_json(obj) -> GaussianRational:
     parts = [obj] if isinstance(obj, str) else [obj["re"], obj.get("im", "0")]
     if not all(isinstance(p, str) for p in parts):  # a JSON number is a binary double
         raise TypeError("a coefficient is not a rational string")
-    a, p = _part_from_json(parts[0])
-    b, q = _part_from_json(parts[1]) if len(parts) == 2 else (0, 1)
-    return _reduced(a * q, b * p, p * q)
+    return GaussianRational(*parts)
 
 
 def delta_to_json(v: DeltaVector) -> dict:
@@ -382,14 +357,17 @@ def delta_to_json(v: DeltaVector) -> dict:
 
 
 def delta_from_json(obj, n: int) -> DeltaVector:
+    """The delta vector of dimension n that `obj` holds; an "n" it gives
+    must be the integer n."""
     if not isinstance(obj, dict):
         raise TypeError("a delta vector is a JSON object")
-    if "alpha" in obj:
-        terms = [obj]
-        dim = n
-    else:
-        terms = obj["terms"]
-        dim = obj.get("n", n)
+    if "n" in obj:
+        dim = obj["n"]
+        if type(dim) is not int:
+            raise TypeError(f"the dimension {dim!r} of a delta vector is not an integer")
+        if dim != n:
+            raise ValueError(f"the residue's dimension n = {dim} does not match --dim {n}")
+    terms = [obj] if "alpha" in obj else obj["terms"]
     coeffs = {}
     for t in terms:
         alpha = tuple(t["alpha"])
@@ -397,7 +375,7 @@ def delta_from_json(obj, n: int) -> DeltaVector:
             raise TypeError(f"multi-index {t['alpha']} is not a list of non-negative integers")
         c = scalar_from_json(t["coeff"])
         coeffs[alpha] = coeffs[alpha] + c if alpha in coeffs else c
-    return DeltaVector(dim, coeffs)
+    return DeltaVector(n, coeffs)
 
 
 def matrix_to_json(m: RestrictionMatrix, provenance: str) -> dict:

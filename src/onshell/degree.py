@@ -58,7 +58,10 @@ def bound_monomial(d: DegreeBound, beta) -> DegreeBound:
 
 
 def bound_vanishing_factor(d: DegreeBound, k: int) -> DegreeBound:
-    """deg(f u) <= deg u - k for smooth f vanishing to order k - 1 at 0."""
+    """deg(f u) <= deg u - k for smooth f vanishing to order k - 1 at 0;
+    an order is at least -1, so k >= 0 (ValueError otherwise)."""
+    if k < 0:
+        raise ValueError(f"k = {k} is negative: f vanishes to order k - 1 >= -1")
     return d._shift(-k)
 
 

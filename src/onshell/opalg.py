@@ -510,11 +510,9 @@ class OperatorExpr:
 
 def _is_negative(c: GaussianRational) -> bool:
     """A negative real or a negative multiple of i, printed as "-" and -c."""
-    if c.im == 0:
-        return c.re < 0
-    if c.re == 0:
-        return c.im < 0
-    return False
+    if not c.b:
+        return c.a < 0
+    return not c.a and c.b < 0
 
 
 def operator_equal(q1: OperatorExpr, q2: OperatorExpr) -> bool:

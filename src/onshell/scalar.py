@@ -21,7 +21,11 @@ when the triple is canonical already), which read nothing.
 Every exact scalar that enters the package is read by one reader, `_ratio`:
 an int, a `Fraction` or a str rational as `Fraction` reads it; anything
 else, a float included, raises `TypeError("cannot interpret ... as an exact
-rational")`.  The constructor reads each part with it, and a Gaussian
+rational")`.  A plain ASCII [-]digits[/digits] is read with `int` and one
+gcd, any other text by `Fraction` itself, so the accepted forms and the
+errors are `Fraction`'s.  One writer, `_text`, writes rational text as
+str(Fraction(x, d)) does, with one gcd: `__str__` and the CLI's JSON codec
+call it.  The constructor reads each part with `_ratio`, and a Gaussian
 quantity (a coefficient, a scale factor, the a of `euler`, the m^2 of
 `dalembert`) goes through `GaussianRational.of`, which passes a
 `GaussianRational` through and hands anything else to the constructor;
@@ -53,14 +57,30 @@ from math import gcd, lcm
 
 
 def _ratio(x) -> tuple:
-    """(numerator, denominator > 0) of an int, `Fraction` or str rational."""
+    """(numerator, denominator > 0), reduced, of an int, `Fraction` or str
+    rational."""
     if x.__class__ is int:
         return x, 1
+    if isinstance(x, str):
+        num, slash, den = x.partition("/")
+        if x.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+            a, d = int(num), int(den) if slash else 1
+            if d == 1:
+                return a, 1
+            if d:
+                g = gcd(a, d)
+                return a // g, d // g
+    elif not isinstance(x, (int, Fraction)):
+        raise TypeError(f"cannot interpret {x!r} as an exact rational")
     if not isinstance(x, Fraction):
-        if not isinstance(x, (int, str)):
-            raise TypeError(f"cannot interpret {x!r} as an exact rational")
         x = Fraction(x)
     return x.numerator, x.denominator
+
+
+def _text(x: int, d: int) -> str:
+    """str(Fraction(x, d)) for d > 0."""
+    g = gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
 
 
 def _operand(x) -> "GaussianRational":
@@ -213,15 +233,13 @@ class GaussianRational:
     # -- text ----------------------------------------------------------------
 
     def __str__(self) -> str:
-        re, im = self.re, self.im
-        if im == 0:
-            return str(re)
-        if re == 0:
-            return f"{im}*i" if im != 1 else "i"
-        sign = "+" if im > 0 else "-"
-        mag = abs(im)
-        ipart = "i" if mag == 1 else f"{mag}*i"
-        return f"({re} {sign} {ipart})"
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            return _text(a, d)
+        if not a:
+            return "i" if b == d else f"{_text(b, d)}*i"
+        ipart = "i" if abs(b) == d else f"{_text(abs(b), d)}*i"
+        return f"({_text(a, d)} {'+' if b > 0 else '-'} {ipart})"
 
     __repr__ = __str__
 

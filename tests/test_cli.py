@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from onshell.scalar import GaussianRational, I, ONE, ZERO
+from onshell.scalar import GaussianRational, I, ONE, ZERO, _ratio
 from onshell.chi import ChiResult, ConstCoeffOperator, FeynmanConfig, theta_counterterm
 from onshell.deltaspace import DeltaVector, Polynomial
 from onshell.opalg import (
@@ -356,12 +356,33 @@ def _outcome(thunk):
         return type(exc), str(exc)
 
 
+def _fraction_ratio(text: str) -> tuple:
+    f = Fraction(text)
+    return f.numerator, f.denominator
+
+
+def _fraction_str(z: GaussianRational) -> str:
+    """GaussianRational text written through two `Fraction`s: the oracle
+    for `str`, which writes it from the triple with `scalar._text`."""
+    re, im = z.re, z.im
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}*i" if im != 1 else "i"
+    sign = "+" if im > 0 else "-"
+    mag = abs(im)
+    ipart = "i" if mag == 1 else f"{mag}*i"
+    return f"({re} {sign} {ipart})"
+
+
 class TestCoefficientCodec:
-    """`scalar_from_json` and `scalar_to_json` against the Fraction route
-    they replace."""
+    """`scalar_from_json`, `scalar._ratio`, `scalar_to_json` and `str`
+    against the Fraction route."""
 
     @staticmethod
     def _check_decode(re, im):
+        assert _outcome(lambda: _ratio(re)) == _outcome(lambda: _fraction_ratio(re))
+        assert _outcome(lambda: _ratio(im)) == _outcome(lambda: _fraction_ratio(im))
         assert (_outcome(lambda: scalar_from_json(re))
                 == _outcome(lambda: GaussianRational(Fraction(re))))
         assert (_outcome(lambda: scalar_from_json({"re": re, "im": im}))
@@ -387,7 +408,8 @@ class TestCoefficientCodec:
 
     def test_encode_as_fraction_writes(self):
         rng = random.Random(19)
-        values = [ZERO, ONE, -ONE, I, -I, GaussianRational(Fraction(-1, 6), Fraction(5, 6)),
+        values = [ZERO, ONE, -ONE, I, -I, ONE + I, ONE - I, GaussianRational(Fraction(1, 2), -1),
+                  GaussianRational(Fraction(-1, 6), Fraction(5, 6)),
                   GaussianRational(Fraction(3, 4), Fraction(-1, 4)),
                   GaussianRational(Fraction(-7, 3), Fraction(0)),
                   GaussianRational(Fraction(0), Fraction(-2, 9))]
@@ -397,6 +419,7 @@ class TestCoefficientCodec:
                                            Fraction(rng.randint(-99, 99), rng.choice((1, d)))))
         for c in values:
             assert scalar_to_json(c) == {"re": str(c.re), "im": str(c.im)}
+            assert str(c) == _fraction_str(c)
 
 
 class TestCommands:
@@ -673,6 +696,18 @@ class TestCommands:
           "--residue", json.dumps('{"alpha":[0],"coeff":"1"}')), RESIDUE_SHAPE),
         (("extend-check", "--dim", "1", "--degree", "0", "--op", "d1",
           "--residue", '"x"'), RESIDUE_SHAPE),
+        # a residue's "n" was taken as given: n = 2 under --dim 1 was answered
+        # with value 0, true and 1.0 were read as 1, "1" and null failed with
+        # "index (0,) has length != 1" and "!= None"
+        (("degree", "--dim", "1", "--rule", "delta",
+          "--residue", '{"n":2,"terms":[{"alpha":[0,0],"coeff":"1"}]}'),
+         "the residue's dimension n = 2 does not match --dim 1"),
+        *((("degree", "--dim", "1", "--rule", "delta",
+            "--residue", f'{{"n":{n},"terms":[{{"alpha":[0],"coeff":"1"}}]}}'), RESIDUE_SHAPE)
+          for n in ("true", "1.0", '"1"', "null")),
+        # a negative vanishing order gave a bound above its input
+        (("degree", "--dim", "1", "--rule", "vanishing", "--value", "3", "--k", "-2"),
+         "k = -2 is negative: f vanishes to order k - 1 >= -1"),
     ])
     def test_missing_or_invalid_inputs_exit_code(self, capsys, argv, message):
         code = main(list(argv))

@@ -42,6 +42,13 @@ def test_bound_operator_examples():
     assert bound_operator(DegreeBound(NEG_INF, EXACT), dalembert(4, 1)).value == NEG_INF
 
 
+def test_negative_vanishing_order_rejected():
+    # f vanishes to order k - 1 >= -1; k = -2 gave the bound 5 above 3
+    with pytest.raises(ValueError, match="k = -2 is negative"):
+        bound_vanishing_factor(DegreeBound(3, EXACT), -2)
+    assert bound_vanishing_factor(DegreeBound(3, EXACT), 0).value == 3
+
+
 def test_minus_infinity_propagates():
     bottom = DegreeBound(NEG_INF, EXACT)
     assert bound_derivative(bottom, (3,)).value == NEG_INF
