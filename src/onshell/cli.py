@@ -373,6 +373,9 @@ def delta_from_json(obj, n: int) -> DeltaVector:
         alpha = tuple(t["alpha"])
         if not all(type(a) is int and a >= 0 for a in alpha):
             raise TypeError(f"multi-index {t['alpha']} is not a list of non-negative integers")
+        if len(alpha) != n:
+            raise ValueError(f"--residue multi-index {t['alpha']} has length {len(alpha)}, "
+                             f"not --dim {n}")
         c = scalar_from_json(t["coeff"])
         coeffs[alpha] = coeffs[alpha] + c if alpha in coeffs else c
     return DeltaVector(n, coeffs)
@@ -759,10 +762,21 @@ def _cmd_chi_verify(args):
 
 def _parse_index(text: str, n: int) -> tuple:
     """A multi-index argument: n non-negative integers separated by commas."""
-    index = tuple(int(t) for t in text.split(",")) if text else ()
-    if len(index) != n or any(a < 0 for a in index):
+    try:
+        index = tuple(int(t) for t in text.split(",")) if text else ()
+    except ValueError:
+        index = None
+    if index is None or len(index) != n or any(a < 0 for a in index):
         raise ValueError(f"--index {text!r} is not {n} non-negative integers")
     return index
+
+
+def _int_option(name: str, text: str) -> int:
+    """The integer value of option `name`; ValueError naming it otherwise."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} {text!r} is not an integer") from None
 
 
 def _cmd_degree(args):
@@ -773,8 +787,8 @@ def _cmd_degree(args):
     else:
         if args.value is None:
             raise ValueError(f"--value is required for rule {rule!r}")
-        d = degree_mod.DegreeBound(int(args.value), degree_mod.EXACT if args.exact
-                                   else degree_mod.UPPER_BOUND)
+        d = degree_mod.DegreeBound(_int_option("--value", args.value),
+                                   degree_mod.EXACT if args.exact else degree_mod.UPPER_BOUND)
         if rule == "derivative":
             b = degree_mod.bound_derivative(d, _parse_index(args.index, args.dim))
         elif rule == "monomial":
@@ -784,7 +798,8 @@ def _cmd_degree(args):
         elif rule == "tensor":
             if args.value2 is None:
                 raise ValueError("--value2 is required for rule 'tensor'")
-            d2 = degree_mod.DegreeBound(int(args.value2), degree_mod.UPPER_BOUND)
+            d2 = degree_mod.DegreeBound(_int_option("--value2", args.value2),
+                                        degree_mod.UPPER_BOUND)
             b = degree_mod.bound_tensor(d, d2)
         else:  # "operator"; argparse admits no other rule
             b = degree_mod.bound_operator(d, _single_op(args))

@@ -178,8 +178,8 @@ def apply_counterterm(rec: ExtensionRecord, v: DeltaVector) -> ExtensionRecord:
     """u' -> u' + v: every registered residue moves by the image Q|_r v of v,
     through the kept matrix of `restrict`.  This assumes each residue's
     (Q, r) was restricted recently, as after its `onshell_correction`; for
-    one that was not, the first call builds Q|_r, one `apply_delta` per
-    domain basis vector instead of one in all."""
+    one that was not, the first call builds Q|_r, one column image per
+    domain basis vector instead of one `apply_delta` in all."""
     if v.degree() > rec.r:
         raise DegreeOverflow("counterterm degree exceeds the record degree")
     return ExtensionRecord(rec.n, rec.r,

@@ -21,13 +21,18 @@ so that the pullback of an ordinary function is plain composition with L;
 
 The action on delta vectors is compiled once per operator (`_delta_action`:
 per term the derivative, the pullback and the coefficient monomials with
-their sign folded in) and sums every term into one accumulator.  P_L keeps
-the order of a delta derivative, so its action on each order k is computed
-once per (L, k) from x^a o L^(-1), |a| = k, and kept in a bounded cache
-(`_pullback_degree`) shared by every operator with that pullback.  Each
-operator also keeps its own dict {k: table} per pullback, filled on first
-use, so the matrix L is hashed once per order rather than once per
-coefficient.
+their sign folded in, as integer (re, im) numerators over one denominator
+per operator).  One kernel, `_delta_image`, owns the rule: it gives the
+image of a basis vector delta^(alpha) as integer numerators over one
+denominator, every term adding into one accumulator.  `spectral.restrict`
+adds these images straight into the rows of Q|_r and `apply_delta` sums
+them over a vector's coefficients; both reduce each nonzero entry once.
+P_L keeps the order of a delta derivative, so its action on each order k is
+computed once per (L, k) from x^a o L^(-1), |a| = k, as integer numerators
+over one denominator, and kept in a bounded cache (`_pullback_degree`)
+shared by every operator with that pullback.  Each operator also keeps its
+own dict {k: table} per pullback, filled on first use, so the matrix L is
+hashed once per order rather than once per basis vector.
 
 `commutator` is the one owner of commutation answers: a bounded
 `functools.lru_cache` table keyed by the ordered operator pair
@@ -45,9 +50,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from math import perm
+from math import lcm, perm
+from operator import add, sub
 
-from .scalar import GaussianRational, ONE, ZERO, _ratio, clear_above, reduce_row
+from .scalar import GaussianRational, ONE, ZERO, _ratio, _reduced, clear_above, reduce_row
 from .deltaspace import (
     DeltaVector,
     DimensionMismatch,
@@ -133,15 +139,17 @@ def _is_identity(m: Matrix) -> bool:
 
 
 @lru_cache(maxsize=128)
-def _pullback_degree(pb: Matrix, k: int) -> dict:
-    """P_L on the delta derivatives of order k, as a -> ((alpha, f), ...)
-    with P_L delta^(a) = sum f delta^(alpha), |alpha| = |a| = k.
+def _pullback_degree(pb: Matrix, k: int) -> tuple:
+    """P_L on the delta derivatives of order k, as (den, {a: ((alpha, f), ...)})
+    with integers f and P_L delta^(a) = sum (f/den) delta^(alpha),
+    |alpha| = |a| = k, den the least common denominator of the table.
 
     From <P_L delta^(a), x^alpha> = |det L|^(-1) <delta^(a), x^alpha o L^(-1)>:
-    f = c(alpha, a) a! / (alpha! |det L|), where c(alpha, a) is the
-    coefficient of x^a in the homogeneous x^alpha o L^(-1).  Cached per
-    (L, k): the same pullback meets every column of every restriction.  The
-    returned dict is shared by every caller and must not be changed.
+    f/den = c(alpha, a) a! / (alpha! |det L|), where c(alpha, a) is the
+    coefficient of x^a in the homogeneous x^alpha o L^(-1) (real, as L is).
+    Cached per (L, k): the same pullback meets every column of every
+    restriction.  The returned table is shared by every caller and must not
+    be changed.
     """
     inv, det = mat_inv_det(pb)
     n = len(pb)
@@ -152,25 +160,11 @@ def _pullback_degree(pb: Matrix, k: int) -> dict:
             continue
         image = Polynomial.monomial(n, alpha).substitute_linear(inv)
         for a, c in image.coeffs.items():
-            f = c * GaussianRational(Fraction(mi_factorial(a), mi_factorial(alpha)) * scale)
+            f = c.re * Fraction(mi_factorial(a), mi_factorial(alpha)) * scale
             out.setdefault(a, []).append((alpha, f))
-    return {a: tuple(images) for a, images in out.items()}
-
-
-def _pullback_coeffs(v: DeltaVector, pb: Matrix, tables: dict) -> dict:
-    """P_L v as a dict alpha -> coefficient, from the `_pullback_degree`
-    tables (a coefficient may cancel to zero).  `tables` maps each order k
-    met so far to its table; a missing order is looked up once and kept."""
-    out = {}
-    for a, c in v.coeffs.items():
-        k = mi_order(a)
-        table = tables.get(k)
-        if table is None:
-            table = tables[k] = _pullback_degree(pb, k)
-        for alpha, f in table.get(a, ()):
-            x = c * f
-            out[alpha] = out[alpha] + x if alpha in out else x
-    return out
+    den = lcm(*(f.denominator for images in out.values() for _, f in images))
+    return den, {a: tuple((alpha, f.numerator * (den // f.denominator)) for alpha, f in images)
+                 for a, images in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -420,45 +414,98 @@ class OperatorExpr:
 
     @cached_property
     def _delta_action(self) -> tuple:
-        """The delta action, compiled once per operator: per term, gamma,
-        the pullback matrix (or None), the operator's dict of its
-        `_pullback_degree` tables by order (shared by the terms with that
-        pullback, filled on use) and the coefficient monomials beta with
-        (-1)^|beta| folded into them."""
+        """The delta action, compiled once per operator, as (den, terms),
+        den the lcm of every coefficient's denominator.  Per term: gamma, the
+        pullback matrix (or None), the operator's dict of that pullback's
+        `_pullback_degree` tables by order (None without a pullback; shared
+        by the terms with that pullback, filled on use) and the coefficient
+        monomials as (beta, its nonzero (i, beta_i), re, im), re and im the
+        integer numerators over den of (-1)^|beta| c_beta."""
+        den = lcm(*(cb.d for coeff, _, _ in self.terms for cb in coeff.coeffs.values()))
         tables = {}
-        return tuple((gamma, pb, None if pb is None else tables.setdefault(pb, {}),
-                      tuple((beta, -cb if mi_order(beta) % 2 else cb)
-                            for beta, cb in coeff.coeffs.items()))
-                     for coeff, gamma, pb in self.terms)
+        terms = []
+        for coeff, gamma, pb in self.terms:
+            signed = []
+            for beta, cb in coeff.coeffs.items():
+                f = den // cb.d if mi_order(beta) % 2 == 0 else -(den // cb.d)
+                nonzero = tuple((i, b) for i, b in enumerate(beta) if b)
+                signed.append((beta, nonzero, cb.a * f, cb.b * f))
+            terms.append((gamma, pb, None if pb is None else tables.setdefault(pb, {}),
+                          tuple(signed)))
+        return den, tuple(terms)
 
-    def apply_delta(self, v: DeltaVector) -> DeltaVector:
-        """Exact image of a delta vector.
+    def _delta_image(self, alpha) -> tuple:
+        """The image of delta^(alpha) as (acc, den): acc maps each target
+        index to the [re, im] integer numerators of its coefficient over den
+        (a sum may cancel to zero).
 
-        Rules: d^gamma delta^(a) = delta^(a+gamma);
-        x^b delta^(a) = (-1)^|b| a!/(a-b)! delta^(a-b) when b <= a, else 0;
+        The one owner of the rule.  d^gamma delta^(s) = delta^(s+gamma);
+        x^b delta^(s) = (-1)^|b| s!/(s-b)! delta^(s-b) when b <= s, else 0;
         P_L maps the delta derivatives of each order k among themselves (see
-        `_pullback_degree`).  The action is compiled once per operator
-        (`_delta_action`) and every term adds into one accumulator.
+        `_pullback_degree`).  So a term c_b x^b d^gamma sends delta^(alpha)
+        to (-1)^|b| c_b (alpha+gamma)!/(alpha+gamma-b)! delta^(alpha+gamma-b),
+        after P_L when the term has one.  den is the operator's denominator
+        times the lcm of the pullback tables' denominators at order |alpha|.
         """
-        if self.n != v.n:
-            raise DimensionMismatch("operator and delta vector dimensions differ")
+        den, terms = self._delta_action
+        k = mi_order(alpha)
+        m = 1
+        for _, pb, tables, _ in terms:
+            if pb is not None:
+                table = tables.get(k)
+                if table is None:
+                    table = tables[k] = _pullback_degree(pb, k)
+                m = lcm(m, table[0])
         acc = {}
-        for gamma, pb, tables, signed in self._delta_action:
-            items = (v.coeffs if pb is None else _pullback_coeffs(v, pb, tables)).items()
-            for alpha, c in items:
-                s = tuple(a + g for a, g in zip(alpha, gamma))
-                for beta, cb in signed:
-                    fac = 1
-                    for si, bi in zip(s, beta):
+        for gamma, pb, tables, signed in terms:
+            if pb is None:
+                sources = ((alpha, m),)
+            else:
+                t_den, table = tables[k]
+                sources = table.get(alpha, ())
+                if t_den != m:
+                    sources = [(a, f * (m // t_den)) for a, f in sources]
+            for src, w in sources:
+                s = tuple(map(add, src, gamma))
+                for beta, nonzero, cr, ci in signed:
+                    fac = w
+                    for i, bi in nonzero:
+                        si = s[i]
                         if bi > si:
                             break
-                        if bi:
-                            fac *= perm(si, bi)
+                        fac *= perm(si, bi)
                     else:
-                        tgt = tuple(si - bi for si, bi in zip(s, beta))
-                        x = c * cb if fac == 1 else c * cb * fac
-                        acc[tgt] = acc[tgt] + x if tgt in acc else x
-        return DeltaVector(self.n, acc)
+                        tgt = tuple(map(sub, s, beta)) if nonzero else s
+                        x = acc.get(tgt)
+                        if x is None:
+                            acc[tgt] = [cr * fac, ci * fac]
+                        else:
+                            x[0] += cr * fac
+                            x[1] += ci * fac
+        return acc, den * m
+
+    def apply_delta(self, v: DeltaVector) -> DeltaVector:
+        """Exact image of a delta vector: the sum of the images
+        `_delta_image` of its basis vectors, accumulated over integers on
+        one common denominator and reduced once per target."""
+        if self.n != v.n:
+            raise DimensionMismatch("operator and delta vector dimensions differ")
+        images = [(c, *self._delta_image(alpha)) for alpha, c in v.coeffs.items()]
+        big = lcm(*(c.d * den for c, _, den in images))
+        acc = {}
+        for c, image, den in images:
+            f = big // (c.d * den)
+            a, b = c.a * f, c.b * f
+            for tgt, (x, y) in image.items():
+                re, im = a * x - b * y, a * y + b * x
+                z = acc.get(tgt)
+                if z is None:
+                    acc[tgt] = [re, im]
+                else:
+                    z[0] += re
+                    z[1] += im
+        return DeltaVector(self.n, {tgt: _reduced(re, im, big)
+                                    for tgt, (re, im) in acc.items() if re or im})
 
     def apply_poly(self, f: Polynomial) -> Polynomial:
         """Exact image of a polynomial (pullbacks act by composition)."""

@@ -18,6 +18,12 @@ projection polynomial p_r(z) = prod(1 - z/lambda) over the nonzero
 spectrum is the z-free part of the minimal polynomial of (Q|_r)* (Q|_r)
 normalized to value 1 at zero.
 
+`restrict` builds Q|_r column by column from the operator's integer kernel
+`opalg.OperatorExpr._delta_image`, adding each column straight into the
+sparse rows with one `_reduced` per nonzero entry; an image outside the
+codomain is refused (AssertionError).  The adjoint builds each entry
+conj(a) beta!/alpha! from a's triple with one gcd.
+
 Every matrix-vector product is the one `_sparse_matvec`, which accumulates
 over integers: the nonzero entries of the vector go over their common
 denominator once per call, each row's entries over the row's lcm, and each
@@ -70,7 +76,6 @@ changed once made.  `restrict.cache_clear()` empties the table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count
 from math import comb, lcm
@@ -290,12 +295,16 @@ class RestrictionMatrix:
 
     @cached_property
     def _adjoint(self) -> "RestrictionMatrix":
+        """M*[i][j] = conj(M[j][i]) beta!/alpha! for the j-th codomain index
+        beta and the i-th domain index alpha, one gcd per entry; row i of M*
+        collects column i of M, in ascending j."""
         dom_w = [mi_factorial(alpha) for alpha in self.domain_basis]
-        cod_w = [mi_factorial(beta) for beta in self.codomain_basis]
-        cols = [[(i, a.conj() * GaussianRational(Fraction(cod_w[j], dom_w[i]))) for i, a in row]
-                for j, row in enumerate(self.sparse_rows)]
-        return RestrictionMatrix(self.n, self.r_codomain, self.r_domain,
-                                 _transpose(cols, self.ncols))
+        rows = [[] for _ in dom_w]
+        for j, (row, beta) in enumerate(zip(self.sparse_rows, self.codomain_basis)):
+            w = mi_factorial(beta)
+            for i, x in row:
+                rows[i].append((j, _reduced(x.a * w, -x.b * w, x.d * dom_w[i])))
+        return RestrictionMatrix(self.n, self.r_codomain, self.r_domain, tuple(map(tuple, rows)))
 
     @cached_property
     def gram(self) -> "RestrictionMatrix":
@@ -313,35 +322,37 @@ class RestrictionMatrix:
         return self.matmul(self.gram_adjoint()) == self.gram
 
 
-def _from_images(n: int, r_domain: int, r_codomain: int, image) -> RestrictionMatrix:
-    """The matrix whose j-th column is image(alpha), a delta vector of degree
-    <= r_codomain (asserted), for the j-th domain basis index alpha."""
-    dom = enumerate_multi_indices(n, r_domain)
-    index = {beta: i for i, beta in enumerate(enumerate_multi_indices(n, r_codomain))}
-    cols = []
-    for alpha in dom:
-        img = image(alpha)
-        if img.degree() > r_codomain:
-            raise AssertionError("a column image exceeds the codomain degree")
-        cols.append([(index[beta], c) for beta, c in img.coeffs.items()])
-    return RestrictionMatrix(n, r_domain, r_codomain, _transpose(cols, len(index)))
-
-
 @lru_cache(maxsize=RESTRICT_CACHE)
 def restrict(q: OperatorExpr, r: int) -> RestrictionMatrix:
     """Q|_r as an exact matrix from degree <= r to degree <= r + q; kept per
-    (Q, r), with the factorizations its solves make."""
-    return _from_images(q.n, r, r + q.essential_order().q,
-                        lambda alpha: q.apply_delta(DeltaVector.basis(q.n, alpha)))
+    (Q, r), with the factorizations its solves make.  Column j is the image
+    of the j-th domain basis vector, from the operator's integer kernel
+    `_delta_image`, added straight into the sparse rows with one `_reduced`
+    per nonzero entry."""
+    r_codomain = r + q.essential_order().q
+    index = {beta: i for i, beta in enumerate(enumerate_multi_indices(q.n, r_codomain))}
+    rows = [[] for _ in index]
+    for j, alpha in enumerate(enumerate_multi_indices(q.n, r)):
+        image, den = q._delta_image(alpha)
+        for tgt, (x, y) in image.items():
+            if x or y:
+                i = index.get(tgt)
+                if i is None:
+                    raise AssertionError("a column image exceeds the codomain degree")
+                rows[i].append((j, _reduced(x, y, den)))
+    return RestrictionMatrix(q.n, r, r_codomain, tuple(map(tuple, rows)))
 
 
 def adjoint_restriction(q: OperatorExpr, r: int) -> RestrictionMatrix:
     """(Q|_r)* = T_r conj(Q)^t S_(r+q), from degree <= r+q to degree <= r."""
     ess = q.essential_order().q
     qt = q.conj().transpose()
-    return _from_images(
-        q.n, r + ess, r,
-        lambda alpha: tmap(r, qt.apply_poly(smap(r + ess, DeltaVector.basis(q.n, alpha)))))
+    index = {beta: i for i, beta in enumerate(enumerate_multi_indices(q.n, r))}
+    cols = []
+    for alpha in enumerate_multi_indices(q.n, r + ess):
+        img = tmap(r, qt.apply_poly(smap(r + ess, DeltaVector.basis(q.n, alpha))))
+        cols.append([(index[beta], c) for beta, c in img.coeffs.items()])
+    return RestrictionMatrix(q.n, r + ess, r, _transpose(cols, len(index)))
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ SUBCOMMANDS = (
 OPERATION_TO_SUBCOMMAND = {
     # opalg
     "constructors": "restrict",
-    "apply_delta": "restrict",
+    "apply_delta": "order-raise",
     "normal_form": "essord",
     "essential_order": "essord",
     "transpose": "adjoint",
@@ -638,6 +638,8 @@ class TestCommands:
         (("--rule", "monomial", "--value", "1", "--index", "1,-1"),
          "--index '1,-1' is not 2 non-negative integers"),
         (("--rule", "monomial", "--value", "1"), "--index '' is not 2 non-negative integers"),
+        (("--rule", "derivative", "--value", "1", "--index", "x,1"),
+         "--index 'x,1' is not 2 non-negative integers"),
         (("--rule", "delta", "--residue", '{"n":2,"terms":[]}', "--residue", '{"n":2,"terms":[]}'),
          "exactly one --residue is required for rule 'delta'"),
     ])
@@ -705,6 +707,17 @@ class TestCommands:
         *((("degree", "--dim", "1", "--rule", "delta",
             "--residue", f'{{"n":{n},"terms":[{{"alpha":[0],"coeff":"1"}}]}}'), RESIDUE_SHAPE)
           for n in ("true", "1.0", '"1"', "null")),
+        # a degree value or a residue multi-index of the wrong form failed
+        # with "invalid literal for int()" or "index (0,) has length != 2"
+        (("degree", "--dim", "1", "--rule", "vanishing", "--value", "1.5", "--k", "1"),
+         "--value '1.5' is not an integer"),
+        (("degree", "--dim", "2", "--rule", "tensor", "--value", "-2", "--value2", "x"),
+         "--value2 'x' is not an integer"),
+        (("degree", "--dim", "2", "--rule", "delta", "--residue", '{"alpha":[0],"coeff":"1"}'),
+         "--residue multi-index [0] has length 1, not --dim 2"),
+        (("extend-check", "--dim", "1", "--degree", "0", "--op", "d1",
+          "--residue", '{"alpha":[0,0],"coeff":"1"}'),
+         "--residue multi-index [0, 0] has length 2, not --dim 1"),
         # a negative vanishing order gave a bound above its input
         (("degree", "--dim", "1", "--rule", "vanishing", "--value", "3", "--k", "-2"),
          "k = -2 is negative: f vanishes to order k - 1 >= -1"),
