@@ -638,10 +638,10 @@ class TestCommands:
         (("--rule", "monomial", "--value", "1", "--index", "1,-1"),
          "--index '1,-1' is not 2 non-negative integers"),
         (("--rule", "monomial", "--value", "1"), "--index '' is not 2 non-negative integers"),
-        (("--rule", "derivative", "--value", "1", "--index", "x,1"),
-         "--index 'x,1' is not 2 non-negative integers"),
         (("--rule", "delta", "--residue", '{"n":2,"terms":[]}', "--residue", '{"n":2,"terms":[]}'),
          "exactly one --residue is required for rule 'delta'"),
+        (("--rule", "derivative", "--value", "1", "--index", "x,1"),
+         "--index 'x,1' is not 2 non-negative integers"),
     ])
     def test_degree_missing_or_malformed_arguments_exit_code(self, capsys, extra, message):
         code = main(["degree", "--dim", "2", *extra])
@@ -707,6 +707,9 @@ class TestCommands:
         *((("degree", "--dim", "1", "--rule", "delta",
             "--residue", f'{{"n":{n},"terms":[{{"alpha":[0],"coeff":"1"}}]}}'), RESIDUE_SHAPE)
           for n in ("true", "1.0", '"1"', "null")),
+        # a negative vanishing order gave a bound above its input
+        (("degree", "--dim", "1", "--rule", "vanishing", "--value", "3", "--k", "-2"),
+         "k = -2 is negative: f vanishes to order k - 1 >= -1"),
         # a degree value or a residue multi-index of the wrong form failed
         # with "invalid literal for int()" or "index (0,) has length != 2"
         (("degree", "--dim", "1", "--rule", "vanishing", "--value", "1.5", "--k", "1"),
@@ -718,9 +721,6 @@ class TestCommands:
         (("extend-check", "--dim", "1", "--degree", "0", "--op", "d1",
           "--residue", '{"alpha":[0,0],"coeff":"1"}'),
          "--residue multi-index [0, 0] has length 2, not --dim 1"),
-        # a negative vanishing order gave a bound above its input
-        (("degree", "--dim", "1", "--rule", "vanishing", "--value", "3", "--k", "-2"),
-         "k = -2 is negative: f vanishes to order k - 1 >= -1"),
     ])
     def test_missing_or_invalid_inputs_exit_code(self, capsys, argv, message):
         code = main(list(argv))
