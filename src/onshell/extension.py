@@ -25,15 +25,18 @@ substitution per block.  The Casimir route reads C|_r from the same table:
 `casimir_correction` (like the CLI's `casimir-check`) checks once and then
 maps the residue through that kept C|_r.
 
-The operator identities are decided once, in two more bounded tables.
+The operator identities are decided once, in three more bounded tables.
 `opalg.commutator` keeps [A, B] per operator pair (COMMUTATOR_CACHE = 32);
 `multi_commuting_correction` reads [Q_i, Q_j] there and the Casimir check
 reads [C, R_i], which does not depend on r.  `verify_casimir_hypotheses`
 keeps its frozen `CasimirReport` per (C, generators, r, expression)
 (CASIMIR_CACHE = 16), so the self-adjointness test (C|_r against its kept
 adjoint `gram_adjoint()`, which the Casimir counterterm then reuses) and
-the joint-kernel test run once per key.  The tables keep decisions, not
-the absence of errors: `casimir_correction` raises `CasimirHypothesisError`
+the joint-kernel test run once per key.  The shape test, whether the
+expression expands to C, does not depend on r: `_expands_to` keeps it per
+(C, generators, expression) (CASIMIR_CACHE entries), so a Casimir checked
+at several levels expands once.  The tables keep decisions, not the
+absence of errors: `casimir_correction` raises `CasimirHypothesisError`
 from a kept failing report, and `multi_commuting_correction` raises
 `NonCommutingOperators` from a kept nonzero commutator, on every call.
 """
@@ -76,7 +79,9 @@ from .spectral import (
 # Casimir reports that `verify_casimir_hypotheses` keeps, one per (C,
 # generators, r, expression); a report is a few booleans and strings.  A
 # counterterm benchmark pass asks 2, a CLI command 1; 16 holds one Casimir
-# at levels 0 to 7 in two dimensions.
+# at levels 0 to 7 in two dimensions.  The r-free shape answers
+# (`_expands_to`, one bool per (C, generators, expression)) are bounded
+# alike.
 CASIMIR_CACHE = 16
 
 
@@ -257,6 +262,13 @@ def _expand_expression(n: int, rs, expression) -> OperatorExpr:
     return total
 
 
+@lru_cache(maxsize=CASIMIR_CACHE)
+def _expands_to(c_op: OperatorExpr, rs: tuple, expression) -> bool:
+    """Whether the expression in the generators rs expands to C, kept per
+    (C, generators, expression): the answer does not depend on the level."""
+    return operator_equal(_expand_expression(c_op.n, rs, expression), c_op)
+
+
 def verify_casimir_hypotheses(c_op: OperatorExpr, rs, r: int,
                               expression=None) -> CasimirReport:
     """Exact checks of the hypotheses behind the Casimir route, at level r.
@@ -277,14 +289,13 @@ def verify_casimir_hypotheses(c_op: OperatorExpr, rs, r: int,
 @lru_cache(maxsize=CASIMIR_CACHE)
 def _casimir_report(c_op: OperatorExpr, rs: tuple, r: int, expression) -> CasimirReport:
     failures = []
-    n = c_op.n
 
     shape_ok = False
     if expression is None:
         failures.append("no polynomial expression in the generators was supplied")
     elif any(len(word) < 2 for _, word in expression):
         failures.append("expression contains a term of degree 0 or 1 in the generators")
-    elif not operator_equal(_expand_expression(n, rs, expression), c_op):
+    elif not _expands_to(c_op, rs, expression):
         failures.append("expression does not expand to the given operator")
     else:
         shape_ok = True

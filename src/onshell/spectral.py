@@ -58,7 +58,12 @@ solution with free variables 0 exactly as the augmented elimination would
 vectors and factors its kernel Gram system K* D K on first use, so
 `_min_norm_solve`, `range_membership`, `kernel_basis` and
 `kernel_projector` share one elimination per block and a block no solve
-reaches is never eliminated.  Likewise a matrix keeps its
+reaches is never eliminated.  A 1 x 1 block is one division and is never
+eliminated: its one entry a is nonzero (a part is a connected component
+of the pattern), so `_ScalarBlock` keeps a^-1, solves b as b a^-1, has no
+kernel and never calls `_rref`.  The Euler operators act diagonally on
+the delta derivatives, so every block of their restrictions is one, and
+so are many blocks of the Gram matrices of the others.  Likewise a matrix keeps its
 adjoint (whose parts give the witness of a "no"), its Gram matrix and its
 normality answer once made.  `restrict`, the one table, keeps matrices per
 (Q, r), so the counterterms of one (Q, r) build A, A* and B and factor
@@ -520,6 +525,11 @@ class _Block:
     def factor(self) -> _Factor:
         return _rref(_dense(_local_rows(self.rows, self.rs, self.cs), len(self.cs)))
 
+    def substitute(self, rhs: list):
+        """The x with free variables 0 that solves the block for rhs, or None
+        when there is none (`_Factor.substitute`)."""
+        return self.factor.substitute(rhs)
+
     @cached_property
     def kernel(self) -> tuple:
         """(free column, kernel vector) pairs, one per free column, read off
@@ -559,10 +569,30 @@ class _Block:
         return out
 
 
+class _ScalarBlock(_Block):
+    """A part with one row and one column.  Its one entry a is nonzero (a part
+    is a connected component of the nonzero pattern), so the block has no
+    kernel and solves b as b a^-1, with a^-1 made with the block: it is never
+    eliminated and never reports an inconsistency.  For a = 1, as in the
+    elimination, b is taken as it is."""
+
+    kernel = ()
+
+    def __init__(self, rows, rs, cs, basis=None):
+        super().__init__(rows, rs, cs, basis)
+        a = rows[rs[0]][0][1]
+        self.inverse = ONE if a == ONE else a.inverse()
+
+    def substitute(self, rhs: list) -> list:
+        return [rhs[0] if self.inverse is ONE else rhs[0] * self.inverse]
+
+
 def _blocks_of(rows, blocks, basis=None) -> tuple:
-    """A `_Block` per (rows, columns) part of the matrix given by sparse rows
-    and, when given, its domain basis."""
-    return tuple(_Block(rows, rs, cs, basis) for rs, cs in blocks)
+    """A block per (rows, columns) part of the matrix given by sparse rows
+    and, when given, its domain basis: a `_ScalarBlock` for a 1 x 1 part, a
+    `_Block` for any other."""
+    return tuple((_ScalarBlock if len(rs) == len(cs) == 1 else _Block)(rows, rs, cs, basis)
+                 for rs, cs in blocks)
 
 
 def _kernel_of(parts, ncols: int) -> list:
@@ -591,15 +621,16 @@ def kernel_basis(m: RestrictionMatrix) -> list:
 def _solve(parts, rhs, ncols: int, project: bool = False):
     """(x, inconsistent blocks) for M x = rhs, block by block: each block
     with a nonzero part of rhs is solved on its own, free variables 0, by
-    substitution into its kept factorization.  With project, x then loses
-    its weighted projection onto each block's kernel."""
+    its `substitute` (one division for a 1 x 1 block, a replay of its kept
+    factorization for any other).  With project, x then loses its weighted
+    projection onto each block's kernel."""
     x = [ZERO] * ncols
     bad = []
     for part in parts:
         local = [rhs[i] for i in part.rs]
-        if all(b.is_zero() for b in local):
+        if not any(local):
             continue
-        y = part.factor.substitute(local)
+        y = part.substitute(local)
         if y is None:
             bad.append((part.rs, part.cs))
             continue

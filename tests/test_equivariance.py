@@ -5,10 +5,11 @@ permutation within each sign class, any sign flips) keeps the weighted
 product (delta^alpha | delta^beta) = alpha! [alpha = beta], so it is unitary
 on every degree-<= r space.  When [Q, P] = 0, P maps ker Q|_r and Ran Q|_r
 onto themselves, and every answer that does not depend on a basis must
-commute with P: the least-norm counterterm, the kernel projector and the
-range decision (a bool; its preimage and witness depend on the basis).
-The check needs no second implementation.  [Q, P] = 0 is read from
-`opalg.commutator`, not from how Q was built.
+commute with P: the least-norm counterterm, the pseudoinverse of a normal
+restriction, the kernel projector and the range decision (a bool; its
+preimage and witness depend on the basis).  The check needs no second
+implementation.  [Q, P] = 0 is read from `opalg.commutator`, not from how
+Q was built.
 """
 
 import itertools
@@ -20,7 +21,7 @@ import pytest
 from onshell.scalar import ONE
 from onshell.deltaspace import DeltaVector, enumerate_multi_indices
 from onshell.opalg import OperatorExpr, casimir, commutator, dalembert, euler, reflection
-from onshell.spectral import kernel_projector, range_membership, restrict
+from onshell.spectral import kernel_projector, pseudoinverse_correction, range_membership, restrict
 from onshell.extension import (
     ExtensionRecord,
     casimir_correction,
@@ -30,7 +31,7 @@ from onshell.extension import (
 
 from conftest import random_delta_vector
 
-METRICS = ((1, -1), (1, -1, -1), (-1, 1, 1))
+METRICS = ((1, -1), (1, -1, -1), (-1, 1, 1), (1, -1, -1, -1))
 MAX_R = 2
 
 
@@ -39,18 +40,25 @@ def _metric_id(sig) -> str:
 
 
 def _operators(sig) -> dict:
-    """The operators under test.  Only euler(-n-2) has kernel blocks that a
-    symmetry moves (its kernel is the degree-2 level, one block per basis
+    """The operators under test.  The Euler operators are diagonal, so every
+    part of their restrictions is a 1 x 1 scalar block; euler(-n-2) and, at
+    n <= 3, euler(-3)^2 have kernel blocks that a symmetry moves (their
+    kernels are the degree-2 and the degree-(3-n) level, one block per basis
     vector); the others' kernels are empty or Lorentz invariant, so a
-    projector that drops one of their blocks stays equivariant."""
+    projector that drops one of their blocks stays equivariant.  n = 4 runs
+    three operators only, to keep the file at a few seconds."""
     n = len(sig)
+    if n == 4:
+        return {"box(1)": dalembert(n, 1, sig), "casimir": casimir(n, sig),
+                "euler(-n-2)": euler(n, -n - 2)}
     derivatives = OperatorExpr.identity(n)
     for i in range(n):
         derivatives = derivatives + OperatorExpr.derivative(
             n, tuple(1 if j == i else 0 for j in range(n)))
     return {"box(0)": dalembert(n, 0, sig), "box(3/2)": dalembert(n, Fraction(3, 2), sig),
             "casimir": casimir(n, sig), "euler(-3/2)": euler(n, Fraction(-3, 2)),
-            "euler(-n-2)": euler(n, -n - 2), "d1+...+dn+1": derivatives}
+            "euler(-n-2)": euler(n, -n - 2), "euler(-3)^2": euler(n, -3) ** 2,
+            "d1+...+dn+1": derivatives}
 
 
 def _signed_permutations(sig) -> list:
@@ -68,10 +76,28 @@ def _signed_permutations(sig) -> list:
     return out
 
 
+def _generators(sig) -> list:
+    """Signed permutation matrices that generate those keeping the metric:
+    each single sign flip and the swap of each two neighbours of one sign
+    class."""
+    n = len(sig)
+    out = [tuple(tuple(-1 if i == j == k else int(i == j) for j in range(n)) for i in range(n))
+           for k in range(n)]
+    for k in range(n - 1):
+        if sig[k] == sig[k + 1]:
+            swap = {k: k + 1, k + 1: k}
+            out.append(tuple(tuple(int(j == swap.get(i, i)) for j in range(n))
+                             for i in range(n)))
+    return out
+
+
 def _symmetries(q: OperatorExpr, sig) -> list:
-    """The reflections P of `_signed_permutations` with [Q, P] = 0."""
-    ps = [reflection(m) for m in _signed_permutations(sig)]
-    return [p for p in ps if commutator(q, p).is_zero()]
+    """The reflections P of `_signed_permutations` with [Q, P] = 0.  At n = 4
+    (95 of them on +---) only those of `_generators`: an answer that commutes
+    with P1 and P2 commutes with P1 P2, and every n = 4 operator under test
+    commutes with every generator, so the generators stand for the group."""
+    ms = _generators(sig) if len(sig) == 4 else _signed_permutations(sig)
+    return [p for p in map(reflection, ms) if commutator(q, p).is_zero()]
 
 
 def _residues(rng, q: OperatorExpr, r: int) -> list:
@@ -87,6 +113,10 @@ def _residues(rng, q: OperatorExpr, r: int) -> list:
 CASES = [(sig, name) for sig in METRICS for name, q in _operators(sig).items()
          if _symmetries(q, sig)]
 CASE_IDS = [f"{_metric_id(sig)}-{name}" for sig, name in CASES]
+# the operators of essential order 0, whose restrictions are square and
+# normal (the Euler operators are diagonal, casimir is self-adjoint)
+NORMAL = [(sig, name) for sig, name in CASES if _operators(sig)[name].essential_order().q == 0]
+NORMAL_IDS = [f"{_metric_id(sig)}-{name}" for sig, name in NORMAL]
 
 
 def _cases(sig, name):
@@ -122,6 +152,22 @@ class TestRecognition:
         assert all(_symmetries(q, sig) for q in ops.values())
         assert len(_symmetries(ops["casimir"], sig)) == len(_signed_permutations(sig))
 
+    def test_generators_stand_for_the_group_at_n4(self):
+        # the products of the generators are every metric-keeping signed
+        # permutation, and each n = 4 operator commutes with each generator
+        sig = METRICS[-1]
+        gens = _generators(sig)
+        identity = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+        group = {identity}
+        while True:
+            more = {tuple(tuple(sum(a[i][k] * g[k][j] for k in range(4)) for j in range(4))
+                          for i in range(4)) for a in group for g in gens} - group
+            if not more:
+                break
+            group |= more
+        assert group == set(_signed_permutations(sig)) | {identity}
+        assert all(len(_symmetries(q, sig)) == len(gens) for q in _operators(sig).values())
+
 
 @pytest.mark.parametrize("sig, name", CASES, ids=CASE_IDS)
 class TestEquivariance:
@@ -143,6 +189,16 @@ class TestEquivariance:
             m = restrict(q, r)
             for w in ws:
                 assert range_membership(m, p.apply_delta(w)).member == range_membership(m, w).member
+
+
+@pytest.mark.parametrize("sig, name", NORMAL, ids=NORMAL_IDS)
+def test_pseudoinverse_correction(sig, name):
+    for q, p, r, ws in _cases(sig, name):
+        m = restrict(q, r)
+        assert m.is_normal()
+        for w in ws:
+            assert pseudoinverse_correction(m, p.apply_delta(w)) == \
+                p.apply_delta(pseudoinverse_correction(m, w))
 
 
 @pytest.mark.parametrize("sig", METRICS, ids=_metric_id)

@@ -354,6 +354,19 @@ class TestKeptDecisions:
         extension._casimir_report.cache_clear()
         assert verify_casimir_hypotheses(c_op, gens, 1, expr) == kept
 
+    def test_the_expression_is_expanded_once_across_levels(self, monkeypatch):
+        # whether C equals the expression in the generators does not depend
+        # on r: the n = 4 Lorentz set-up checked at r = 0..3 expands it once
+        c_op, gens, expr = lorentz_casimir_setup(4)
+        extension._casimir_report.cache_clear()
+        extension._expands_to.cache_clear()
+        calls = []
+        original = extension._expand_expression
+        monkeypatch.setattr(extension, "_expand_expression",
+                            lambda *args: calls.append(args) or original(*args))
+        assert all(verify_casimir_hypotheses(c_op, gens, r, expr).passed for r in range(4))
+        assert len(calls) == 1
+
 
 class TestRenormMap:
     def test_single_nondegenerate_degree(self):
