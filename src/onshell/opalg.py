@@ -19,14 +19,16 @@ Pullbacks use the weak convention <P_L u, phi> = |det L|^(-1) <u, phi o L^(-1)>,
 so that the pullback of an ordinary function is plain composition with L;
 `mat_inv_det` forms L^(-1) and det L on the row reduction `scalar.reduce_row`.
 
-The action on delta vectors is compiled once per operator (`_delta_action`:
-per term the derivative, the pullback and the coefficient monomials with
-their sign folded in, as integer (re, im) numerators over one denominator
-per operator).  One kernel, `_delta_image`, owns the rule: it gives the
-image of a basis vector delta^(alpha) as integer numerators over one
-denominator, every term adding into one accumulator.  `spectral.restrict`
-adds these images straight into the rows of Q|_r and `apply_delta` sums
-them over a vector's coefficients; both reduce each nonzero entry once.
+Each operator keeps one integer form of its coefficients, compiled once
+(`_integer_terms`: per term the derivative, the pullback and the
+coefficient monomials as integer (re, im) numerators over one denominator
+per operator).  The action on delta vectors (`_delta_action`) is its signed
+form, with (-1)^|beta| folded in.  One kernel, `_delta_image`, owns the
+rule: it gives the image of a basis vector delta^(alpha) as integer
+numerators over one denominator, every term adding into one accumulator.
+`spectral.restrict` adds these images straight into the rows of Q|_r and
+`apply_delta` sums them over a vector's coefficients; both reduce each
+nonzero entry once.
 P_L keeps the order of a delta derivative, so its action on each order k is
 computed once per (L, k) from x^a o L^(-1), |a| = k, as integer numerators
 over one denominator, and kept in a bounded cache (`_pullback_degree`)
@@ -39,9 +41,14 @@ hashed once per order rather than once per basis vector.
 (COMMUTATOR_CACHE = 32 entries; operators are frozen and hash by their
 canonical key).  `extension.verify_casimir_hypotheses` and
 `extension.multi_commuting_correction` read [C, R_i] and [Q_i, Q_j] from it,
-so a pair is composed once however many levels and residues ask.  The table
+so a pair is computed once however many levels and residues ask.  The table
 keeps the operator [Q1, Q2]; each caller decides from it, and raises when it
-is nonzero, on every call.
+is nonzero, on every call.  [Q1, Q2] is one pass over the term pairs into
+one normal form, equal to (Q1 @ Q2) - (Q2 @ Q1).  A pullback-free pair runs
+on the shared integer coefficients, and its kappa = 0 Leibniz summand
+a b d^(gamma+delta), the same in both orders, is never formed; a pair with a
+pullback is `_compose_terms` in both orders.  Products (`@`, `**`) stay on
+`_compose_terms`: only a commutator has a summand that cancels.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from math import lcm, perm
+from math import comb, lcm, perm
 from operator import add, sub
 
 from .scalar import GaussianRational, ONE, ZERO, _ratio, _reduced, clear_above, reduce_row
@@ -413,26 +420,43 @@ class OperatorExpr:
     # -- actions ----------------------------------------------------------------
 
     @cached_property
+    def _integer_terms(self) -> tuple:
+        """The coefficients on integers, compiled once per operator, as
+        (den, terms), den the lcm of every coefficient's denominator.  Per
+        term: gamma, the pullback matrix (or None) and the coefficient
+        monomials as (beta, re, im), re and im the integer numerators of
+        c_beta over den.  `_delta_action` and `commutator` read it."""
+        den = lcm(*(cb.d for coeff, _, _ in self.terms for cb in coeff.coeffs.values()))
+        terms = []
+        for coeff, gamma, pb in self.terms:
+            monomials = []
+            for beta, cb in coeff.coeffs.items():
+                f = den // cb.d
+                monomials.append((beta, cb.a * f, cb.b * f))
+            terms.append((gamma, pb, tuple(monomials)))
+        return den, tuple(terms)
+
+    @cached_property
     def _delta_action(self) -> tuple:
         """The delta action, compiled once per operator, as (den, terms),
-        den the lcm of every coefficient's denominator.  Per term: gamma, the
-        pullback matrix (or None), the operator's dict of that pullback's
+        the signed form of `_integer_terms`.  Per term: gamma, the pullback
+        matrix (or None), the operator's dict of that pullback's
         `_pullback_degree` tables by order (None without a pullback; shared
         by the terms with that pullback, filled on use) and the coefficient
         monomials as (beta, its nonzero (i, beta_i), re, im), re and im the
         integer numerators over den of (-1)^|beta| c_beta."""
-        den = lcm(*(cb.d for coeff, _, _ in self.terms for cb in coeff.coeffs.values()))
+        den, terms = self._integer_terms
         tables = {}
-        terms = []
-        for coeff, gamma, pb in self.terms:
+        signed_terms = []
+        for gamma, pb, monomials in terms:
             signed = []
-            for beta, cb in coeff.coeffs.items():
-                f = den // cb.d if mi_order(beta) % 2 == 0 else -(den // cb.d)
-                nonzero = tuple((i, b) for i, b in enumerate(beta) if b)
-                signed.append((beta, nonzero, cb.a * f, cb.b * f))
-            terms.append((gamma, pb, None if pb is None else tables.setdefault(pb, {}),
-                          tuple(signed)))
-        return den, tuple(terms)
+            for beta, re, im in monomials:
+                if mi_order(beta) % 2:
+                    re, im = -re, -im
+                signed.append((beta, tuple((i, b) for i, b in enumerate(beta) if b), re, im))
+            signed_terms.append((gamma, pb, None if pb is None else tables.setdefault(pb, {}),
+                                 tuple(signed)))
+        return den, tuple(signed_terms)
 
     def _delta_image(self, alpha) -> tuple:
         """The image of delta^(alpha) as (acc, den): acc maps each target
@@ -568,8 +592,62 @@ def operator_equal(q1: OperatorExpr, q2: OperatorExpr) -> bool:
 
 @lru_cache(maxsize=COMMUTATOR_CACHE)
 def commutator(q1: OperatorExpr, q2: OperatorExpr) -> OperatorExpr:
-    """[Q1, Q2] = Q1 Q2 - Q2 Q1, kept per ordered pair."""
-    return (q1 @ q2) - (q2 @ q1)
+    """[Q1, Q2] = Q1 Q2 - Q2 Q1, kept per ordered pair: one pass over the
+    term pairs (t1, t2) adding t1 t2 - t2 t1, normalized once, so the
+    answer is `(q1 @ q2) - (q2 @ q1)` itself.
+
+    A pair without a pullback runs on the integer coefficients
+    (`_integer_terms`) into one accumulator over den1 * den2:
+    d^gamma x^e = sum_kappa C(gamma, kappa) e!/(e - kappa)! x^(e - kappa)
+    d^(gamma - kappa), and its kappa = 0 summand a b d^(gamma + delta) is
+    the same in both orders, so it is never formed.  A pair with a
+    pullback is `_compose_terms` in both orders, the second negated: the
+    coefficient moved through P_L differs, and nothing cancels."""
+    if q1.n != q2.n:
+        raise DimensionMismatch("composing operators of different dimensions")
+    den1, terms1 = q1._integer_terms
+    den2, terms2 = q2._integer_terms
+    acc, raw = {}, []
+    for t1, (gamma, pb1, mono1) in zip(q1.terms, terms1):
+        for t2, (delta, pb2, mono2) in zip(q2.terms, terms2):
+            if pb1 is None and pb2 is None:
+                for beta, ar, ai in mono1:
+                    for e, br, bi in mono2:
+                        pr, pi = ar * br - ai * bi, ar * bi + ai * br
+                        _leibniz_tail(acc, beta, gamma, e, delta, pr, pi)
+                        _leibniz_tail(acc, e, delta, beta, gamma, -pr, -pi)
+            else:
+                raw += q1._compose_terms(t1, t2)
+                raw += [(c.scale(-1), g, pb) for c, g, pb in q1._compose_terms(t2, t1)]
+    den, n = den1 * den2, q1.n
+    coeffs = {}
+    for (g, x), (re, im) in acc.items():
+        if re or im:
+            coeffs.setdefault(g, {})[x] = _reduced(re, im, den)
+    raw += [(Polynomial(n, c), g, None) for g, c in coeffs.items()]
+    return OperatorExpr._normalized(n, raw)
+
+
+def _leibniz_tail(acc, beta, gamma, e, delta, pr, pi):
+    """Add (pr + i pi) x^beta d^gamma x^e d^delta less its kappa = 0
+    summand into acc, keyed by (derivative, monomial):
+    sum_(0 < kappa <= gamma, e) C(gamma, kappa) e!/(e - kappa)!
+    x^(beta + e - kappa) d^(gamma - kappa + delta)."""
+    for kappa in product(*(range(min(g, t) + 1) for g, t in zip(gamma, e))):
+        if not any(kappa):
+            continue
+        fac = 1
+        for g, t, k in zip(gamma, e, kappa):
+            if k:
+                fac *= comb(g, k) * perm(t, k)
+        key = (tuple(g - k + d for g, k, d in zip(gamma, kappa, delta)),
+               tuple(b + t - k for b, t, k in zip(beta, e, kappa)))
+        x = acc.get(key)
+        if x is None:
+            acc[key] = [pr * fac, pi * fac]
+        else:
+            x[0] += pr * fac
+            x[1] += pi * fac
 
 
 # ---------------------------------------------------------------------------
